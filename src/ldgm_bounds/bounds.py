@@ -7,7 +7,9 @@ are expressed as curves in the (distortion, rate) plane.  Five families:
 * ``counting``: bound for a single code with a known generator degree
   distribution, obtained by counting low-weight codewords.
 * ``test_channel``: bound for degree-regular codes via a perturbed test
-  channel; numerically it traces the same curve as ``counting``.
+  channel.  At rates R >= 1/l it traces the same curve as ``counting``;
+  below 1/l, where ``counting`` follows its straight segment, it lies
+  lower (0.3005 against 0.3641 at l = 3, R = 0.14).
 * ``dwr``: bound for the ensemble of random codes whose check nodes all
   have one fixed degree (Poisson generator degrees in the limit).
 * ``conjectured_exit``: a stronger curve obtained from an EXIT-style area

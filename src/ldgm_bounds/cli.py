@@ -178,16 +178,20 @@ def render_curve_csv(curve: BoundCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_curve(args) -> int:
-    text = render_curve_csv(_curve_for_args(args))
-    if args.out == "-":
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is "-"."""
+    if path == "-":
         sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
+        return
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from exc
+
+
+def cmd_curve(args) -> int:
+    _write_output(args.out, render_curve_csv(_curve_for_args(args)))
     return 0
 
 
@@ -248,16 +252,8 @@ def cmd_verify(args) -> int:
         f"failed={failures} min_optimal={worst_optimal:.10g} bound={bound_value:.10g}"
     )
     lines.append(summary)
-    text = "\n".join(lines) + "\n"
-
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
+    _write_output(args.out, "\n".join(lines) + "\n")
+    if args.out != "-":
         print(summary)
     return 1 if failures else 0
 

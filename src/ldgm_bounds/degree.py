@@ -27,6 +27,11 @@ _MASS_TOL = 1e-12
 _POISSON_TAIL_LIMIT = 1e-10
 
 
+def _poisson_pmf(lam: float, i: int) -> float:
+    """Poisson(lam) mass at i, in log space so exp(-lam) never underflows."""
+    return math.exp(i * math.log(lam) - lam - math.lgamma(i + 1))
+
+
 class TruncationError(ValueError):
     """A truncated family left out more probability mass than allowed."""
 
@@ -99,9 +104,7 @@ class DegreeDistribution:
         if max_degree < 1:
             raise ValueError(f"max degree must be >= 1, got {max_degree!r}")
         lam = check_degree / rate
-        pmf = [math.exp(-lam)]
-        for i in range(1, max_degree + 1):
-            pmf.append(pmf[-1] * lam / i)
+        pmf = [_poisson_pmf(lam, i) for i in range(max_degree + 1)]
         kept = math.fsum(pmf)
         tail = 1.0 - kept
         if tail >= _POISSON_TAIL_LIMIT:
@@ -110,10 +113,6 @@ class DegreeDistribution:
                 f">= {_POISSON_TAIL_LIMIT:.0e} for mean {lam:.6g}"
             )
         return cls(tuple((i, p / kept) for i, p in enumerate(pmf)))
-
-    @classmethod
-    def parse_literal(cls, text: str) -> "DegreeDistribution":
-        return parse_degree_literal(text)
 
     # -- moments ---------------------------------------------------------
 
@@ -208,13 +207,11 @@ def poisson_minimum_max_degree(check_degree: int, rate: float) -> int:
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate out of range: {rate!r}")
     lam = check_degree / rate
-    pmf = math.exp(-lam)
-    kept = pmf
+    kept = _poisson_pmf(lam, 0)
     degree = 0
     while 1.0 - kept >= _POISSON_TAIL_LIMIT:
         degree += 1
-        pmf *= lam / degree
-        kept += pmf
+        kept += _poisson_pmf(lam, degree)
         if degree > 10_000:  # unreachable for sane means; guards infinite loops
             raise TruncationError(f"tail mass never fell below limit for mean {lam!r}")
     return max(degree, 1)

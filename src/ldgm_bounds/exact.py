@@ -6,8 +6,13 @@ distance transform assigns every source word its true distance to the
 nearest codeword.  This is what lets the asymptotic bounds be checked
 against brute-force optima on real instances.
 
+One kernel, ``_codewords``, lists the codeword of every index word; the
+weight enumerator counts its popcounts and the distance transform seeds
+its table with it.
+
 Budgets keep runtimes at desk scale: index-word enumeration is capped at
-2^24 words and the distance transform at 2^26 source words.
+2^24 words and the distance transform at 2^26 source words.  Both are
+checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +44,6 @@ __all__ = [
     "coefficient_lower_bound",
     "covered_fraction",
     "distance_transform",
-    "distance_transform_naive",
     "encode",
     "generator_masks",
     "optimal_average_distortion",
@@ -46,7 +51,6 @@ __all__ = [
     "sample_code",
     "verify_code",
     "weight_enumerator",
-    "weight_enumerator_naive",
     "write_code_file",
 ]
 
@@ -74,18 +78,7 @@ class LdgmCode:
         if self.num_checks < 1:
             raise ValueError(f"need at least one check node, got {self.num_checks!r}")
         for g, checks in enumerate(self.generators):
-            prev = -1
-            for index in checks:
-                if not 0 <= index < self.num_checks:
-                    raise ValueError(
-                        f"generator {g}: check index {index} out of range "
-                        f"[0, {self.num_checks})"
-                    )
-                if index <= prev:
-                    raise ValueError(
-                        f"generator {g}: check indices must be strictly ascending"
-                    )
-                prev = index
+            _check_indices(checks, self.num_checks, "generator", g)
 
     @property
     def num_generators(self) -> int:
@@ -100,15 +93,22 @@ class LdgmCode:
         return DegreeDistribution.from_degrees([len(g) for g in self.generators])
 
 
+def _check_indices(checks, num_checks: int, label: str, number: int) -> None:
+    """Reject indices out of [0, num_checks) or not ascending; cite label number."""
+    prev = -1
+    for index in checks:
+        if not 0 <= index < num_checks:
+            raise ValueError(
+                f"{label} {number}: check index {index} out of range [0, {num_checks})"
+            )
+        if index <= prev:
+            raise ValueError(f"{label} {number}: check indices must be strictly ascending")
+        prev = index
+
+
 def generator_masks(code: LdgmCode) -> tuple[int, ...]:
     """Each generator's check set as an integer bitmask."""
-    masks = []
-    for checks in code.generators:
-        mask = 0
-        for index in checks:
-            mask |= 1 << index
-        masks.append(mask)
-    return tuple(masks)
+    return tuple(sum(1 << index for index in checks) for checks in code.generators)
 
 
 def sample_code(
@@ -173,6 +173,36 @@ def encode(code: LdgmCode, index_bits) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# codeword kernel
+# ---------------------------------------------------------------------------
+
+_COUNT_CHUNK = 1 << 20
+
+
+def _codewords(code: LdgmCode, first_check: int = 0) -> np.ndarray:
+    """Codeword of every index word on checks first_check .. first_check+31.
+
+    Entry k of the 2^n uint32 array XORs the generator masks picked by the
+    bits of k, so repeated codewords keep their multiplicity.  Doubling in
+    place: entries [2^g, 2^(g+1)) are entries [0, 2^g) XOR mask g.
+    """
+    words = np.zeros(1 << code.num_generators, dtype=np.uint32)
+    for g, mask in enumerate(generator_masks(code)):
+        half = 1 << g
+        piece = np.uint32((mask >> first_check) & 0xFFFFFFFF)
+        np.bitwise_xor(words[:half], piece, out=words[half : 2 * half])
+    return words
+
+
+def _histogram(values: np.ndarray, length: int) -> tuple[int, ...]:
+    """Exact bincount, 2^20 entries at a time to bound bincount's intp copy."""
+    counts = np.zeros(length, dtype=np.int64)
+    for start in range(0, values.size, _COUNT_CHUNK):
+        counts += np.bincount(values[start : start + _COUNT_CHUNK], minlength=length)
+    return tuple(int(c) for c in counts)
+
+
+# ---------------------------------------------------------------------------
 # weight enumeration
 # ---------------------------------------------------------------------------
 
@@ -191,12 +221,7 @@ class WeightEnumerator:
 
     def cumulative(self) -> tuple[int, ...]:
         """Number of index words with codeword weight at most w, per w."""
-        out = []
-        running = 0
-        for count in self.counts:
-            running += count
-            out.append(running)
-        return tuple(out)
+        return tuple(accumulate(self.counts))
 
 
 def _check_enumeration_budget(code: LdgmCode) -> None:
@@ -208,36 +233,14 @@ def _check_enumeration_budget(code: LdgmCode) -> None:
 
 
 def weight_enumerator(code: LdgmCode) -> WeightEnumerator:
-    """Walk index words in Gray-code order, updating weight incrementally."""
+    """Histogram of codeword popcounts, summed over 32-check slices."""
     _check_enumeration_budget(code)
-    masks = generator_masks(code)
-    mask_bits = [mask.bit_count() for mask in masks]
-    counts = [0] * (code.num_checks + 1)
-    state = 0
-    weight = 0
-    counts[0] = 1
-    for k in range(1, 1 << code.num_generators):
-        g = (k & -k).bit_length() - 1
-        mask = masks[g]
-        weight += mask_bits[g] - 2 * (state & mask).bit_count()
-        state ^= mask
-        counts[weight] += 1
-    return WeightEnumerator(code.num_checks, code.num_generators, tuple(counts))
-
-
-def weight_enumerator_naive(code: LdgmCode) -> WeightEnumerator:
-    """Reference enumerator: rebuild each codeword from scratch, no Gray walk."""
-    _check_enumeration_budget(code)
-    counts = [0] * (code.num_checks + 1)
-    n = code.num_generators
-    for k in range(1 << n):
-        word = [0] * code.num_checks
-        for g in range(n):
-            if (k >> g) & 1:
-                for index in code.generators[g]:
-                    word[index] ^= 1
-        counts[sum(word)] += 1
-    return WeightEnumerator(code.num_checks, code.num_generators, tuple(counts))
+    weights = np.bitwise_count(_codewords(code))
+    for first_check in range(32, code.num_checks, 32):
+        more = np.bitwise_count(_codewords(code, first_check))
+        weights = np.add(weights, more, dtype=np.int32)
+    counts = _histogram(weights, code.num_checks + 1)
+    return WeightEnumerator(code.num_checks, code.num_generators, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +268,7 @@ def coefficient_lower_bound(dist: DegreeDistribution, num_generators: int) -> tu
             for k in range(degree, len(extended)):
                 extended[k] += coefficients[k - degree]
             coefficients = extended
-    running = 0
-    prefix = []
-    for c in coefficients:
-        running += c
-        prefix.append(running)
-    return tuple(prefix)
+    return tuple(accumulate(coefficients))
 
 
 def coefficient_growth_exponent(dist: DegreeDistribution, omega: float) -> float:
@@ -320,14 +318,6 @@ def _check_transform_budget(code: LdgmCode) -> None:
     _check_enumeration_budget(code)
 
 
-def _codeword_array(code: LdgmCode) -> np.ndarray:
-    """All distinct codewords as a sorted uint32 array (doubling construction)."""
-    words = np.zeros(1, dtype=np.uint32)
-    for mask in generator_masks(code):
-        words = np.concatenate([words, words ^ np.uint32(mask)])
-    return np.unique(words)
-
-
 def distance_transform(code: LdgmCode) -> CoverProfile:
     """Exact nearest-codeword distance histogram over all 2^m source words.
 
@@ -339,38 +329,29 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
     _check_transform_budget(code)
     m = code.num_checks
     table = np.full(1 << m, 100, dtype=np.int8)  # larger than any distance
-    table[_codeword_array(code)] = 0
+    table[_codewords(code)] = 0
     for b in range(m):
         paired = table.reshape(-1, 2, 1 << b)
         flipped = paired[:, ::-1, :] + np.int8(1)
         np.minimum(paired, flipped, out=paired)
-    histogram = np.bincount(table.astype(np.int64), minlength=m + 1)
-    return CoverProfile(m, tuple(int(c) for c in histogram))
+    return CoverProfile(m, _histogram(table, m + 1))
 
 
-def distance_transform_naive(code: LdgmCode) -> CoverProfile:
-    """Reference transform: per source word, scan the whole codeword set."""
-    _check_transform_budget(code)
-    m = code.num_checks
-    codewords = [int(c) for c in _codeword_array(code)]
-    histogram = [0] * (m + 1)
-    for word in range(1 << m):
-        nearest = min((word ^ c).bit_count() for c in codewords)
-        histogram[nearest] += 1
-    return CoverProfile(m, tuple(histogram))
+def _covered_count(profile: CoverProfile, distortion: float) -> int:
+    """Source words within radius floor(distortion * m).
+
+    The 1e-9 guard lands gridded distortions on an integer radius despite
+    rounding.
+    """
+    radius = int(math.floor(distortion * profile.num_checks + 1e-9))
+    return sum(profile.histogram[: radius + 1])
 
 
 def covered_fraction(profile: CoverProfile, distortion: float) -> float:
-    """Fraction of source words within radius floor(distortion * m).
-
-    The floor is taken with a 1e-9 guard so gridded distortion values that
-    hit an integer radius up to rounding land on that radius.
-    """
+    """Fraction of source words within radius floor(distortion * m)."""
     if not 0.0 <= distortion <= 1.0:
         raise ValueError(f"distortion out of range: {distortion!r}")
-    radius = int(math.floor(distortion * profile.num_checks + 1e-9))
-    covered = sum(profile.histogram[: radius + 1])
-    return covered / (1 << profile.num_checks)
+    return _covered_count(profile, distortion) / (1 << profile.num_checks)
 
 
 def optimal_average_distortion(code: LdgmCode) -> float:
@@ -433,8 +414,7 @@ def verify_code(
     worst_rhs = Fraction(0)
     covered_samples = []
     for d in d_grid:
-        radius = int(math.floor(d * m + 1e-9))
-        covered = sum(profile.histogram[: radius + 1])
+        covered = _covered_count(profile, d)
         covered_samples.append((float(d), covered / total))
         rhs = Fraction(d) * (total - covered)  # times m 2^m, like `weighted`
         if rhs > worst_rhs:
@@ -445,10 +425,7 @@ def verify_code(
 
     cumulative = enumerator.cumulative()
     last = len(floors) - 1
-    slacks = [
-        cumulative[w] - floors[min(w, last)] for w in range(m + 1)
-    ]
-    enumerator_slack = min(slacks)
+    enumerator_slack = min(cumulative[w] - floors[min(w, last)] for w in range(m + 1))
     enumerator_ok = enumerator_slack >= 0
 
     bound = counting_bound_distortion(dist, code.num_generators / m)
@@ -513,15 +490,7 @@ def code_from_text(text: str) -> LdgmCode:
             checks = tuple(int(token) for token in line.split())
         except ValueError as exc:
             raise ValueError(f"line {offset}: non-integer check index in {line!r}") from exc
-        prev = -1
-        for index in checks:
-            if not 0 <= index < num_checks:
-                raise ValueError(
-                    f"line {offset}: check index {index} out of range [0, {num_checks})"
-                )
-            if index <= prev:
-                raise ValueError(f"line {offset}: check indices must be strictly ascending")
-            prev = index
+        _check_indices(checks, num_checks, "line", offset)
         generators.append(checks)
     return LdgmCode(num_checks, tuple(generators))
 

@@ -27,7 +27,7 @@ from ldgm_bounds import (
     verify_code,
     weight_enumerator,
 )
-from ldgm_bounds.exact import distance_transform_naive, weight_enumerator_naive
+from oracles import distance_transform_naive, weight_enumerator_naive
 
 REG1 = DegreeDistribution.regular(1)
 REG2 = DegreeDistribution.regular(2)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from ldgm_bounds import DegreeDistribution, sample_code, write_code_file
+from ldgm_bounds import (
+    DegreeDistribution,
+    sample_code,
+    shannon_distortion,
+    write_code_file,
+)
 from ldgm_bounds.cli import main, parse_degree_spec
 
 REG2 = DegreeDistribution.regular(2)
@@ -213,6 +218,23 @@ def test_curve_full_span_shannon(capsys):
     assert status == 0
     rows = [l for l in out.splitlines() if not l.startswith("#") and l != "D,R"]
     assert rows == ["0.5,0", "0,1"]
+
+
+def test_curve_poisson_large_mean(capsys):
+    # At R = 0.01 the Poisson mean is 800, where exp(-800) underflows.
+    status, out, _ = run(
+        [
+            "curve", "--bound", "counting", "--degrees", "poisson:8",
+            "--rate-min", "0.01",
+        ],
+        capsys,
+    )
+    assert status == 0
+    rows = [l for l in out.splitlines() if not l.startswith("#") and l != "D,R"]
+    assert len(rows) == 19
+    for row in rows:
+        distortion, rate = (float(v) for v in row.split(","))
+        assert distortion >= shannon_distortion(rate) - 1e-10
 
 
 def test_curve_rejects_single_step(capsys):

@@ -25,17 +25,26 @@ from ldgm_bounds import (
     weight_enumerator,
     write_code_file,
 )
-from ldgm_bounds.exact import (
-    distance_transform_naive,
-    generator_masks,
-    weight_enumerator_naive,
-)
+from ldgm_bounds.exact import generator_masks
+from oracles import distance_transform_naive, weight_enumerator_naive
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
 
 PAIR_CODE = LdgmCode(
     num_checks=8, generators=((0, 1), (2, 3), (4, 5), (6, 7))
+)
+
+# Codes the sampler never draws: rank-deficient with a repeated generator,
+# some empty generators, and no generators at all.
+EDGE_CODES = (
+    LdgmCode(num_checks=9, generators=((0, 4), (2, 5, 8), (0, 4), (1, 2), (1, 5, 8))),
+    LdgmCode(num_checks=7, generators=((), (1, 3, 6), (), (0, 2))),
+    LdgmCode(num_checks=6, generators=()),
+)
+# Wider than one 32-bit word, so the enumerator sums popcounts over slices.
+WIDE_CODE = LdgmCode(
+    num_checks=70, generators=((0, 31, 32), (5, 40, 63, 64, 69), (31, 32), (0, 69))
 )
 
 
@@ -131,8 +140,8 @@ def test_weight_enumerator_zero_generators():
 
 
 def test_weight_enumerator_matches_naive():
-    for seed in range(6):
-        code = sample_code(11, 6, REG3, seed=seed)
+    sampled = [sample_code(11, 6, REG3, seed=seed) for seed in range(6)]
+    for code in sampled + list(EDGE_CODES) + [WIDE_CODE]:
         fast = weight_enumerator(code)
         slow = weight_enumerator_naive(code)
         assert fast.counts == slow.counts
@@ -213,8 +222,8 @@ def test_distance_transform_pair_code():
 
 
 def test_distance_transform_matches_naive():
-    for seed in range(5):
-        code = sample_code(10, 5, REG2, seed=seed)
+    sampled = [sample_code(10, 5, REG2, seed=seed) for seed in range(5)]
+    for code in sampled + list(EDGE_CODES):
         fast = distance_transform(code)
         slow = distance_transform_naive(code)
         assert tuple(fast.histogram) == tuple(slow.histogram)
