@@ -66,6 +66,10 @@ CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Entries kept by each per-distribution cache.  Fixed-profile curves reuse
+# one entry; Poisson curves build a new distribution at every rate, so the
+# caches must not grow with the grid.
+_DIST_CACHE_SIZE = 16
 
 
 class NoSolutionError(ValueError):
@@ -120,7 +124,7 @@ def parametric_endpoints(
     return start, end
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
 def _checked_parametric_monotone(dist: DegreeDistribution) -> bool:
     """Verify numerically that the arc's rate decreases in x; raise otherwise.
 
@@ -170,7 +174,7 @@ def solve_x_for_rate(
     return x
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
 def _line_anchor(dist: DegreeDistribution) -> tuple[float, float]:
     """Arc point (occupancy form) where the straight segment attaches."""
     average = dist.average_degree

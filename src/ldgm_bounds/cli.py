@@ -9,7 +9,10 @@ Three subcommands:
   coefficient floor.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-or parse errors.
+or parse errors, 3 when an exact computation exceeds its budget
+(``BudgetError``), and 4 when a bound has no solution or its numerics
+cannot deliver one (``NoSolutionError``, ``BracketError``,
+``TruncationError``).
 """
 
 from __future__ import annotations
@@ -18,17 +21,19 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .bounds import BoundCurve, parametric_endpoints, sample_curve
-from .degree import DegreeDistribution, parse_degree_literal
+from .bounds import BoundCurve, NoSolutionError, parametric_endpoints, sample_curve
+from .degree import DegreeDistribution, TruncationError, parse_degree_literal
 from .exact import (
     BLOCKLENGTH_LIMIT,
     GENERATOR_LIMIT,
+    BudgetError,
     coefficient_lower_bound,
     read_code_file,
     sample_code,
     verify_code,
     weight_enumerator,
 )
+from .numerics import BracketError
 
 _BOUND_FLAGS = {
     "shannon": "shannon",
@@ -305,12 +310,18 @@ def main(argv=None) -> int:
     handlers = {"curve": cmd_curve, "verify": cmd_verify, "enum": cmd_enum}
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _exit_status(exc)
+
+
+def _exit_status(exc: ValueError) -> int:
+    """3 for a budget refusal, 4 for a mathematical one, 2 for the rest."""
+    if isinstance(exc, BudgetError):
+        return 3
+    if isinstance(exc, (NoSolutionError, BracketError, TruncationError)):
+        return 4
+    return 2
 
 
 def entry_point() -> None:

@@ -1,18 +1,23 @@
 """Exact machinery for concrete small codes.
 
 Everything here is combinatorially exact: codeword weight counts and
-coefficient floors use arbitrary-precision integers, and the hypercube
-distance transform assigns every source word its true distance to the
-nearest codeword.  This is what lets the asymptotic bounds be checked
+coefficient floors use arbitrary-precision integers, and the distance
+transform assigns every source word its true distance to the nearest
+codeword.  This is what lets the asymptotic bounds be checked
 against brute-force optima on real instances.
 
-One kernel, ``_codewords``, lists the codeword of every index word; the
-weight enumerator counts its popcounts and the distance transform seeds
-its table with it.
+Both kernels start from one GF(2) elimination, ``_basis``, which reduces
+the generator masks to k independent rows, k being the code's rank.  One
+span kernel, ``_span``, XORs every subset of a list of masks.  The weight
+enumerator counts the popcounts of the span of the rows, the 2^k distinct
+codewords, and scales each count by the 2^(n-k) index words that share
+a codeword.  The distance transform works on cosets rather than source
+words: every source word in a coset is equally far from the code, so it
+sweeps a table of 2^(m-k) cosets and scales its histogram by 2^k.
 
 Budgets keep runtimes at desk scale: index-word enumeration is capped at
-2^24 words and the distance transform at 2^26 source words.  Both are
-checked before anything is allocated.
+n <= 24 generators and the distance transform at m <= 26 checks.  Both
+are checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -173,21 +178,40 @@ def encode(code: LdgmCode, index_bits) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# codeword kernel
+# GF(2) elimination and span kernel
 # ---------------------------------------------------------------------------
 
 _COUNT_CHUNK = 1 << 20
 
 
-def _codewords(code: LdgmCode, first_check: int = 0) -> np.ndarray:
-    """Codeword of every index word on checks first_check .. first_check+31.
+def _basis(masks) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon basis of the span of ``masks``, and its pivots.
 
-    Entry k of the 2^n uint32 array XORs the generator masks picked by the
-    bits of k, so repeated codewords keep their multiplicity.  Doubling in
-    place: entries [2^g, 2^(g+1)) are entries [0, 2^g) XOR mask g.
+    Each row's pivot is its lowest set bit, and that bit is clear in every
+    other row, so a combination of rows has a set pivot bit exactly where
+    it picks that row.  The rank k is the number of rows.
     """
-    words = np.zeros(1 << code.num_generators, dtype=np.uint32)
-    for g, mask in enumerate(generator_masks(code)):
+    rows: list[int] = []
+    for mask in masks:
+        for row in rows:
+            if mask & row & -row:
+                mask ^= row
+        if mask:
+            pivot = mask & -mask
+            rows = [row ^ mask if row & pivot else row for row in rows]
+            rows.append(mask)
+    return rows, [(row & -row).bit_length() - 1 for row in rows]
+
+
+def _span(masks, first_check: int = 0) -> np.ndarray:
+    """XOR of every subset of ``masks``, on bits first_check .. first_check+31.
+
+    Entry j of the 2^len(masks) uint32 array XORs the masks picked by the
+    bits of j.  Doubling in place: entries [2^g, 2^(g+1)) are entries
+    [0, 2^g) XOR mask g.
+    """
+    words = np.zeros(1 << len(masks), dtype=np.uint32)
+    for g, mask in enumerate(masks):
         half = 1 << g
         piece = np.uint32((mask >> first_check) & 0xFFFFFFFF)
         np.bitwise_xor(words[:half], piece, out=words[half : 2 * half])
@@ -233,14 +257,22 @@ def _check_enumeration_budget(code: LdgmCode) -> None:
 
 
 def weight_enumerator(code: LdgmCode) -> WeightEnumerator:
-    """Histogram of codeword popcounts, summed over 32-check slices."""
+    """Popcount histogram of the 2^k distinct codewords, times 2^(n-k).
+
+    Every codeword of a rank-k code is the image of exactly 2^(n-k) index
+    words.  Popcounts are summed over 32-check slices.
+    """
     _check_enumeration_budget(code)
-    weights = np.bitwise_count(_codewords(code))
+    rows, _ = _basis(generator_masks(code))
+    weights = np.bitwise_count(_span(rows))
     for first_check in range(32, code.num_checks, 32):
-        more = np.bitwise_count(_codewords(code, first_check))
+        more = np.bitwise_count(_span(rows, first_check))
         weights = np.add(weights, more, dtype=np.int32)
+    shift = code.num_generators - len(rows)
     counts = _histogram(weights, code.num_checks + 1)
-    return WeightEnumerator(code.num_checks, code.num_generators, counts)
+    return WeightEnumerator(
+        code.num_checks, code.num_generators, tuple(c << shift for c in counts)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +353,33 @@ def _check_transform_budget(code: LdgmCode) -> None:
 def distance_transform(code: LdgmCode) -> CoverProfile:
     """Exact nearest-codeword distance histogram over all 2^m source words.
 
-    Runs m min-plus sweeps, one per coordinate: after sweeping bit b, every
-    cell holds the cheapest way to reach a codeword flipping only bits
-    swept so far.  Each sweep is a vectorized reshape of the 2^m table, so
-    the whole transform costs O(m 2^m) with no frontier bookkeeping.
+    A source word's distance to the code depends only on its coset, so the
+    table holds one cell per coset: 2^(m-k) cells for a rank-k code,
+    indexed by the m-k non-pivot bits of the coset's member with clear
+    pivot bits.  A word with pivot part P and non-pivot part N lies in
+    cell N XOR (P's rows on the non-pivot bits) and has weight |P| + wt(N).
+    The table is seeded with the cheapest |P| per cell, then m-k min-plus
+    sweeps add the non-pivot flips: after sweeping bit b, every cell holds
+    the cheapest member flipping only bits swept so far.  Each sweep is a
+    vectorized reshape, so the transform costs O(2^k + (m-k) 2^(m-k)).
+    Every cell stands for 2^k source words.
     """
     _check_transform_budget(code)
     m = code.num_checks
-    table = np.full(1 << m, 100, dtype=np.int8)  # larger than any distance
-    table[_codewords(code)] = 0
-    for b in range(m):
+    rows, pivots = _basis(generator_masks(code))
+    k = len(rows)
+    free = [b for b in range(m) if b not in pivots]
+    compressed = [
+        sum(((row >> b) & 1) << j for j, b in enumerate(free)) for row in rows
+    ]
+    table = np.full(1 << len(free), 100, dtype=np.uint8)  # larger than any distance
+    picked = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))
+    np.minimum.at(table, _span(compressed), picked)
+    for b in range(len(free)):
         paired = table.reshape(-1, 2, 1 << b)
-        flipped = paired[:, ::-1, :] + np.int8(1)
+        flipped = paired[:, ::-1, :] + np.uint8(1)
         np.minimum(paired, flipped, out=paired)
-    return CoverProfile(m, _histogram(table, m + 1))
+    return CoverProfile(m, tuple(c << k for c in _histogram(table, m + 1)))
 
 
 def _covered_count(profile: CoverProfile, distortion: float) -> int:

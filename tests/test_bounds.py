@@ -27,6 +27,7 @@ from ldgm_bounds import (
     test_channel_distortion_bound as channel_distortion_bound,
     test_channel_rate_bound as channel_rate_bound,
 )
+from ldgm_bounds import bounds as bounds_module
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
@@ -377,3 +378,47 @@ def test_sample_curve_argument_validation():
         sample_curve("dwr", [0.5])  # needs check degree
     with pytest.raises(ValueError):
         sample_curve("shannon", [0.5, 1.5])  # rate out of range
+
+
+# ---------------------------------------------------------------------------
+# per-distribution caches
+# ---------------------------------------------------------------------------
+
+PER_DISTRIBUTION_CACHES = (
+    bounds_module._checked_parametric_monotone,
+    bounds_module._line_anchor,
+)
+
+
+def test_poisson_curve_leaves_bounded_caches():
+    for cache in PER_DISTRIBUTION_CACHES:
+        cache.cache_clear()
+    rates = [0.05 + 0.9 * k / 299 for k in range(300)]
+    sample_curve("counting", rates, check_degree=4)
+    monotone = bounds_module._checked_parametric_monotone.cache_info()
+    assert monotone.misses == 300  # one new distribution per rate
+    for cache in PER_DISTRIBUTION_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == bounds_module._DIST_CACHE_SIZE
+        assert info.currsize <= info.maxsize
+
+
+def test_line_anchor_cache_bounded_over_many_profiles():
+    bounds_module._line_anchor.cache_clear()
+    for k in range(1, 80):
+        mixed = DegreeDistribution.from_fractions({2: k / 80, 3: 1 - k / 80})
+        counting_bound_distortion(mixed, 0.1)  # below 1/3: the straight segment
+    info = bounds_module._line_anchor.cache_info()
+    assert info.misses == 79
+    assert info.currsize <= info.maxsize
+
+
+def test_fixed_profile_curve_hits_caches():
+    for cache in PER_DISTRIBUTION_CACHES:
+        cache.cache_clear()
+    rates = [0.05 + 0.9 * k / 49 for k in range(50)]
+    sample_curve("counting", rates, dist=REG2)
+    for cache in PER_DISTRIBUTION_CACHES:
+        info = cache.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 10

@@ -3,11 +3,16 @@
 import pytest
 
 from ldgm_bounds import (
+    BracketError,
     DegreeDistribution,
+    LdgmCode,
+    NoSolutionError,
+    TruncationError,
     sample_code,
     shannon_distortion,
     write_code_file,
 )
+from ldgm_bounds import bounds as bounds_module
 from ldgm_bounds.cli import main, parse_degree_spec
 
 REG2 = DegreeDistribution.regular(2)
@@ -237,6 +242,24 @@ def test_curve_poisson_large_mean(capsys):
         assert distortion >= shannon_distortion(rate) - 1e-10
 
 
+@pytest.mark.parametrize("error", [NoSolutionError, BracketError, TruncationError])
+def test_curve_mathematical_refusal_exits_4(monkeypatch, capsys, error):
+    def refuse(dist, rate, residual_tol=1e-10):
+        raise error(f"no parameter for rate {rate}")
+
+    monkeypatch.setattr(bounds_module, "solve_x_for_rate", refuse)
+    status, out, err = run(
+        [
+            "curve", "--bound", "counting", "--degrees", "2:1",
+            "--rate-min", "0.6", "--rate-max", "0.9", "--steps", "4",
+        ],
+        capsys,
+    )
+    assert status == 4
+    assert out == ""
+    assert "error: no parameter for rate 0.6" in err
+
+
 def test_curve_rejects_single_step(capsys):
     status, _, err = run(
         [
@@ -289,3 +312,13 @@ def test_enum_bad_file(tmp_path, capsys):
     status, _, err = run(["enum", str(path)], capsys)
     assert status == 2
     assert "line 2" in err
+
+
+def test_enum_over_budget_exits_3(tmp_path, capsys):
+    code = LdgmCode(num_checks=30, generators=tuple((g,) for g in range(25)))
+    path = tmp_path / "wide.txt"
+    write_code_file(code, path)
+    status, out, err = run(["enum", str(path)], capsys)
+    assert status == 3
+    assert out == ""
+    assert "error: 25 generators exceed the enumeration budget of 24" in err

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ldgm_bounds import (
     BudgetError,
@@ -46,6 +46,38 @@ EDGE_CODES = (
 WIDE_CODE = LdgmCode(
     num_checks=70, generators=((0, 31, 32), (5, 40, 63, 64, 69), (31, 32), (0, 69))
 )
+
+
+# Budget-limit codes, m=26, n=24, regular:2, with histograms and enumerators
+# computed by the kernels that scanned all 2^26 source words and all 2^24
+# index words.  Seed 3 has rank 20 (every codeword repeats 2^4 times) and
+# seed 230 has rank 24.
+BUDGET_PINS = {
+    3: (
+        (1048576, 6291456, 15728640, 20971520, 15728640, 6291456, 1048576)
+        + (0,) * 20,
+        (16, 0, 1680, 0, 37168, 0, 342960, 0, 1562528, 0, 3817632, 0, 5174624, 0,
+         3912288, 0, 1591632, 0, 313808, 0, 22640, 0, 240) + (0,) * 4,
+    ),
+    230: (
+        (16777216, 33554432, 16777216) + (0,) * 24,
+        (1, 0, 300, 0, 12650, 0, 177100, 0, 1081575, 0, 3268760, 0, 5200300, 0,
+         4457400, 0, 2042975, 0, 480700, 0, 53130, 0, 2300, 0, 25) + (0,) * 2,
+    ),
+}
+
+
+@st.composite
+def small_codes(draw):
+    """Codes with m <= 12 and n <= 9, repeats and empty generators included."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    check_sets = st.lists(
+        st.integers(min_value=0, max_value=m - 1), unique=True, max_size=min(m, 5)
+    ).map(lambda checks: tuple(sorted(checks)))
+    generators = draw(st.lists(check_sets, max_size=8))
+    if generators and draw(st.booleans()):
+        generators.append(draw(st.sampled_from(generators)))
+    return LdgmCode(m, tuple(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +259,31 @@ def test_distance_transform_matches_naive():
         fast = distance_transform(code)
         slow = distance_transform_naive(code)
         assert tuple(fast.histogram) == tuple(slow.histogram)
+
+
+@pytest.mark.parametrize("seed", sorted(BUDGET_PINS))
+def test_kernels_at_budget_limit_match_pins(seed):
+    code = sample_code(26, 24, REG2, seed=seed)
+    histogram, counts = BUDGET_PINS[seed]
+    assert distance_transform(code).histogram == histogram
+    assert weight_enumerator(code).counts == counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+# full rank, so the coset table has one cell
+@example(LdgmCode(5, ((0,), (1, 2), (2,), (3, 4), (4,), (0, 4))))
+# rank 0: every generator has degree 0
+@example(LdgmCode(6, ((), (), ())))
+# no generators at all
+@example(LdgmCode(4, ()))
+# repeated generators next to degree-0 ones
+@example(LdgmCode(8, ((1, 3), (), (1, 3), (2, 5, 7), (2, 5, 7), (0,), ())))
+# full rank again, with more generators than checks
+@example(LdgmCode(10, tuple((b, b + 1) for b in range(9)) + ((0,), (3, 9))))
+def test_kernels_match_oracles_on_small_codes(code):
+    assert weight_enumerator(code).counts == weight_enumerator_naive(code).counts
+    assert distance_transform(code).histogram == distance_transform_naive(code).histogram
 
 
 def test_distance_transform_budget():
