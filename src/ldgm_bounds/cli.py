@@ -10,8 +10,9 @@ Three subcommands:
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 or parse errors, 3 when an exact computation exceeds its budget
-(``BudgetError``), and 4 when a bound has no solution or its numerics
-cannot deliver one (``NoSolutionError``, ``BracketError``,
+(``BudgetError``; ``verify`` raises it for ``--m`` or ``--n`` past the
+budget before sampling), and 4 when a bound has no solution or its
+numerics cannot deliver one (``NoSolutionError``, ``BracketError``,
 ``TruncationError``).
 """
 
@@ -230,11 +231,13 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.d_grid_steps < 2:
         raise UsageError(f"--d-grid-steps must be >= 2, got {args.d_grid_steps}")
+    if args.m < 1 or args.n < 0:
+        raise UsageError(f"need --m >= 1 and --n >= 0, got {args.m} and {args.n}")
     # Refuse oversized instances before sampling anything.
-    if args.m < 1 or args.m > BLOCKLENGTH_LIMIT:
-        raise UsageError(f"--m must be in [1, {BLOCKLENGTH_LIMIT}], got {args.m}")
-    if args.n < 0 or args.n > GENERATOR_LIMIT:
-        raise UsageError(f"--n must be in [0, {GENERATOR_LIMIT}], got {args.n}")
+    if args.m > BLOCKLENGTH_LIMIT:
+        raise BudgetError(f"--m {args.m} exceeds the budget of {BLOCKLENGTH_LIMIT}")
+    if args.n > GENERATOR_LIMIT:
+        raise BudgetError(f"--n {args.n} exceeds the budget of {GENERATOR_LIMIT}")
     dist = _verify_distribution(args.degrees)
     grid = [k / (2 * (args.d_grid_steps - 1)) for k in range(args.d_grid_steps)]
 

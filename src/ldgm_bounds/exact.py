@@ -7,13 +7,12 @@ codeword.  This is what lets the asymptotic bounds be checked
 against brute-force optima on real instances.
 
 Both kernels start from one GF(2) elimination, ``_basis``, which reduces
-the generator masks to k independent rows, k being the code's rank.  One
-span kernel, ``_span``, XORs every subset of a list of masks.  The weight
-enumerator counts the popcounts of the span of the rows, the 2^k distinct
-codewords, and scales each count by the 2^(n-k) index words that share
-a codeword.  The distance transform works on cosets rather than source
-words: every source word in a coset is equally far from the code, so it
-sweeps a table of 2^(m-k) cosets and scales its histogram by 2^k.
+the generator masks to k independent rows, k being the code's rank.  The
+weight enumerator counts the popcounts of their span (``_span``), the 2^k
+distinct codewords, and scales each count by the 2^(n-k) index words that
+share a codeword.  The distance transform works on cosets: every source
+word in a coset is equally far from the code, so it makes m min-plus
+passes over a table of 2^(m-k) cosets and scales its histogram by 2^k.
 
 Budgets keep runtimes at desk scale: index-word enumeration is capped at
 n <= 24 generators and the distance transform at m <= 26 checks.  Both
@@ -355,30 +354,26 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
 
     A source word's distance to the code depends only on its coset, so the
     table holds one cell per coset: 2^(m-k) cells for a rank-k code,
-    indexed by the m-k non-pivot bits of the coset's member with clear
-    pivot bits.  A word with pivot part P and non-pivot part N lies in
-    cell N XOR (P's rows on the non-pivot bits) and has weight |P| + wt(N).
-    The table is seeded with the cheapest |P| per cell, then m-k min-plus
-    sweeps add the non-pivot flips: after sweeping bit b, every cell holds
-    the cheapest member flipping only bits swept so far.  Each sweep is a
-    vectorized reshape, so the transform costs O(2^k + (m-k) 2^(m-k)).
-    Every cell stands for 2^k source words.
+    indexed by the syndrome, the non-pivot bits of the coset's member with
+    clear pivot bits.  Flipping check bit b XORs the syndrome with b's
+    column: its unit vector for a non-pivot bit, its basis row's non-pivot
+    bits for a pivot bit.  From the code's cell 0, one min-plus pass per
+    column leaves in each cell the fewest columns XORing to it, the coset
+    leader's weight.  Syndrome bit j is axis m-k-1-j of a (2,)*(m-k) view,
+    so each pass is a flip and a minimum: O(m 2^(m-k)) in all.  Every cell
+    stands for 2^k source words.
     """
     _check_transform_budget(code)
     m = code.num_checks
     rows, pivots = _basis(generator_masks(code))
     k = len(rows)
     free = [b for b in range(m) if b not in pivots]
-    compressed = [
-        sum(((row >> b) & 1) << j for j, b in enumerate(free)) for row in rows
-    ]
-    table = np.full(1 << len(free), 100, dtype=np.uint8)  # larger than any distance
-    picked = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))
-    np.minimum.at(table, _span(compressed), picked)
-    for b in range(len(free)):
-        paired = table.reshape(-1, 2, 1 << b)
-        flipped = paired[:, ::-1, :] + np.uint8(1)
-        np.minimum(paired, flipped, out=paired)
+    table = np.full(1 << (m - k), 100, dtype=np.uint8)  # larger than any distance
+    table[0] = 0
+    cube = table.reshape((2,) * (m - k))
+    for column in [1 << b for b in free] + rows:
+        axes = tuple(m - k - 1 - j for j, b in enumerate(free) if column >> b & 1)
+        np.minimum(cube, np.flip(cube, axes) + np.uint8(1), out=cube)
     return CoverProfile(m, tuple(c << k for c in _histogram(table, m + 1)))
 
 

@@ -13,6 +13,7 @@ from ldgm_bounds import (
     write_code_file,
 )
 from ldgm_bounds import bounds as bounds_module
+from ldgm_bounds import cli as cli_module
 from ldgm_bounds.cli import main, parse_degree_spec
 
 REG2 = DegreeDistribution.regular(2)
@@ -200,16 +201,31 @@ def test_verify_zero_generators_degenerate(capsys):
     assert "PASS" in out
 
 
-def test_verify_budget_refused_before_sampling(capsys):
+def test_verify_budget_refused_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("sampled a code past the budget")
+
+    monkeypatch.setattr(cli_module, "sample_code", no_sampling)
+    for size, flag in ((("30", "4"), "--m"), (("14", "25"), "--n")):
+        status, out, err = run(
+            [
+                "verify", "--m", size[0], "--n", size[1], "--degrees", "regular:2",
+                "--trials", "1",
+            ],
+            capsys,
+        )
+        assert status == 3
+        assert out == ""
+        assert flag in err
+
+
+@pytest.mark.parametrize("size", [("0", "4"), ("14", "-1")])
+def test_verify_negative_sizes_are_usage_errors(size, capsys):
     status, _, err = run(
-        [
-            "verify", "--m", "30", "--n", "4", "--degrees", "regular:2",
-            "--trials", "1",
-        ],
-        capsys,
+        ["verify", "--m", size[0], "--n", size[1], "--degrees", "regular:2"], capsys
     )
     assert status == 2
-    assert "--m" in err
+    assert "need --m >= 1 and --n >= 0" in err
 
 
 def test_curve_full_span_shannon(capsys):

@@ -1,6 +1,7 @@
 """Exact code machinery: enumerators, transforms, floors, verification."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -281,9 +282,26 @@ def test_kernels_at_budget_limit_match_pins(seed):
 @example(LdgmCode(8, ((1, 3), (), (1, 3), (2, 5, 7), (2, 5, 7), (0,), ())))
 # full rank again, with more generators than checks
 @example(LdgmCode(10, tuple((b, b + 1) for b in range(9)) + ((0,), (3, 9))))
+# pivots 2, 3, 4 sit between the non-pivot bits 0, 1 and 5, 6
+@example(LdgmCode(7, ((3, 5), (4, 5), (2, 4, 6))))
+# the row with pivot 0 hits non-pivot bits 1 and 6, the lowest and highest
+@example(LdgmCode(7, ((0, 1, 6), (2, 3))))
 def test_kernels_match_oracles_on_small_codes(code):
     assert weight_enumerator(code).counts == weight_enumerator_naive(code).counts
     assert distance_transform(code).histogram == distance_transform_naive(code).histogram
+
+
+def test_distance_transform_allocates_only_its_coset_table():
+    # Rank 24 at m = 26: the coset table has 4 cells, so nothing sized
+    # by the 2^24 codewords may be allocated.
+    code = sample_code(26, 24, REG2, seed=230)
+    tracemalloc.start()
+    try:
+        distance_transform(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_distance_transform_budget():
