@@ -7,9 +7,11 @@ are expressed as curves in the (distortion, rate) plane.  Five families:
 * ``counting``: bound for a single code with a known generator degree
   distribution, obtained by counting low-weight codewords.
 * ``test_channel``: bound for degree-regular codes via a perturbed test
-  channel.  At rates R >= 1/l it traces the same curve as ``counting``;
-  below 1/l, where ``counting`` follows its straight segment, it lies
-  lower (0.3005 against 0.3641 at l = 3, R = 0.14).
+  channel, maximized over the channel parameter D'.  At rates R >= 1/l it
+  traces the same curve as ``counting``; below 1/l, where ``counting``
+  follows its straight segment, it lies lower (0.3005 against 0.3641 at
+  l = 3, R = 0.14), and below a crossover rate the maximum is the
+  D' -> 1/2 limit, giving the line D = (1 - l R)/2.
 * ``dwr``: bound for the ensemble of random codes whose check nodes all
   have one fixed degree (Poisson generator degrees in the limit).
 * ``conjectured_exit``: a stronger curve obtained from an EXIT-style area
@@ -216,8 +218,21 @@ class CoverageExponent:
     minimizer_x: float
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section minimizer; plateau ties drift toward the smaller x."""
+def _golden_min(fn, grid, tol: float = 1e-12) -> float:
+    """Minimizer of ``fn`` near its smallest value on ``grid``.
+
+    The grid point with the smallest value (the first, on ties) and its two
+    neighbours bracket the search; golden section then narrows the bracket
+    to ``tol`` and returns its midpoint, plateau ties drifting toward the
+    smaller x.  When the upper neighbour does not lie above the lower one,
+    the lower one is returned.
+    """
+    values = [fn(float(x)) for x in grid]
+    best = int(np.argmin(values))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+    if not hi > lo:
+        return lo
     left = hi - _GOLDEN * (hi - lo)
     right = lo + _GOLDEN * (hi - lo)
     f_left, f_right = fn(left), fn(right)
@@ -271,11 +286,7 @@ def coverage_exponent(
         x_hi = 1.0
 
     grid = np.concatenate(([0.0], np.geomspace(1e-9, x_hi, 160)))
-    values = [objective(float(x)) for x in grid]
-    best = int(np.argmin(values))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    x_min = _golden_min(objective, lo, hi) if hi > lo else lo
+    x_min = _golden_min(objective, grid)
     candidates = [(objective(x), x) for x in (0.0, x_min, x_hi)]
     value, minimizer = min(candidates, key=lambda pair: (pair[0], pair[1]))
     return CoverageExponent(value, minimizer)
@@ -290,9 +301,12 @@ def test_channel_rate_bound(degree: int, distortion: float) -> float:
     """Minimal rate supporting ``distortion`` on a degree-regular code.
 
     Maximizes (1 - h(D) - KL(D || D')) / (1 - log2(1 + (D'/(1-D'))^l)) over
-    test-channel parameters D' in [D, 1/2).  The maximizer found by golden
-    section is cross-checked against its stationarity characterization
-    D' = 1/(1 + (1 + R l / (D' - D))^{1/l}).
+    test-channel parameters D' in [D, 1/2).  The ratio is 0/0 at D' = 1/2,
+    with limit (1 - 2D)/l there.  That limit is a candidate of its own, and
+    the grid-then-golden search ends at D' = 1/2 - 1e-4, where cancellation
+    in the numerator costs only about four digits.  At rates below the
+    crossover the limit is the maximum, so the bound is the line
+    D = (1 - l R)/2.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
@@ -311,24 +325,12 @@ def test_channel_rate_bound(degree: int, distortion: float) -> float:
         denominator = 1.0 - math.log2(1.0 + skew**degree)
         return numerator / denominator
 
-    hi = 0.5 - 1e-9
+    limit = (1.0 - 2.0 * distortion) / degree
+    hi = 0.5 - 1e-4
     if distortion >= hi:
-        return ratio(distortion)
-    grid = np.linspace(distortion, hi, 96)
-    values = [ratio(float(c)) for c in grid]
-    best = int(np.argmax(values))
-    lo = float(grid[max(best - 1, 0)])
-    up = float(grid[min(best + 1, len(grid) - 1)])
-    channel = _golden_min(lambda c: -ratio(c), lo, up)
-    value = ratio(channel)
-
-    # stationarity refinement: re-derive the optimal channel from the value
-    gap = channel - distortion
-    if gap > 0.0:
-        implied = 1.0 / (1.0 + (1.0 + value * degree / gap) ** (1.0 / degree))
-        if distortion < implied < 0.5:
-            value = max(value, ratio(implied))
-    return max(value, ratio(distortion))
+        return max(ratio(distortion), limit)
+    channel = _golden_min(lambda c: -ratio(c), np.linspace(distortion, hi, 96))
+    return max(ratio(channel), ratio(distortion), limit)
 
 
 def test_channel_distortion_bound(degree: int, rate: float) -> float:
@@ -339,14 +341,9 @@ def test_channel_distortion_bound(degree: int, rate: float) -> float:
         raise ValueError(f"rate out of range: {rate!r}")
     if rate == 0.0:
         return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if test_channel_rate_bound(degree, mid) > rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_monotone(
+        functools.partial(test_channel_rate_bound, degree), 0.0, 0.5, rate, tol=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +456,9 @@ def conjectured_exit_distortion_bound(degree: int, rate: float) -> float:
     cap = 0.5 - 1e-5
     if conjectured_exit_rate_bound(degree, cap) > rate:
         return 0.5
-    lo, hi = 0.0, cap
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if conjectured_exit_rate_bound(degree, mid) > rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_monotone(
+        functools.partial(conjectured_exit_rate_bound, degree), 0.0, cap, rate, tol=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -372,8 +372,11 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
     table[0] = 0
     cube = table.reshape((2,) * (m - k))
     for column in [1 << b for b in free] + rows:
-        axes = tuple(m - k - 1 - j for j, b in enumerate(free) if column >> b & 1)
-        np.minimum(cube, np.flip(cube, axes) + np.uint8(1), out=cube)
+        flip = tuple(
+            slice(None, None, -1) if column >> b & 1 else slice(None)
+            for b in reversed(free)
+        )
+        np.minimum(cube, cube[flip] + np.uint8(1), out=cube)
     return CoverProfile(m, tuple(c << k for c in _histogram(table, m + 1)))
 
 

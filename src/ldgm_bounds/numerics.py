@@ -42,14 +42,7 @@ def inverse_binary_entropy(y: float, tol: float = 1e-12) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_monotone(binary_entropy, 0.0, 0.5, y, tol=tol)
 
 
 def kl_bernoulli(p: float, q: float) -> float:

@@ -44,6 +44,11 @@ X_REG2_HALF = 0.16479763571213157
 ENSEMBLE_R4_D005 = 0.7171884451196279
 CONJ_L2_D011 = 0.7007744813694133
 CONJ_L3_D02 = 0.468258087174193
+# Test-channel distortion bound where the maximising D' is interior
+# (40-digit golden section in D', bisection in D).
+TEST_CHANNEL_L2_R03 = 0.21167633869985068
+TEST_CHANNEL_L3_R014 = 0.30045935479640406
+TEST_CHANNEL_L4_R01 = 0.32518492149335144
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +243,29 @@ def test_test_channel_rate_bound_above_shannon():
 def test_test_channel_distortion_bound_monotone():
     values = [channel_distortion_bound(3, r) for r in (0.4, 0.6, 0.8)]
     assert values[0] > values[1] > values[2]
+
+
+@pytest.mark.parametrize(
+    "degree, rate",
+    [(2, 0.01), (2, 0.05), (2, 0.1), (2, 0.2), (3, 0.05), (3, 0.1), (4, 0.01), (4, 0.05)],
+)
+def test_test_channel_line_regime(degree, rate):
+    # Below the crossover the maximum sits at the D' -> 1/2 limit
+    # (1 - 2D)/l, so the bound is the line D = (1 - l R)/2.
+    expected = (1.0 - degree * rate) / 2.0
+    assert channel_distortion_bound(degree, rate) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "degree, rate, reference",
+    [
+        (2, 0.3, TEST_CHANNEL_L2_R03),
+        (3, 0.14, TEST_CHANNEL_L3_R014),
+        (4, 0.1, TEST_CHANNEL_L4_R01),
+    ],
+)
+def test_test_channel_interior_reference_values(degree, rate, reference):
+    assert channel_distortion_bound(degree, rate) == pytest.approx(reference, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
 from ldgm_bounds import (
     BracketError,
@@ -114,6 +115,19 @@ def test_bisect_target_at_endpoint():
     assert root == pytest.approx(0.0, abs=1e-11)
 
 
+def test_bisect_plateau_tie_rule():
+    # On a plateau at the target, ties move the end whose value lies below
+    # the target: the lowest root of an increasing function, the highest
+    # of a decreasing one.  The bound solvers' printed digits rely on it.
+    def plateau(x):
+        return min(x, 0.3) + max(x - 0.7, 0.0)
+
+    rising = bisect_monotone(plateau, 0.0, 1.0, 0.3)
+    falling = bisect_monotone(lambda x: -plateau(x), 0.0, 1.0, -0.3)
+    assert rising == pytest.approx(0.3, abs=1e-12)
+    assert falling == pytest.approx(0.7, abs=1e-12)
+
+
 def test_bisect_unbracketed_raises():
     with pytest.raises(BracketError):
         bisect_monotone(lambda x: x, 0.0, 1.0, 2.0)
@@ -124,3 +138,7 @@ def test_bisect_entropy_agrees_with_inverse(y):
     direct = inverse_binary_entropy(y)
     via_bisect = bisect_monotone(binary_entropy, 0.0, 0.5, y, tol=1e-13)
     assert via_bisect == pytest.approx(direct, abs=1e-9)
+    # an independent library root of the same equation
+    reference = brentq(lambda p: binary_entropy(p) - y, 0.0, 0.5, xtol=1e-15)
+    assert direct == pytest.approx(reference, abs=1e-12)
+    assert via_bisect == pytest.approx(reference, abs=1e-12)
