@@ -7,11 +7,12 @@ are expressed as curves in the (distortion, rate) plane.  Five families:
 * ``counting``: bound for a single code with a known generator degree
   distribution, obtained by counting low-weight codewords.
 * ``test_channel``: bound for degree-regular codes via a perturbed test
-  channel, maximized over the channel parameter D'.  At rates R >= 1/l it
-  traces the same curve as ``counting``; below 1/l, where ``counting``
-  follows its straight segment, it lies lower (0.3005 against 0.3641 at
-  l = 3, R = 0.14), and below a crossover rate the maximum is the
-  D' -> 1/2 limit, giving the line D = (1 - l R)/2.
+  channel, maximized over the channel parameter D'.  Down to R = 1/l^2 it
+  traces the counting arc: the ``counting`` curve itself at R >= 1/l, and
+  lower than its straight segment below 1/l (0.3005 against 0.3641 at
+  l = 3, R = 0.14).  The arc ends at its x -> 1 limit ((l-1)/(2l), 1/l^2);
+  below that rate the maximum is the D' -> 1/2 limit, giving the line
+  D = (1 - l R)/2.
 * ``dwr``: bound for the ensemble of random codes whose check nodes all
   have one fixed degree (Poisson generator degrees in the limit).
 * ``conjectured_exit``: a stronger curve obtained from an EXIT-style area
@@ -67,7 +68,6 @@ CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 # Parametric evaluation is a 0/0 limit at both ends of (0, 1); stay inside.
 _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Entries kept by each per-distribution cache.  Fixed-profile curves reuse
 # one entry; Poisson curves build a new distribution at every rate, so the
 # caches must not grow with the grid.
@@ -218,36 +218,6 @@ class CoverageExponent:
     minimizer_x: float
 
 
-def _golden_min(fn, grid, tol: float = 1e-12) -> float:
-    """Minimizer of ``fn`` near its smallest value on ``grid``.
-
-    The grid point with the smallest value (the first, on ties) and its two
-    neighbours bracket the search; golden section then narrows the bracket
-    to ``tol`` and returns its midpoint, plateau ties drifting toward the
-    smaller x.  When the upper neighbour does not lie above the lower one,
-    the lower one is returned.
-    """
-    values = [fn(float(x)) for x in grid]
-    best = int(np.argmin(values))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    if not hi > lo:
-        return lo
-    left = hi - _GOLDEN * (hi - lo)
-    right = lo + _GOLDEN * (hi - lo)
-    f_left, f_right = fn(left), fn(right)
-    while hi - lo > tol:
-        if f_left <= f_right:
-            hi, right, f_right = right, left, f_left
-            left = hi - _GOLDEN * (hi - lo)
-            f_left = fn(left)
-        else:
-            lo, left, f_left = left, right, f_right
-            right = lo + _GOLDEN * (hi - lo)
-            f_right = fn(right)
-    return 0.5 * (lo + hi)
-
-
 def coverage_exponent(
     dist: DegreeDistribution, distortion: float, rate: float
 ) -> CoverageExponent:
@@ -256,7 +226,10 @@ def coverage_exponent(
     Minimizes ``-R * (log2 gf(x) - a(x) log2 x) + R + h(D + a(x) R)`` over
     x >= 0 subject to D + a(x) R <= 1/2.  The curve traced by the counting
     bound is exactly the locus where this infimum equals 1.  The objective
-    is increasing for x > 1, so the search is confined to [0, 1].
+    is increasing for x > 1, so the search is confined to [0, 1].  Its slope
+    has the sign of x/(1+x) - D - a(x) R, which can change sign twice: the
+    least value on a grid brackets the minimiser, and bisection on that
+    sign finds it.
     """
     if not 0.0 <= distortion <= 0.5:
         raise ValueError(f"distortion out of range: {distortion!r}")
@@ -285,8 +258,17 @@ def coverage_exponent(
     else:
         x_hi = 1.0
 
-    grid = np.concatenate(([0.0], np.geomspace(1e-9, x_hi, 160)))
-    x_min = _golden_min(objective, grid)
+    def slope(x: float) -> float:
+        """Has the sign of the objective's derivative at x."""
+        return x / (1.0 + x) - distortion - dist.mean_occupancy(x) * rate
+
+    grid = np.concatenate(([0.0], np.geomspace(min(1e-9, x_hi), x_hi, 160)))
+    best = int(np.argmin([objective(float(x)) for x in grid]))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+    x_min = float(grid[best])
+    if lo < hi and slope(lo) <= 0.0 <= slope(hi):
+        x_min = bisect_monotone(slope, lo, hi, 0.0, tol=1e-12)
     candidates = [(objective(x), x) for x in (0.0, x_min, x_hi)]
     value, minimizer = min(candidates, key=lambda pair: (pair[0], pair[1]))
     return CoverageExponent(value, minimizer)
@@ -300,13 +282,14 @@ def coverage_exponent(
 def test_channel_rate_bound(degree: int, distortion: float) -> float:
     """Minimal rate supporting ``distortion`` on a degree-regular code.
 
-    Maximizes (1 - h(D) - KL(D || D')) / (1 - log2(1 + (D'/(1-D'))^l)) over
-    test-channel parameters D' in [D, 1/2).  The ratio is 0/0 at D' = 1/2,
-    with limit (1 - 2D)/l there.  That limit is a candidate of its own, and
-    the grid-then-golden search ends at D' = 1/2 - 1e-4, where cancellation
-    in the numerator costs only about four digits.  At rates below the
-    crossover the limit is the maximum, so the bound is the line
-    D = (1 - l R)/2.
+    Maximizes N/Den = (1 - h(D) - KL(D || D')) / (1 - log2(1 + s^l)) over
+    D' in [D, 1/2), s = D'/(1-D').  Its slope in D' has the sign of
+    l q N - (D' - D) Den, q = s^l/(1 + s^l): positive at D' = D and, as
+    checked on dense grids for l = 1..8, changing sign at most once, so
+    bisection on that sign finds the maximiser.  The ratio is 0/0 at
+    D' = 1/2 with limit (1 - 2D)/l, a candidate of its own; the search ends
+    at 1/2 - 1e-4, where cancellation in N costs about four digits.  Below
+    R = 1/l^2 the limit wins, so the bound is the line D = (1 - l R)/2.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
@@ -319,18 +302,28 @@ def test_channel_rate_bound(degree: int, distortion: float) -> float:
 
     base = 1.0 - binary_entropy(distortion)
 
-    def ratio(channel: float) -> float:
+    def terms(channel: float) -> tuple[float, float, float]:
+        """Numerator, denominator and s^l/(1 + s^l) at D', with s = D'/(1-D')."""
+        power = (channel / (1.0 - channel)) ** degree
         numerator = base - kl_bernoulli(distortion, channel)
-        skew = channel / (1.0 - channel)
-        denominator = 1.0 - math.log2(1.0 + skew**degree)
+        return numerator, 1.0 - math.log2(1.0 + power), power / (1.0 + power)
+
+    def ratio(channel: float) -> float:
+        numerator, denominator, _ = terms(channel)
         return numerator / denominator
+
+    def slope(channel: float) -> float:
+        """Has the sign of the ratio's derivative at D'."""
+        numerator, denominator, share = terms(channel)
+        return degree * share * numerator - (channel - distortion) * denominator
 
     limit = (1.0 - 2.0 * distortion) / degree
     hi = 0.5 - 1e-4
     if distortion >= hi:
         return max(ratio(distortion), limit)
-    channel = _golden_min(lambda c: -ratio(c), np.linspace(distortion, hi, 96))
-    return max(ratio(channel), ratio(distortion), limit)
+    if slope(hi) < 0.0:
+        hi = bisect_monotone(slope, distortion, hi, 0.0, tol=1e-12)
+    return max(ratio(hi), limit)
 
 
 def test_channel_distortion_bound(degree: int, rate: float) -> float:
@@ -482,11 +475,13 @@ class RatePoint:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """A sampled bound curve: kind tag, points by rate, generating params."""
+    """A sampled bound curve: kind tag, points by rate, generating params,
+    and a fixed-profile counting curve's unrounded distribution."""
 
     kind: str
     points: tuple[RatePoint, ...]
     params: tuple[tuple[str, str], ...]
+    dist: DegreeDistribution | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in CURVE_KINDS:
@@ -572,4 +567,4 @@ def sample_curve(
         evaluate = functools.partial(conjectured_exit_distortion_bound, degree)
 
     points = tuple(RatePoint(evaluate(rate), rate) for rate in rates)
-    return BoundCurve(kind, points, tuple(params))
+    return BoundCurve(kind, points, tuple(params), dist if kind == "counting" else None)

@@ -171,9 +171,8 @@ def render_curve_csv(curve: BoundCurve) -> str:
     params = " ".join(f"{key}={value}" for key, value in curve.params)
     lines.append(f"# bound={curve.kind}" + (f" {params}" if params else ""))
     if curve.kind == "counting":
-        fixed = dict(curve.params).get("degrees")
-        if fixed is not None:
-            start, end = parametric_endpoints(parse_degree_literal(fixed))
+        if curve.dist is not None:
+            start, end = parametric_endpoints(curve.dist)
             lines.append(f"# arc endpoint x->0: D={start[0]:.10g},R={start[1]:.10g}")
             lines.append(f"# arc endpoint x->1: D={end[0]:.10g},R={end[1]:.10g}")
         else:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
@@ -207,14 +208,31 @@ def test_coverage_exponent_zero_rate():
     assert result.minimizer_x == 0.0
 
 
-def test_coverage_exponent_minimizer_stationarity():
-    rate = 0.6
-    distortion = counting_bound_distortion(REG2, rate) - 0.01
-    result = coverage_exponent(REG2, distortion, rate)
+@pytest.mark.parametrize(
+    "dist, distortion, rate",
+    [
+        (REG2, counting_bound_distortion(REG2, 0.6) - 0.01, 0.6),
+        # The objective is flat to rounding around these minimisers, so
+        # only the slope's sign can locate them.
+        (DegreeDistribution.from_fractions({0: 0.5, 7: 0.5}), 0.01, 0.5),
+        (DegreeDistribution.regular(7), 0.01, 0.5),
+    ],
+    ids=["regular2", "degree0-7", "regular7"],
+)
+def test_coverage_exponent_minimizer_stationarity(dist, distortion, rate):
+    result = coverage_exponent(dist, distortion, rate)
     x = result.minimizer_x
     lhs = x / (1.0 + x)
-    rhs = distortion + rate * REG2.mean_occupancy(x)
-    assert lhs == pytest.approx(rhs, abs=1e-6)
+    rhs = distortion + rate * dist.mean_occupancy(x)
+    assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_coverage_exponent_minimizer_respects_cap():
+    # So close to D = 1/2 the cap D + a(x) R <= 1/2 puts x below 1e-9.
+    dist = DegreeDistribution.regular(1)
+    distortion, rate = 0.5 - 1e-12, 0.5
+    result = coverage_exponent(dist, distortion, rate)
+    assert distortion + rate * dist.mean_occupancy(result.minimizer_x) <= 0.5 + 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +268,40 @@ def test_test_channel_distortion_bound_monotone():
     [(2, 0.01), (2, 0.05), (2, 0.1), (2, 0.2), (3, 0.05), (3, 0.1), (4, 0.01), (4, 0.05)],
 )
 def test_test_channel_line_regime(degree, rate):
-    # Below the crossover the maximum sits at the D' -> 1/2 limit
+    # Below R = 1/l^2 the maximum sits at the D' -> 1/2 limit
     # (1 - 2D)/l, so the bound is the line D = (1 - l R)/2.
     expected = (1.0 - degree * rate) / 2.0
     assert channel_distortion_bound(degree, rate) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.floats(min_value=1e-6, max_value=0.4999))
+def test_test_channel_rate_bound_against_grid(degree, distortion):
+    # Brute force over D' on a fine grid: a missed second peak would put
+    # the bound below the grid maximum.
+    channels = np.linspace(distortion, 0.5 - 1e-4, 20001)
+    divergence = distortion * np.log2(distortion / channels) + (
+        1.0 - distortion
+    ) * np.log2((1.0 - distortion) / (1.0 - channels))
+    numerator = 1.0 - binary_entropy(distortion) - divergence
+    denominator = 1.0 - np.log2(1.0 + (channels / (1.0 - channels)) ** degree)
+    best = max(float(np.max(numerator / denominator)), (1.0 - 2.0 * distortion) / degree)
+    value = channel_rate_bound(degree, distortion)
+    assert best - 1e-12 <= value <= best + 1e-6
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_test_channel_equals_counting_arc(degree):
+    # Between R = 1/l^2, where the arc reaches x -> 1, and R = 1 the
+    # test-channel bound traces the counting arc, which is computed by an
+    # independent route.
+    dist = DegreeDistribution.regular(degree)
+    for x in np.linspace(0.02, 0.98, 25):
+        rate = parametric_rate(dist, float(x))
+        expected = parametric_distortion(dist, float(x))
+        assert channel_distortion_bound(degree, rate) == pytest.approx(expected, abs=1e-11)
+    end = channel_distortion_bound(degree, 1.0 / degree**2)
+    assert end == pytest.approx((degree - 1) / (2 * degree), abs=1e-11)
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,24 @@ def test_curve_writes_file(tmp_path, capsys):
     assert "D,R" in text
 
 
+def test_curve_endpoints_from_unrounded_literal(capsys):
+    # The fractions sum to 1, but their 10-digit rounding in the
+    # preamble sums to 0.9999999999.
+    status, out, _ = run(
+        [
+            "curve", "--bound", "counting",
+            "--degrees", "1:0.11111111114,2:0.11111111114,3:0.77777777772",
+            "--steps", "3",
+        ],
+        capsys,
+    )
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[1] == "# arc endpoint x->0: D=0,R=1"
+    assert lines[2].startswith("# arc endpoint x->1: D=")
+    assert len(lines) == 7
+
+
 def test_curve_dwr_requires_check_degree(capsys):
     status, _, err = run(
         ["curve", "--bound", "dwr", "--rate-min", "0.5", "--rate-max", "0.9"],
