@@ -68,9 +68,9 @@ CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 # Parametric evaluation is a 0/0 limit at both ends of (0, 1); stay inside.
 _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
-# Entries kept by each per-distribution cache.  Fixed-profile curves reuse
+# Entries kept by the ``_line_anchor`` cache.  Fixed-profile curves reuse
 # one entry; Poisson curves build a new distribution at every rate, so the
-# caches must not grow with the grid.
+# cache must not grow with the grid.
 _DIST_CACHE_SIZE = 16
 
 
@@ -126,35 +126,18 @@ def parametric_endpoints(
     return start, end
 
 
-@functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
-def _checked_parametric_monotone(dist: DegreeDistribution) -> bool:
-    """Verify numerically that the arc's rate decreases in x; raise otherwise.
-
-    Monotonicity is what makes the rate -> parameter inversion well posed.
-    It holds for every distribution exercised here, but it is checked per
-    distribution on a grid instead of being assumed.
-    """
-    xs = np.linspace(1e-6, 1.0 - 1e-3, 64)
-    values = [parametric_rate(dist, float(x)) for x in xs]
-    for left, right in zip(values, values[1:]):
-        if right > left + 1e-9:
-            raise BracketError(
-                f"parametric rate is not decreasing for {dist}: "
-                f"found rise {right - left:.3e}"
-            )
-    return True
-
-
 def solve_x_for_rate(
     dist: DegreeDistribution, rate: float, residual_tol: float = 1e-10
 ) -> float:
     """Parameter x in (0, 1) whose arc rate equals ``rate``.
 
-    Valid for rates between the reciprocal average degree and 1, where
-    the inversion is well posed.
-    The returned x satisfies |parametric_rate(x) - rate| <= residual_tol,
-    except at rates so close to 1 that the arc is clamped at its lower
-    parameter cutoff.
+    Valid for rates between the reciprocal average degree and 1.  The
+    inversion bisects, so it relies on the arc's rate decreasing in x, a
+    property the test suite checks on dense grids over regular, Poisson and
+    mixed profiles rather than per call.  Whatever the profile, the
+    returned x satisfies |parametric_rate(x) - rate| <= residual_tol, or
+    :class:`BracketError` is raised; the exception is rates so close to 1
+    that the arc is clamped at its lower parameter cutoff.
     """
     average = dist.average_degree
     if average <= 1.0:
@@ -163,7 +146,6 @@ def solve_x_for_rate(
         raise ValueError(
             f"rate {rate!r} outside [{1.0 / average!r}, 1], the arc's rate span"
         )
-    _checked_parametric_monotone(dist)
     fn = lambda x: parametric_rate(dist, x)
     if rate >= fn(_X_LO):
         return _X_LO
@@ -394,46 +376,59 @@ def poisson_ensemble_distortion_bound(check_degree: int, rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _entropy_gap(b: float) -> float:
+    """1 - h(1/(1 + e^(2b))) for b >= 0, free of cancellation.
+
+    Below b = 0.55 it is (b tanh b - ln cosh b)/ln 2, with ln cosh b
+    written as log1p(2 sinh^2(b/2)), so the O(b^2) value near b = 0 keeps
+    its relative precision.  Above, the entropy argument is at most 0.25
+    and is written with e^(-2b), which cannot overflow.
+    """
+    if b < 0.55:
+        return (b * math.tanh(b) - math.log1p(2.0 * math.sinh(0.5 * b) ** 2)) / math.log(2.0)
+    tail = math.exp(-2.0 * b)
+    return 1.0 - binary_entropy(tail / (1.0 + tail))
+
+
 def conjectured_exit_rate_bound(degree: int, distortion: float) -> float:
     """CONJECTURED minimal rate for degree-regular codes; not a theorem.
 
-    Evaluates (1 - h(D)) / (1 - S) with
-    S = sum_{i=0}^{l} C(l, i) (1-D)^i D^{l-i} log2(1 + (D/(1-D))^{2i-l}).
-    The negative powers are folded out of the logarithm so small D stays
-    stable.  For degree 1 the sum telescopes to h(D) and the bound is
-    identically 1.
+    The bound is (1 - h(D)) / (1 - S) with
+    S = sum_{i=0}^{l} P_i log2(1 + (D/(1-D))^{2i-l}),
+    P_i = C(l, i) (1-D)^i D^{l-i}.  Since P_i (1 + (D/(1-D))^{2i-l}) =
+    P_i + P_{l-i}, pairing i with l - i gives, with
+    b = ln((1-D)/D)/2 and g(b) = 1 - h(1/(1 + e^(2b))),
+
+        1 - S = sum_{i < l/2} (P_i + P_{l-i}) g((l - 2i) b),  1 - h(D) = g(b).
+
+    Both sides vanish like b^2 as D -> 1/2; g is evaluated without
+    cancellation, so the ratio keeps full precision up to D = 1/2, where
+    it takes its limit 1/l.  For degree 1 the sum is g(b) and the bound
+    is identically 1.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
-    if not 0.0 <= distortion < 0.5:
+    if not 0.0 <= distortion <= 0.5:
         raise ValueError(f"distortion out of range: {distortion!r}")
     if distortion == 0.0:
         return 1.0
-    skew = distortion / (1.0 - distortion)
-    log_skew = math.log2(skew)
+    if distortion == 0.5:
+        return 1.0 / degree
+    keep = 1.0 - distortion
+    b = 0.5 * (math.log1p(-distortion) - math.log(distortion))
     total = 0.0
-    for i in range(degree + 1):
-        power = 2 * i - degree
-        if power >= 0:
-            log_term = math.log2(1.0 + skew**power)
-        else:
-            log_term = power * log_skew + math.log2(1.0 + skew**-power)
-        weight = (
-            math.comb(degree, i)
-            * (1.0 - distortion) ** i
-            * distortion ** (degree - i)
-        )
-        total += weight * log_term
-    return (1.0 - binary_entropy(distortion)) / (1.0 - total)
+    for i in range((degree + 1) // 2):
+        pair = keep**i * distortion ** (degree - i) + keep ** (degree - i) * distortion**i
+        total += math.comb(degree, i) * pair * _entropy_gap((degree - 2 * i) * b)
+    return _entropy_gap(b) / total
 
 
 def conjectured_exit_distortion_bound(degree: int, rate: float) -> float:
     """Smallest distortion the conjectured bound permits at ``rate``.
 
-    The rate bound decreases from 1 at D = 0 toward a limit of 1/l as
-    D -> 1/2 (for degree 1 it is identically 1), so at rates at or below
-    1/l no distortion under one half is admitted and the bound saturates
-    at 0.5.
+    The rate bound decreases from 1 at D = 0 to its limit 1/l at D = 1/2
+    (for degree 1 it is identically 1), so at rates at or below 1/l no
+    distortion under one half is admitted and the bound saturates at 0.5.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
@@ -443,14 +438,8 @@ def conjectured_exit_distortion_bound(degree: int, rate: float) -> float:
         return 0.0 if rate == 1.0 else 0.5
     if rate <= 1.0 / degree:
         return 0.5
-    # Both numerator and denominator of the rate bound vanish
-    # quadratically at one half, so evaluation is only trusted below this
-    # cap; rates whose crossing would fall beyond it saturate as well.
-    cap = 0.5 - 1e-5
-    if conjectured_exit_rate_bound(degree, cap) > rate:
-        return 0.5
     return bisect_monotone(
-        functools.partial(conjectured_exit_rate_bound, degree), 0.0, cap, rate, tol=1e-12
+        functools.partial(conjectured_exit_rate_bound, degree), 0.0, 0.5, rate, tol=1e-12
     )
 
 

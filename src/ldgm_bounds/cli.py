@@ -132,35 +132,44 @@ def _rate_grid(args) -> list[float]:
 def _curve_for_args(args) -> BoundCurve:
     kind = _BOUND_FLAGS[args.bound]
     grid = _rate_grid(args)
-    spec = parse_degree_spec(args.degrees) if args.degrees else DegreeSpec()
+    given = [
+        flag
+        for flag, value in (("--degrees", args.degrees), ("--l", args.l), ("--r", args.r))
+        if value is not None
+    ]
+    if len(given) > 1:
+        raise UsageError(
+            f"give at most one of --degrees, --l and --r, got {' and '.join(given)}"
+        )
+    if args.degrees:
+        spec = parse_degree_spec(args.degrees)
+    else:
+        spec = DegreeSpec(regular=args.l, poisson=args.r)
 
     if kind == "shannon":
         return sample_curve("shannon", grid)
 
     if kind == "counting":
-        if spec.poisson is not None or (args.r is not None and spec.dist is None):
-            check_degree = spec.poisson if spec.poisson is not None else args.r
+        if spec.poisson is not None:
             if min(grid) <= 0.0:
                 raise UsageError("poisson counting curves need rates > 0")
-            return sample_curve("counting", grid, check_degree=check_degree)
+            return sample_curve("counting", grid, check_degree=spec.poisson)
         dist = spec.dist
-        if dist is None and args.l is not None:
-            dist = DegreeDistribution.regular(args.l)
+        if dist is None and spec.regular is not None:
+            dist = DegreeDistribution.regular(spec.regular)
         if dist is None:
             raise UsageError("counting needs --degrees (or --l / --r)")
         return sample_curve("counting", grid, dist=dist)
 
     if kind in ("test_channel", "conjectured_exit"):
-        degree = args.l if args.l is not None else spec.regular
-        if degree is None:
+        if spec.regular is None:
             raise UsageError(f"{args.bound} needs --l or --degrees regular:<l>")
-        return sample_curve(kind, grid, degree=degree)
+        return sample_curve(kind, grid, degree=spec.regular)
 
     # dwr
-    check_degree = args.r if args.r is not None else spec.poisson
-    if check_degree is None:
+    if spec.poisson is None:
         raise UsageError("dwr needs --r or --degrees poisson:<r>")
-    return sample_curve("dwr", grid, check_degree=check_degree)
+    return sample_curve("dwr", grid, check_degree=spec.poisson)
 
 
 def render_curve_csv(curve: BoundCurve) -> str:
@@ -171,12 +180,12 @@ def render_curve_csv(curve: BoundCurve) -> str:
     params = " ".join(f"{key}={value}" for key, value in curve.params)
     lines.append(f"# bound={curve.kind}" + (f" {params}" if params else ""))
     if curve.kind == "counting":
-        if curve.dist is not None:
+        if curve.dist is None:
+            lines.append("# poisson family: degree distribution rebuilt at every rate")
+        elif curve.dist.average_degree > 1.0:  # otherwise the curve is the line, no arc
             start, end = parametric_endpoints(curve.dist)
             lines.append(f"# arc endpoint x->0: D={start[0]:.10g},R={start[1]:.10g}")
             lines.append(f"# arc endpoint x->1: D={end[0]:.10g},R={end[1]:.10g}")
-        else:
-            lines.append("# poisson family: degree distribution rebuilt at every rate")
     lines.append("D,R")
     for point in curve.points:
         lines.append(f"{point.distortion:.10g},{point.rate:.10g}")

@@ -247,21 +247,17 @@ class WeightEnumerator:
         return tuple(accumulate(self.counts))
 
 
-def _check_enumeration_budget(code: LdgmCode) -> None:
-    if code.num_generators > GENERATOR_LIMIT:
-        raise BudgetError(
-            f"{code.num_generators} generators exceed the enumeration budget "
-            f"of {GENERATOR_LIMIT}"
-        )
-
-
 def weight_enumerator(code: LdgmCode) -> WeightEnumerator:
     """Popcount histogram of the 2^k distinct codewords, times 2^(n-k).
 
     Every codeword of a rank-k code is the image of exactly 2^(n-k) index
     words.  Popcounts are summed over 32-check slices.
     """
-    _check_enumeration_budget(code)
+    if code.num_generators > GENERATOR_LIMIT:
+        raise BudgetError(
+            f"{code.num_generators} generators exceed the enumeration budget "
+            f"of {GENERATOR_LIMIT}"
+        )
     rows, _ = _basis(generator_masks(code))
     weights = np.bitwise_count(_span(rows))
     for first_check in range(32, code.num_checks, 32):
@@ -340,15 +336,6 @@ class CoverProfile:
         return weighted / (self.num_checks * (1 << self.num_checks))
 
 
-def _check_transform_budget(code: LdgmCode) -> None:
-    if code.num_checks > BLOCKLENGTH_LIMIT:
-        raise BudgetError(
-            f"blocklength {code.num_checks} exceeds the transform budget "
-            f"of {BLOCKLENGTH_LIMIT}"
-        )
-    _check_enumeration_budget(code)
-
-
 def distance_transform(code: LdgmCode) -> CoverProfile:
     """Exact nearest-codeword distance histogram over all 2^m source words.
 
@@ -363,7 +350,11 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
     so each pass is a flip and a minimum: O(m 2^(m-k)) in all.  Every cell
     stands for 2^k source words.
     """
-    _check_transform_budget(code)
+    if code.num_checks > BLOCKLENGTH_LIMIT:
+        raise BudgetError(
+            f"blocklength {code.num_checks} exceeds the transform budget "
+            f"of {BLOCKLENGTH_LIMIT}"
+        )
     m = code.num_checks
     rows, pivots = _basis(generator_masks(code))
     k = len(rows)
@@ -444,8 +435,10 @@ def verify_code(
     seed: int | None = None,
 ) -> VerificationReport:
     """Run all exact checks of the counting bound against one instance."""
-    profile = distance_transform(code)
+    # The enumerator first: its budget then refuses before the transform
+    # allocates its table.
     enumerator = weight_enumerator(code)
+    profile = distance_transform(code)
     floors = coefficient_lower_bound(dist, code.num_generators)
 
     m = code.num_checks

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
+
+import oracles_mp
 
 from ldgm_bounds import (
     BoundCurve,
@@ -110,6 +112,53 @@ def test_parametric_round_trip():
     assert parametric_rate(REG2, x) == pytest.approx(0.7, abs=1e-9)
     d = parametric_distortion(REG2, x)
     assert counting_bound_distortion(REG2, 0.7) == pytest.approx(d, abs=1e-12)
+
+
+@st.composite
+def mixed_profiles(draw):
+    """1-5 positive degrees up to 60, plus degree-0 mass keeping the average above 1."""
+    degrees = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
+    if max(degrees) == 1:
+        degrees.append(draw(st.integers(2, 60)))
+    size = len(degrees)
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size))
+    total = sum(weights)
+    positive_mean = sum(d * w for d, w in zip(degrees, weights)) / total
+    zero_mass = draw(st.floats(0.0, 0.999)) * min(0.99, 1.0 - 1.0 / positive_mean)
+    fractions = {d: (1.0 - zero_mass) * w / total for d, w in zip(degrees, weights)}
+    if zero_mass > 0.0:
+        fractions[0] = zero_mass
+    return DegreeDistribution.from_fractions(fractions)
+
+
+ARC_PROFILES = st.one_of(
+    st.integers(2, 12).map(DegreeDistribution.regular),
+    # r/R <= 1 leaves the truncated mean at or below 1: no arc
+    st.builds(
+        bounds_module._poisson_family_member, st.integers(1, 8), st.floats(0.15, 1.0)
+    ).filter(lambda dist: dist.average_degree > 1.0),
+    mixed_profiles(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ARC_PROFILES, st.integers(2000, 4000))
+@example(DegreeDistribution.from_fractions({1: 0.999, 2: 0.001}), 4000)
+@example(DegreeDistribution.from_fractions({0: 0.98, 60: 0.02}), 4000)
+def test_parametric_rate_decreasing(dist, points):
+    # solve_x_for_rate bisects on this property instead of checking it per
+    # call.  Zero tolerance: no float rise anywhere on the grid.  The grid
+    # stops short of x = 1, where the rate is a 0/0 limit and the solver's
+    # residual check takes over.
+    assert dist.average_degree > 1.0
+    xs = np.linspace(1e-6, 1.0 - 1e-3, points)
+    values = [parametric_rate(dist, float(x)) for x in xs]
+    rises = [
+        (float(xs[k + 1]), after - before)
+        for k, (before, after) in enumerate(zip(values, values[1:]))
+        if after > before
+    ]
+    assert not rises, rises[:3]
 
 
 def test_parametric_endpoints_regular2():
@@ -377,6 +426,34 @@ def test_conjecture_tighter_than_counting():
         assert conj > channel
 
 
+CONJECTURE_EDGE_DISTORTIONS = [5e-324, 1e-300] + [0.5 - 10.0**-k for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_conjecture_rate_matches_mpmath_at_edges(degree):
+    for d in CONJECTURE_EDGE_DISTORTIONS:
+        reference = float(oracles_mp.conjecture_rate(degree, d))
+        assert abs(conjectured_exit_rate_bound(degree, d) - reference) <= 1e-14 * reference, d
+    assert conjectured_exit_rate_bound(degree, 0.5) == 1.0 / degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 0.5 - 1e-12, exclude_min=True))
+def test_conjecture_rate_matches_mpmath(degree, distortion):
+    reference = float(oracles_mp.conjecture_rate(degree, distortion))
+    assert abs(conjectured_exit_rate_bound(degree, distortion) - reference) <= 1e-14 * reference
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("gap", [10.0**-k for k in range(3, 9)])
+def test_conjecture_distortion_near_reciprocal_degree(degree, gap):
+    # Just above R = 1/l the crossing lies near D = 1/2, where the rate
+    # bound is a ratio of two O((1/2 - D)^2) quantities.
+    rate = 1.0 / degree + gap
+    reference = float(oracles_mp.conjecture_distortion(degree, rate))
+    assert abs(conjectured_exit_distortion_bound(degree, rate) - reference) <= 1e-12
+
+
 def test_conjecture_distortion_inversion():
     rate = conjectured_exit_rate_bound(2, 0.11)
     back = conjectured_exit_distortion_bound(2, rate)
@@ -460,23 +537,16 @@ def test_sample_curve_argument_validation():
 # per-distribution caches
 # ---------------------------------------------------------------------------
 
-PER_DISTRIBUTION_CACHES = (
-    bounds_module._checked_parametric_monotone,
-    bounds_module._line_anchor,
-)
-
-
 def test_poisson_curve_leaves_bounded_caches():
-    for cache in PER_DISTRIBUTION_CACHES:
-        cache.cache_clear()
+    # Check degree 1 puts every rate below its member's reciprocal average
+    # degree, so each of the 300 new distributions takes the segment.
+    bounds_module._line_anchor.cache_clear()
     rates = [0.05 + 0.9 * k / 299 for k in range(300)]
-    sample_curve("counting", rates, check_degree=4)
-    monotone = bounds_module._checked_parametric_monotone.cache_info()
-    assert monotone.misses == 300  # one new distribution per rate
-    for cache in PER_DISTRIBUTION_CACHES:
-        info = cache.cache_info()
-        assert info.maxsize == bounds_module._DIST_CACHE_SIZE
-        assert info.currsize <= info.maxsize
+    sample_curve("counting", rates, check_degree=1)
+    info = bounds_module._line_anchor.cache_info()
+    assert info.misses == 300  # one new distribution per rate
+    assert info.maxsize == bounds_module._DIST_CACHE_SIZE
+    assert info.currsize <= info.maxsize
 
 
 def test_line_anchor_cache_bounded_over_many_profiles():
@@ -490,11 +560,9 @@ def test_line_anchor_cache_bounded_over_many_profiles():
 
 
 def test_fixed_profile_curve_hits_caches():
-    for cache in PER_DISTRIBUTION_CACHES:
-        cache.cache_clear()
+    bounds_module._line_anchor.cache_clear()
     rates = [0.05 + 0.9 * k / 49 for k in range(50)]
     sample_curve("counting", rates, dist=REG2)
-    for cache in PER_DISTRIBUTION_CACHES:
-        info = cache.cache_info()
-        assert info.misses == 1
-        assert info.hits >= 10
+    info = bounds_module._line_anchor.cache_info()
+    assert info.misses == 1
+    assert info.hits >= 10

@@ -117,6 +117,34 @@ def test_curve_endpoints_from_unrounded_literal(capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize(
+    "bound, flags",
+    [
+        ("counting", ["--degrees", "regular:2", "--l", "3"]),
+        ("test-channel", ["--degrees", "regular:2", "--l", "3"]),
+        ("counting", ["--degrees", "poisson:3", "--r", "5"]),
+        ("dwr", ["--degrees", "poisson:3", "--r", "5"]),
+    ],
+)
+def test_curve_conflicting_profile_flags_exit_2(capsys, bound, flags):
+    status, out, err = run(["curve", "--bound", bound, *flags], capsys)
+    assert status == 2
+    assert out == ""
+    assert "--degrees and " + flags[2] in err
+
+
+@pytest.mark.parametrize("degrees", ["0:1", "0:0.5,1:0.5"])
+def test_curve_without_arc_prints_no_endpoints(capsys, degrees):
+    # Average degree at most 1: the counting bound is the line D = (1 - R)/2.
+    status, out, _ = run(
+        ["curve", "--bound", "counting", "--degrees", degrees, "--steps", "3"], capsys
+    )
+    assert status == 0
+    assert "arc endpoint" not in out
+    rows = out.splitlines()[out.splitlines().index("D,R") + 1 :]
+    assert rows == ["0.475,0.05", "0.25,0.5", "0.025,0.95"]
+
+
 def test_curve_dwr_requires_check_degree(capsys):
     status, _, err = run(
         ["curve", "--bound", "dwr", "--rate-min", "0.5", "--rate-max", "0.9"],

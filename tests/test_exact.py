@@ -310,6 +310,26 @@ def test_distance_transform_budget():
         distance_transform(big)
 
 
+def test_distance_transform_ignores_enumeration_budget():
+    # 30 copies of one generator: rank 1, so the coset table has 2^19 cells
+    # however many generators there are.
+    wide = LdgmCode(num_checks=20, generators=((0, 1),) * 30)
+    single = LdgmCode(num_checks=20, generators=((0, 1),))
+    assert distance_transform(wide).histogram == distance_transform(single).histogram
+
+
+def test_verify_code_refuses_enumeration_before_allocating():
+    wide = LdgmCode(num_checks=26, generators=((0, 1),) * 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            verify_code(wide, wide.realized_distribution(), [0.0, 0.5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_optimal_distortion_zero_matrix():
     zero = LdgmCode(num_checks=10, generators=((), (), ()))
     assert optimal_average_distortion(zero) == 0.5
