@@ -2,7 +2,8 @@
 
 The package splits into four layers:
 
-* :mod:`ldgm_bounds.numerics`: scalar entropy helpers and root finding.
+* :mod:`ldgm_bounds.numerics`: entropy helpers and the root finder, for a
+  float or a whole array of points.
 * :mod:`ldgm_bounds.degree`: generator degree distributions.
 * :mod:`ldgm_bounds.bounds`: the bound families themselves, plus curve
   sampling.

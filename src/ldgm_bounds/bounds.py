@@ -22,6 +22,11 @@ are expressed as curves in the (distortion, rate) plane.  Five families:
 The counting bound is pieced together from a parametric arc, traced by a
 parameter x in (0, 1), and a straight segment through (D, R) = (1/2, 0)
 that takes over at rates below the reciprocal of the average degree.
+
+Every bound takes a float or a numpy array of rates (or distortions) and
+answers in kind, so ``sample_curve`` solves a family over its whole rate
+grid in one row-wise bisection, while a single point keeps the float
+loop.
 """
 
 from __future__ import annotations
@@ -29,16 +34,20 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .degree import DegreeDistribution, poisson_minimum_max_degree
+from .degree import DegreeDistribution, poisson_rows, weight_transforms
 from .numerics import (
     BracketError,
+    _entropy,
+    _entropy_deficit,
     binary_entropy,
     bisect_monotone,
-    inverse_binary_entropy,
-    kl_bernoulli,
+    check_range,
+    math_of,
+    pick,
 )
 
 __all__ = [
@@ -66,23 +75,32 @@ __all__ = [
 CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 
 # Parametric evaluation is a 0/0 limit at both ends of (0, 1); stay inside.
+# Rates within about 3e-8 of the arc's start have their parameter below
+# _X_LO; they solve on [_X_MIN, _X_LO].
+_X_MIN = 1e-300
 _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
-# Entries kept by the ``_line_anchor`` cache.  Fixed-profile curves reuse
-# one entry; Poisson curves build a new distribution at every rate, so the
-# cache must not grow with the grid.
+# Entries kept by the ``_line_anchor`` cache.  A fixed-profile curve uses
+# one entry; float calls over many profiles must not grow it without end.
 _DIST_CACHE_SIZE = 16
+# Poisson rows solved together, so the zero-padded pmf matrix stays at
+# this many rows whatever the grid.
+_POISSON_ROWS = 256
 
 
 class NoSolutionError(ValueError):
     """A bound has no solution in the admissible range."""
 
 
-def shannon_distortion(rate: float) -> float:
-    """Distortion of the Shannon rate-distortion curve at the given rate."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate out of range: {rate!r}")
-    return inverse_binary_entropy(1.0 - rate, tol=1e-14)
+def shannon_distortion(rate):
+    """Distortion of the Shannon rate-distortion curve at the given rate.
+
+    Solves 1 - h(D) = R rather than h(D) = 1 - R, where 1 - R would
+    round every rate below about 1e-16 to zero.
+    """
+    check_range("rate", rate, 0.0, 1.0)
+    solved = bisect_monotone(_entropy_deficit, 0.0, 0.5, rate, tol=1e-14)
+    return pick(rate == 1.0, 0.0, pick(rate == 0.0, 0.5, solved))
 
 
 # ---------------------------------------------------------------------------
@@ -90,20 +108,30 @@ def shannon_distortion(rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def parametric_rate(dist: DegreeDistribution, x: float) -> float:
-    """Rate coordinate of the counting-bound arc at parameter x in (0, 1)."""
-    if not 0.0 < x < 1.0:
+def _arc(degrees, fractions, x):
+    """The counting arc at x in (0, 1): its rate, its distortion, and the
+    (share x/(1+x), mean occupancy) pair a straight segment anchors on."""
+    log_gf, occupancy = weight_transforms(degrees, fractions, x)
+    share = x / (1.0 + x)
+    rate = (1.0 - _entropy(share)) / (1.0 - log_gf + occupancy * math_of(x).log2(x))
+    return rate, share - occupancy * rate, (share, occupancy)
+
+
+def _parameter(x):
+    """x itself, once checked to lie in (0, 1)."""
+    if not np.all((x > 0.0) & (x < 1.0)):
         raise ValueError(f"parameter must be in (0, 1), got {x!r}")
-    numerator = 1.0 - binary_entropy(x / (1.0 + x))
-    denominator = (
-        1.0 - dist.log2_weight_gf(x) + dist.mean_occupancy(x) * math.log2(x)
-    )
-    return numerator / denominator
+    return x
 
 
-def parametric_distortion(dist: DegreeDistribution, x: float) -> float:
+def parametric_rate(dist: DegreeDistribution, x):
+    """Rate coordinate of the counting-bound arc at parameter x in (0, 1)."""
+    return _arc(dist.degrees, dist.fractions, _parameter(x))[0]
+
+
+def parametric_distortion(dist: DegreeDistribution, x):
     """Distortion coordinate of the counting-bound arc at parameter x."""
-    return x / (1.0 + x) - dist.mean_occupancy(x) * parametric_rate(dist, x)
+    return _arc(dist.degrees, dist.fractions, _parameter(x))[1]
 
 
 def parametric_endpoints(
@@ -126,65 +154,113 @@ def parametric_endpoints(
     return start, end
 
 
-def solve_x_for_rate(
-    dist: DegreeDistribution, rate: float, residual_tol: float = 1e-10
-) -> float:
+def _arc_parameter(degrees, fractions, rate, residual_tol: float = 1e-10):
+    """x in (0, 1) where the arc's rate is ``rate``, row by row for an array.
+
+    The profile is (degrees, fractions) as ``weight_transforms`` takes it.
+    The bisection relies on the arc's rate decreasing in x.  Rates above
+    its value at _X_LO are bracketed by [_X_MIN, _X_LO], the rest by
+    [_X_LO, _X_HI].
+    """
+
+    def arc_rate(x):
+        return _arc(degrees, fractions, x)[0]
+
+    near_start = rate >= arc_rate(_X_LO + 0.0 * rate)  # _X_LO in the shape of rate
+    lo = pick(near_start, _X_MIN, _X_LO)
+    hi = pick(near_start, _X_LO, _X_HI)
+    x = bisect_monotone(arc_rate, lo, hi, rate, tol=1e-15)
+    residual = np.abs(arc_rate(x) - rate)
+    stalled = np.flatnonzero(residual > residual_tol)
+    if stalled.size:
+        row = int(stalled[0])
+        raise BracketError(
+            f"rate inversion stalled: residual {np.ravel(residual)[row]:.3e} "
+            f"at x={float(np.ravel(x)[row])!r}"
+        )
+    return x
+
+
+def solve_x_for_rate(dist: DegreeDistribution, rate, residual_tol: float = 1e-10):
     """Parameter x in (0, 1) whose arc rate equals ``rate``.
 
-    Valid for rates between the reciprocal average degree and 1.  The
-    inversion bisects, so it relies on the arc's rate decreasing in x, a
-    property the test suite checks on dense grids over regular, Poisson and
-    mixed profiles rather than per call.  Whatever the profile, the
-    returned x satisfies |parametric_rate(x) - rate| <= residual_tol, or
-    :class:`BracketError` is raised; the exception is rates so close to 1
-    that the arc is clamped at its lower parameter cutoff.
+    Valid for rates between the reciprocal average degree and 1; an array
+    of rates is solved row by row.  The inversion bisects, so it relies on
+    the arc's rate decreasing in x, a property the test suite checks on
+    dense grids over regular, Poisson and mixed profiles rather than per
+    call.  Whatever the profile, the returned x satisfies
+    |parametric_rate(x) - rate| <= residual_tol, or :class:`BracketError`
+    is raised.
     """
     average = dist.average_degree
     if average <= 1.0:
         raise ValueError(f"average degree must exceed 1, got {average!r}")
-    if not 1.0 / average - 1e-12 <= rate <= 1.0:
-        raise ValueError(
-            f"rate {rate!r} outside [{1.0 / average!r}, 1], the arc's rate span"
-        )
-    fn = lambda x: parametric_rate(dist, x)
-    if rate >= fn(_X_LO):
-        return _X_LO
-    x = bisect_monotone(fn, _X_LO, _X_HI, rate, tol=1e-15)
-    residual = abs(fn(x) - rate)
-    if residual > residual_tol:
-        raise BracketError(
-            f"rate inversion stalled: residual {residual:.3e} at x={x!r}"
-        )
-    return x
+    check_range(f"rate on the arc's span [{1.0 / average!r}, 1]", rate, 1.0 / average - 1e-12, 1.0)
+    return _arc_parameter(dist.degrees, dist.fractions, rate, residual_tol)
+
+
+def _segment(rate, average, share, occupancy):
+    """Straight segment through (1/2, 0), attached to the arc point of rate
+    1/average, given there by its share and occupancy."""
+    return 0.5 * (1.0 - rate * average * (1.0 - 2.0 * (share - occupancy / average)))
 
 
 @functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
 def _line_anchor(dist: DegreeDistribution) -> tuple[float, float]:
     """Arc point (occupancy form) where the straight segment attaches."""
-    average = dist.average_degree
-    x_star = solve_x_for_rate(dist, 1.0 / average)
-    return x_star / (1.0 + x_star), dist.mean_occupancy(x_star)
+    x_star = solve_x_for_rate(dist, 1.0 / dist.average_degree)
+    return _arc(dist.degrees, dist.fractions, x_star)[2]
 
 
-def counting_bound_distortion(dist: DegreeDistribution, rate: float) -> float:
+def counting_bound_distortion(dist: DegreeDistribution, rate):
     """Counting lower bound on distortion for one code at the given rate.
 
     Uses the parametric arc for rates at or above the reciprocal average
-    degree and the straight
-    segment through (1/2, 0) below it.  Distributions with average degree
-    at most 1 degenerate to the line D = (1 - R)/2.
+    degree and the straight segment through (1/2, 0) below it; at the
+    arc's start rate and above, the bound is 0.  Distributions with
+    average degree at most 1 degenerate to the line D = (1 - R)/2.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate out of range: {rate!r}")
+    check_range("rate", rate, 0.0, 1.0)
     average = dist.average_degree
     if average <= 1.0:
         return (1.0 - rate) / 2.0
-    if rate >= 1.0 / average:
-        return parametric_distortion(dist, solve_x_for_rate(dist, rate))
-    anchor_share, anchor_occupancy = _line_anchor(dist)
-    return 0.5 * (
-        1.0 - rate * average * (1.0 - 2.0 * (anchor_share - anchor_occupancy / average))
-    )
+    start = parametric_endpoints(dist)[0][1]
+    if isinstance(rate, np.ndarray):
+        arc = rate >= 1.0 / average
+        distortion = np.empty_like(rate)
+        if arc.any():
+            distortion[arc] = parametric_distortion(dist, solve_x_for_rate(dist, rate[arc]))
+        if not arc.all():
+            distortion[~arc] = _segment(rate[~arc], average, *_line_anchor(dist))
+        return np.where(rate >= start, 0.0, distortion)
+    if rate < 1.0 / average:
+        return _segment(rate, average, *_line_anchor(dist))
+    if rate >= start:
+        return 0.0
+    return parametric_distortion(dist, solve_x_for_rate(dist, rate))
+
+
+def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
+    """Counting bound of the truncated Poisson family, one member per rate.
+
+    Each row solves the arc once, at max(R, 1/avg): an arc row takes that
+    point and a segment row anchors its line there.  Members with average
+    degree at most 1 keep the line D = (1 - R)/2.
+    """
+    parts = []
+    for first in range(0, rates.size, _POISSON_ROWS):
+        part = rates[first : first + _POISSON_ROWS]
+        degrees, fractions = poisson_rows(check_degree, part)
+        average = np.array([math.fsum(row) for row in (fractions * degrees).tolist()])
+        distortion = (1.0 - part) / 2.0
+        rows = np.flatnonzero(average > 1.0)
+        if rows.size:
+            rate, mean, profile = part[rows], average[rows], fractions[rows]
+            x = _arc_parameter(degrees, profile, np.maximum(rate, 1.0 / mean))
+            _, arc, anchor = _arc(degrees, profile, x)
+            distortion[rows] = np.where(rate >= 1.0 / mean, arc, _segment(rate, mean, *anchor))
+        parts.append(distortion)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +337,23 @@ def coverage_exponent(
 # ---------------------------------------------------------------------------
 
 
-def test_channel_rate_bound(degree: int, distortion: float) -> float:
+def _channel_terms(degree: int, distortion, channel):
+    """Numerator, denominator and s^l/(1 + s^l) of the test-channel ratio
+    at D', with s = D'/(1-D').  The numerator 1 - h(D) - KL(D || D') is
+    written 1 + D log2 D' + (1 - D) log2(1 - D')."""
+    xp = math_of(distortion, channel)
+    power = (channel / (1.0 - channel)) ** degree
+    numerator = 1.0 + distortion * xp.log2(channel) + (1.0 - distortion) * xp.log2(1.0 - channel)
+    return numerator, 1.0 - xp.log2(1.0 + power), power / (1.0 + power)
+
+
+def _channel_slope(degree: int, distortion, channel):
+    """Has the sign of the ratio's derivative at D'."""
+    numerator, denominator, share = _channel_terms(degree, distortion, channel)
+    return degree * share * numerator - (channel - distortion) * denominator
+
+
+def test_channel_rate_bound(degree: int, distortion):
     """Minimal rate supporting ``distortion`` on a degree-regular code.
 
     Maximizes N/Den = (1 - h(D) - KL(D || D')) / (1 - log2(1 + s^l)) over
@@ -275,55 +367,48 @@ def test_channel_rate_bound(degree: int, distortion: float) -> float:
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
-    if not 0.0 <= distortion <= 0.5:
-        raise ValueError(f"distortion out of range: {distortion!r}")
-    if distortion == 0.0:
-        return 1.0
-    if distortion == 0.5:
-        return 0.0
-
-    base = 1.0 - binary_entropy(distortion)
-
-    def terms(channel: float) -> tuple[float, float, float]:
-        """Numerator, denominator and s^l/(1 + s^l) at D', with s = D'/(1-D')."""
-        power = (channel / (1.0 - channel)) ** degree
-        numerator = base - kl_bernoulli(distortion, channel)
-        return numerator, 1.0 - math.log2(1.0 + power), power / (1.0 + power)
-
-    def ratio(channel: float) -> float:
-        numerator, denominator, _ = terms(channel)
-        return numerator / denominator
-
-    def slope(channel: float) -> float:
-        """Has the sign of the ratio's derivative at D'."""
-        numerator, denominator, share = terms(channel)
-        return degree * share * numerator - (channel - distortion) * denominator
-
-    limit = (1.0 - 2.0 * distortion) / degree
-    hi = 0.5 - 1e-4
-    if distortion >= hi:
-        return max(ratio(distortion), limit)
-    if slope(hi) < 0.0:
-        hi = bisect_monotone(slope, distortion, hi, 0.0, tol=1e-12)
-    return max(ratio(hi), limit)
+    check_range("distortion", distortion, 0.0, 0.5)
+    # rows at D = 0 and D = 1/2 are set at the end; keep their arithmetic finite
+    d = pick((distortion > 0.0) & (distortion < 0.5), distortion, 0.25)
+    top = 0.5 - 1e-4
+    channel = pick(d < top, top, d)
+    search = (d < top) & (_channel_slope(degree, d, top) < 0.0)
+    if isinstance(d, np.ndarray):
+        rows = np.flatnonzero(search)
+        if rows.size:
+            slope = functools.partial(_channel_slope, degree, d[rows])
+            channel[rows] = bisect_monotone(slope, d[rows], top, 0.0, tol=1e-12)
+    elif search:
+        channel = bisect_monotone(functools.partial(_channel_slope, degree, d), d, top, 0.0, tol=1e-12)
+    numerator, denominator, _ = _channel_terms(degree, d, channel)
+    bound = math_of(d).maximum(numerator / denominator, (1.0 - 2.0 * d) / degree)
+    return pick(distortion == 0.0, 1.0, pick(distortion == 0.5, 0.0, bound))
 
 
-def test_channel_distortion_bound(degree: int, rate: float) -> float:
+def test_channel_distortion_bound(degree: int, rate):
     """Largest distortion the test-channel bound rules out below ``rate``."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate out of range: {rate!r}")
-    if rate == 0.0:
-        return 0.5
-    return bisect_monotone(
+    check_range("rate", rate, 0.0, 1.0)
+    solved = bisect_monotone(
         functools.partial(test_channel_rate_bound, degree), 0.0, 0.5, rate, tol=1e-12
     )
+    return pick(rate == 0.0, 0.5, pick(rate == 1.0, 0.0, solved))
 
 
 # ---------------------------------------------------------------------------
 # fixed-check-degree ensemble bound (the "dwr" curve family)
 # ---------------------------------------------------------------------------
+
+
+def _dwr_slack(check_degree: int, distortion, rate):
+    """1 - h(D) - R (1 - exp(-(1 - D) r / R)): positive while rate R is too
+    small for distortion D."""
+    xp = math_of(distortion, rate)
+    # below rate 1e-300 the exponential is 0 already; holding the divisor
+    # there keeps the quotient finite
+    gain = rate * (1.0 - xp.exp(-(1.0 - distortion) * check_degree / xp.maximum(rate, 1e-300)))
+    return _entropy_deficit(distortion) - gain
 
 
 def poisson_ensemble_rate_bound(check_degree: int, distortion: float) -> float:
@@ -335,40 +420,25 @@ def poisson_ensemble_rate_bound(check_degree: int, distortion: float) -> float:
     """
     if check_degree < 1:
         raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
-    if not 0.0 <= distortion <= 0.5:
-        raise ValueError(f"distortion out of range: {distortion!r}")
-    target = 1.0 - binary_entropy(distortion)
-    if target == 0.0:
+    check_range("distortion", distortion, 0.0, 0.5)
+    if distortion == 0.5:
         return 0.0
-    coupling = (1.0 - distortion) * check_degree
-
-    def gain(rate: float) -> float:
-        return rate * (1.0 - math.exp(-coupling / rate))
-
-    if gain(1.0) < target:
+    slack = functools.partial(_dwr_slack, check_degree, distortion)
+    if slack(1.0) > 0.0:
         raise NoSolutionError(
-            f"no admissible rate: gain at rate 1 is {gain(1.0):.6g} "
-            f"< required {target:.6g} (check degree {check_degree}, "
-            f"distortion {distortion!r})"
+            f"no admissible rate: slack at rate 1 is {slack(1.0):.6g} > 0 "
+            f"(check degree {check_degree}, distortion {distortion!r})"
         )
-    return bisect_monotone(gain, 1e-12, 1.0, target, tol=1e-14)
+    return bisect_monotone(slack, 1e-12, 1.0, 0.0, tol=1e-14)
 
 
-def poisson_ensemble_distortion_bound(check_degree: int, rate: float) -> float:
+def poisson_ensemble_distortion_bound(check_degree: int, rate):
     """Distortion below which the fixed-check-degree ensemble bound bites."""
     if check_degree < 1:
         raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate out of range: {rate!r}")
-
-    def slack(distortion: float) -> float:
-        return (
-            1.0
-            - binary_entropy(distortion)
-            - rate * (1.0 - math.exp(-(1.0 - distortion) * check_degree / rate))
-        )
-
-    return bisect_monotone(slack, 0.0, 0.5, 0.0, tol=1e-14)
+    check_range("rate", rate, math.ulp(0.0), 1.0)
+    slack = lambda distortion: _dwr_slack(check_degree, distortion, rate)
+    return bisect_monotone(slack, 0.0, 0.5, 0.0 * rate, tol=1e-14)  # target 0 in rate's shape
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +446,26 @@ def poisson_ensemble_distortion_bound(check_degree: int, rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _entropy_gap(b: float) -> float:
+def _entropy_gap(b):
     """1 - h(1/(1 + e^(2b))) for b >= 0, free of cancellation.
 
     Below b = 0.55 it is (b tanh b - ln cosh b)/ln 2, with ln cosh b
     written as log1p(2 sinh^2(b/2)), so the O(b^2) value near b = 0 keeps
     its relative precision.  Above, the entropy argument is at most 0.25
-    and is written with e^(-2b), which cannot overflow.
+    and is written with e^(-2b), which cannot overflow.  Each form is
+    evaluated on b clipped to its side, so neither overflows.
     """
-    if b < 0.55:
-        return (b * math.tanh(b) - math.log1p(2.0 * math.sinh(0.5 * b) ** 2)) / math.log(2.0)
-    tail = math.exp(-2.0 * b)
-    return 1.0 - binary_entropy(tail / (1.0 + tail))
+    xp = math_of(b)
+    near, far = xp.minimum(b, 0.55), xp.maximum(b, 0.55)
+    tail = xp.exp(-2.0 * far)
+    return pick(
+        b < 0.55,
+        (near * xp.tanh(near) - xp.log1p(2.0 * xp.sinh(0.5 * near) ** 2)) / math.log(2.0),
+        1.0 - _entropy(tail / (1.0 + tail)),
+    )
 
 
-def conjectured_exit_rate_bound(degree: int, distortion: float) -> float:
+def conjectured_exit_rate_bound(degree: int, distortion):
     """CONJECTURED minimal rate for degree-regular codes; not a theorem.
 
     The bound is (1 - h(D)) / (1 - S) with
@@ -408,39 +483,76 @@ def conjectured_exit_rate_bound(degree: int, distortion: float) -> float:
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
-    if not 0.0 <= distortion <= 0.5:
-        raise ValueError(f"distortion out of range: {distortion!r}")
-    if distortion == 0.0:
-        return 1.0
-    if distortion == 0.5:
-        return 1.0 / degree
-    keep = 1.0 - distortion
-    b = 0.5 * (math.log1p(-distortion) - math.log(distortion))
+    check_range("distortion", distortion, 0.0, 0.5)
+    # rows at D = 0 and D = 1/2 are set at the end; keep their arithmetic finite
+    d = pick((distortion > 0.0) & (distortion < 0.5), distortion, 0.25)
+    keep, xp = 1.0 - d, math_of(d)
+    b = 0.5 * (xp.log1p(-d) - xp.log(d))
     total = 0.0
     for i in range((degree + 1) // 2):
-        pair = keep**i * distortion ** (degree - i) + keep ** (degree - i) * distortion**i
-        total += math.comb(degree, i) * pair * _entropy_gap((degree - 2 * i) * b)
-    return _entropy_gap(b) / total
+        pair = keep**i * d ** (degree - i) + keep ** (degree - i) * d**i
+        total = total + math.comb(degree, i) * pair * _entropy_gap((degree - 2 * i) * b)
+    bound = _entropy_gap(b) / total
+    return pick(distortion == 0.0, 1.0, pick(distortion == 0.5, 1.0 / degree, bound))
 
 
-def conjectured_exit_distortion_bound(degree: int, rate: float) -> float:
+def _conjecture_excess(degree: int, distortion):
+    """l R - 1 for the conjectured rate bound R, from a series near D = 1/2.
+
+    With P_i + P_{l-i} = C(l, i) 2 cosh((l-2i) b) / (2 cosh b)^l and
+    phi(x) = 2 (x sinh x - cosh x ln cosh x) = x^2 (1 + psi(x)),
+    l R = cosh(b)^(l-1) (1 + psi(b)) / (1 + w), where
+    w = sum_{i < l/2} C(l, i) (l-2i)^2 psi((l-2i) b) / (l 2^(l-1)).
+    psi(x) = x^4/72 - x^6/360 + O(x^8) is exact to double precision for
+    b <= 1e-3 and degrees up to 12, i.e. for D in [0.4995, 1/2].
+    """
+    xp = math_of(distortion)
+    b = 0.5 * (xp.log1p(-distortion) - xp.log(distortion))
+
+    def psi(x):
+        return x**4 * (1.0 / 72.0 - x * x / 360.0)
+
+    cosh_rise = xp.expm1((degree - 1) * xp.log1p(2.0 * xp.sinh(0.5 * b) ** 2))
+    w = 0.0
+    for i in range((degree + 1) // 2):
+        w = w + math.comb(degree, i) * (degree - 2 * i) ** 2 * psi((degree - 2 * i) * b)
+    w = w / (degree * 2 ** (degree - 1))
+    skew = (psi(b) - w) / (1.0 + w)
+    return cosh_rise + skew + cosh_rise * skew
+
+
+def conjectured_exit_distortion_bound(degree: int, rate):
     """Smallest distortion the conjectured bound permits at ``rate``.
 
     The rate bound decreases from 1 at D = 0 to its limit 1/l at D = 1/2
     (for degree 1 it is identically 1), so at rates at or below 1/l no
     distortion under one half is admitted and the bound saturates at 0.5.
+    Within 1e-7 above 1/l, R is known to a few ulp only, which would move
+    D by up to about 2e-12; there the solve runs on the excess l R - 1,
+    formed exactly from the rate, instead.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate out of range: {rate!r}")
+    check_range("rate", rate, 0.0, 1.0)
     if degree == 1:
-        return 0.0 if rate == 1.0 else 0.5
-    if rate <= 1.0 / degree:
-        return 0.5
-    return bisect_monotone(
-        functools.partial(conjectured_exit_rate_bound, degree), 0.0, 0.5, rate, tol=1e-12
+        return pick(rate == 1.0, 0.0, 0.5)
+    floor = 1.0 / degree
+    solved = bisect_monotone(
+        functools.partial(conjectured_exit_rate_bound, degree),
+        0.0,
+        0.5,
+        math_of(rate).maximum(rate, floor),  # a saturated row solves at the floor, then reads 0.5
+        tol=1e-12,
     )
+    near = (rate > floor) & (rate - floor < 1e-7)
+    if np.any(near):
+        # rate - floor is exact this close to the floor; the constant
+        # corrects for floor being 1/l rounded
+        excess = degree * (rate - floor) - float(1 - degree * Fraction(floor))
+        excess_at = functools.partial(_conjecture_excess, degree)
+        target = np.clip(excess, 0.0, excess_at(0.4995))  # rows not near stay bracketed
+        solved = pick(near, bisect_monotone(excess_at, 0.4995, 0.5, target, tol=1e-12), solved)
+    return pick(rate <= floor, 0.5, pick(rate == 1.0, 0.0, solved))
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +601,6 @@ class BoundCurve:
         return self.kind == "conjectured_exit"
 
 
-def _poisson_family_member(check_degree: int, rate: float) -> DegreeDistribution:
-    max_degree = poisson_minimum_max_degree(check_degree, rate)
-    return DegreeDistribution.poisson_truncated(check_degree, rate, max_degree)
-
-
 def sample_curve(
     kind: str,
     rate_grid,
@@ -504,56 +611,52 @@ def sample_curve(
     """Sample one bound curve over a grid of rates.
 
     Parameter requirements by kind: ``counting`` takes either a fixed
-    ``dist`` or a ``check_degree`` (the Poisson family is then rebuilt at
-    every rate); ``test_channel`` and ``conjectured_exit`` take ``degree``;
-    ``dwr`` takes ``check_degree``; ``shannon`` takes nothing.
+    ``dist`` or a ``check_degree`` (the Poisson family then has a member
+    per rate); ``test_channel`` and ``conjectured_exit`` take ``degree``;
+    ``dwr`` takes ``check_degree``; ``shannon`` takes nothing.  Each
+    family is solved for the whole grid at once.
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind: {kind!r}")
-    rates = sorted(float(r) for r in rate_grid)
-    if not rates:
+    rates = np.sort(np.array([float(r) for r in rate_grid]))
+    if not rates.size:
         raise ValueError("empty rate grid")
     if rates[0] < 0.0 or rates[-1] > 1.0:
         raise ValueError(f"rates outside [0, 1]: {rates[0]!r}..{rates[-1]!r}")
 
     params: list[tuple[str, str]] = []
     if kind == "shannon":
-        evaluate = shannon_distortion
+        distortions = shannon_distortion(rates)
     elif kind == "counting":
         if (dist is None) == (check_degree is None):
             raise ValueError("counting curve needs exactly one of dist, check_degree")
         if dist is not None:
             params.append(("degrees", dist.to_literal()))
-            evaluate = functools.partial(counting_bound_distortion, dist)
+            distortions = counting_bound_distortion(dist, rates)
         else:
             params.append(("family", "poisson"))
             params.append(("check_degree", str(check_degree)))
-
-            def evaluate(rate: float) -> float:
-                return counting_bound_distortion(
-                    _poisson_family_member(check_degree, rate), rate
-                )
-
+            distortions = _poisson_counting(check_degree, rates)
     elif kind == "test_channel":
         if degree is None:
             raise ValueError("test_channel curve needs degree")
         params.append(("degree", str(degree)))
-        evaluate = functools.partial(test_channel_distortion_bound, degree)
+        distortions = test_channel_distortion_bound(degree, rates)
     elif kind == "dwr":
         if check_degree is None:
             raise ValueError("dwr curve needs check_degree")
         params.append(("check_degree", str(check_degree)))
-
-        def evaluate(rate: float) -> float:
-            if rate == 0.0:
-                return 0.5
-            return poisson_ensemble_distortion_bound(check_degree, rate)
-
+        positive = rates > 0.0  # rate 0 admits no distortion under one half
+        solved = poisson_ensemble_distortion_bound(check_degree, np.where(positive, rates, 1.0))
+        distortions = np.where(positive, solved, 0.5)
     else:  # conjectured_exit
         if degree is None:
             raise ValueError("conjectured_exit curve needs degree")
         params.append(("degree", str(degree)))
-        evaluate = functools.partial(conjectured_exit_distortion_bound, degree)
+        distortions = conjectured_exit_distortion_bound(degree, rates)
 
-    points = tuple(RatePoint(evaluate(rate), rate) for rate in rates)
+    points = tuple(
+        RatePoint(distortion, rate)
+        for distortion, rate in zip(distortions.tolist(), rates.tolist())
+    )
     return BoundCurve(kind, points, tuple(params), dist if kind == "counting" else None)

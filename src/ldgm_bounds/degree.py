@@ -9,31 +9,105 @@ bounds:
   their total degree.
 * ``mean_occupancy(x)``: sum_i i * L_i * x^i / (1 + x^i), equal to
   x * d/dx ln(weight gf); strictly increasing in x.
+
+Both take a float or an array of x.  ``weight_transforms`` computes the
+pair from (degrees, fractions) directly, and also takes one fractions row
+per x: that is how a Poisson curve, whose member changes with the rate,
+is evaluated, from the zero-padded pmf matrix of ``poisson_rows``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from .numerics import check_range, math_of, pick
 
 __all__ = [
     "DegreeDistribution",
     "TruncationError",
     "parse_degree_literal",
     "poisson_minimum_max_degree",
+    "poisson_rows",
+    "weight_transforms",
 ]
 
 _MASS_TOL = 1e-12
 _POISSON_TAIL_LIMIT = 1e-10
-
-
-def _poisson_pmf(lam: float, i: int) -> float:
-    """Poisson(lam) mass at i, in log space so exp(-lam) never underflows."""
-    return math.exp(i * math.log(lam) - lam - math.lgamma(i + 1))
+# The largest truncation degree a Poisson member may need.
+_POISSON_MAX_DEGREE = 10_000
 
 
 class TruncationError(ValueError):
     """A truncated family left out more probability mass than allowed."""
+
+
+def _poisson_pmf(lam, width: int):
+    """Poisson(lam) masses at degrees 0..width-1, one row per mean.
+
+    Computed in log space, so exp(-lam) never underflows.
+    """
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(width)])
+    lam = np.asarray(lam, dtype=float)[..., None]
+    return np.exp(np.arange(width) * np.log(lam) - lam - log_factorial)
+
+
+def _terms(degree, fraction, x, xp):
+    """Terms of log2 gf and of the occupancy for degree(s) at 0 <= x <= 1."""
+    power = x**degree
+    grow = 1.0 + power
+    return fraction * xp.log2(grow), degree * fraction * power / grow
+
+
+def weight_transforms(degrees, fractions, x):
+    """log2 of prod_i (1 + x^i)^{L_i} and sum_i i L_i x^i / (1 + x^i), for 0 <= x <= 1.
+
+    ``fractions`` is one profile over ``degrees``, or an (n, k) array
+    holding one profile per entry of an array ``x``, zero-padded.  An
+    array x broadcasts over a trailing degree axis; a float x sums its
+    few terms in a loop, which costs less than building arrays for one
+    point.
+    """
+    xp = math_of(x)
+    if xp is np:
+        log_gf, occupancy = _terms(np.asarray(degrees), np.asarray(fractions), x[..., None], np)
+        return log_gf.sum(axis=-1), occupancy.sum(axis=-1)
+    log_gf = occupancy = 0.0
+    for degree, fraction in zip(degrees, fractions):
+        term_gf, term_occupancy = _terms(degree, fraction, x, xp)
+        log_gf += term_gf
+        occupancy += term_occupancy
+    return log_gf, occupancy
+
+
+def poisson_rows(check_degree: int, rates) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees and one truncated Poisson(check_degree/R) profile per rate.
+
+    Row i is cut at the smallest degree >= 1 where its tail mass, 1 minus
+    the running sum of the pmf, falls below 1e-10, zero-padded past it,
+    and renormalised by the ``math.fsum`` of its kept masses, as
+    ``DegreeDistribution.poisson_truncated`` does.  The pmf is built out to
+    lam + 12 sqrt(lam) + 40, past which the tail of any Poisson law is
+    below 1e-11 (Bernstein: P(X >= lam + t) <= exp(-t^2 / (2 lam + 2t/3))).
+    """
+    if check_degree < 1:
+        raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
+    rates = np.asarray(rates, dtype=float)
+    check_range("rate", rates, math.ulp(0.0), 1.0)
+    lam = check_degree / rates
+    top = float(lam.max())
+    pmf = _poisson_pmf(lam, min(int(top + 12.0 * math.sqrt(top)) + 40, _POISSON_MAX_DEGREE + 1))
+    heavy = 1.0 - np.cumsum(pmf, axis=-1) >= _POISSON_TAIL_LIMIT
+    if heavy[:, -1].any():
+        raise TruncationError(f"tail mass never fell below limit for mean {top!r}")
+    cuts = np.maximum(heavy.argmin(axis=-1), 1)
+    degrees = np.arange(int(cuts.max()) + 1)
+    pmf = np.where(degrees <= cuts[:, None], pmf[:, : degrees.size], 0.0)
+    kept = np.array([math.fsum(row) for row in pmf.tolist()])
+    return degrees, pmf / kept[:, None]
 
 
 @dataclass(frozen=True)
@@ -104,7 +178,7 @@ class DegreeDistribution:
         if max_degree < 1:
             raise ValueError(f"max degree must be >= 1, got {max_degree!r}")
         lam = check_degree / rate
-        pmf = [_poisson_pmf(lam, i) for i in range(max_degree + 1)]
+        pmf = _poisson_pmf(lam, max_degree + 1).tolist()
         kept = math.fsum(pmf)
         tail = 1.0 - kept
         if tail >= _POISSON_TAIL_LIMIT:
@@ -119,9 +193,17 @@ class DegreeDistribution:
     def moment(self, k: int) -> float:
         return math.fsum(fraction * degree**k for degree, fraction in self.entries)
 
-    @property
+    @functools.cached_property
     def average_degree(self) -> float:
         return self.moment(1)
+
+    @functools.cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(degree for degree, _ in self.entries)
+
+    @functools.cached_property
+    def fractions(self) -> tuple[float, ...]:
+        return tuple(fraction for _, fraction in self.entries)
 
     @property
     def max_degree(self) -> int:
@@ -129,43 +211,31 @@ class DegreeDistribution:
 
     # -- transforms ------------------------------------------------------
 
-    def log2_weight_gf(self, x: float) -> float:
+    def log2_weight_gf(self, x):
         """log2 of prod_i (1 + x^i)^{L_i}, stable for any x >= 0.
 
         Equals 0 at x = 0 when there is no degree-0 mass, and exactly
         sum_i L_i = 1 at x = 1.
         """
-        if x < 0.0:
-            raise ValueError(f"argument must be >= 0, got {x!r}")
-        total = 0.0
-        for degree, fraction in self.entries:
-            if fraction == 0.0:
-                continue
-            if degree == 0:
-                total += fraction  # log2(1 + x^0) = 1
-            elif x <= 1.0:
-                total += fraction * math.log2(1.0 + x**degree)
-            else:
-                # factor x^i out so the power never overflows
-                total += fraction * (
-                    degree * math.log2(x) + math.log2(1.0 + x**-degree)
-                )
-        return total
+        return self._transforms(x)[0]
 
-    def mean_occupancy(self, x: float) -> float:
+    def mean_occupancy(self, x):
         """sum_i i * L_i * x^i / (1 + x^i); increasing from 0 toward the mean."""
-        if x < 0.0:
-            raise ValueError(f"argument must be >= 0, got {x!r}")
-        total = 0.0
-        for degree, fraction in self.entries:
-            if degree == 0 or fraction == 0.0:
-                continue
-            if x <= 1.0:
-                p = x**degree
-                total += degree * fraction * p / (1.0 + p)
-            else:
-                total += degree * fraction / (1.0 + x**-degree)
-        return total
+        return self._transforms(x)[1]
+
+    def _transforms(self, x):
+        """Both transforms at any x >= 0.
+
+        Past x = 1 they come from 1/x, where no power overflows:
+        log2 gf(x) = M1 log2 x + log2 gf(1/x) and
+        occupancy(x) = M1 - occupancy(1/x), M1 the average degree.
+        """
+        check_range("argument", x, 0.0, math.inf)
+        xp = math_of(x)
+        scale = xp.maximum(x, 1.0)  # x / scale / scale is x up to 1, then 1/x
+        log_gf, occupancy = weight_transforms(self.degrees, self.fractions, x / scale / scale)
+        mean = self.average_degree
+        return log_gf + mean * xp.log2(scale), pick(x > 1.0, mean - occupancy, occupancy)
 
     # -- formatting ------------------------------------------------------
 
@@ -200,18 +270,6 @@ def parse_degree_literal(text: str) -> DegreeDistribution:
 def poisson_minimum_max_degree(check_degree: int, rate: float) -> int:
     """Smallest truncation degree admissible for a Poisson family.
 
-    Scans upward until the left-out tail mass drops below 1e-10.
+    The first degree >= 1 where the left-out tail mass drops below 1e-10.
     """
-    if check_degree < 1:
-        raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate out of range: {rate!r}")
-    lam = check_degree / rate
-    kept = _poisson_pmf(lam, 0)
-    degree = 0
-    while 1.0 - kept >= _POISSON_TAIL_LIMIT:
-        degree += 1
-        kept += _poisson_pmf(lam, degree)
-        if degree > 10_000:  # unreachable for sane means; guards infinite loops
-            raise TruncationError(f"tail mass never fell below limit for mean {lam!r}")
-    return max(degree, 1)
+    return len(poisson_rows(check_degree, [rate])[0]) - 1

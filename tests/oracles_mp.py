@@ -54,3 +54,146 @@ def conjecture_distortion(degree: int, rate: float) -> mpmath.mpf:
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+def _root(fn, lo, hi, width=1e-30):
+    """Bisection to ``width`` for a root of fn on [lo, hi], where fn changes sign."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    negative_lo = fn(lo) < 0
+    if negative_lo == (fn(hi) < 0):
+        raise ValueError("root not bracketed")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if (fn(mid) < 0) == negative_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def shannon_distortion(rate: float) -> mpmath.mpf:
+    """D in [0, 1/2] with h(D) = 1 - R."""
+    with mpmath.workdps(_DIGITS):
+        target = 1 - mpmath.mpf(rate)
+        if target == 0:
+            return mpmath.mpf(0)
+        if target == 1:
+            return mpmath.mpf(1) / 2
+        return _root(lambda d: _entropy(d) - target, mpmath.mpf(10) ** -300, mpmath.mpf(1) / 2)
+
+
+def counting_distortion(profile, rate: float) -> mpmath.mpf:
+    """Counting bound of a (degree, fraction) profile at rate R.
+
+    The arc x -> (x/(1+x) - a(x) R(x), R(x)) with
+    R(x) = (1 - h(x/(1+x))) / (1 - log2 prod_i (1 + x^i)^L_i + a(x) log2 x),
+    a(x) = sum_i i L_i x^i / (1 + x^i), for R >= 1/avg; below, the line
+    through (1/2, 0) and the arc point of rate 1/avg.  At R >= 1/(1 - L_0),
+    the arc's x -> 0 end, the bound is 0; an average of at most 1 leaves
+    the line D = (1 - R)/2.
+    """
+    with mpmath.workdps(_DIGITS):
+        profile = [(d, mpmath.mpf(f)) for d, f in profile]
+        rate = mpmath.mpf(rate)
+        avg = mpmath.fsum(d * f for d, f in profile)
+        if avg <= 1:
+            return (1 - rate) / 2
+        if rate >= 1 / (1 - sum(f for d, f in profile if d == 0)):
+            return mpmath.mpf(0)
+
+        def arc(x):
+            log_gf = mpmath.fsum(f * mpmath.log(1 + x**d, 2) for d, f in profile)
+            occupancy = mpmath.fsum(d * f * x**d / (1 + x**d) for d, f in profile)
+            arc_rate = (1 - _entropy(x / (1 + x))) / (1 - log_gf + occupancy * mpmath.log(x, 2))
+            return arc_rate, occupancy
+
+        x = _root(
+            lambda x: arc(x)[0] - max(rate, 1 / avg),
+            mpmath.mpf(10) ** -200,
+            1 - mpmath.mpf(10) ** -25,
+        )
+        arc_rate, occupancy = arc(x)
+        if rate >= 1 / avg:
+            return x / (1 + x) - occupancy * arc_rate
+        return (1 - rate * avg * (1 - 2 * (x / (1 + x) - occupancy / avg))) / 2
+
+
+def poisson_profile(check_degree: int, rate: float):
+    """Poisson(r/R) cut at the smallest degree >= 1 leaving out under 1e-10 of
+    the mass, renormalised: the member of the Poisson counting family."""
+    with mpmath.workdps(_DIGITS):
+        lam = mpmath.mpf(check_degree) / mpmath.mpf(rate)
+        pmf = [mpmath.exp(-lam)]
+        while len(pmf) < 2 or 1 - mpmath.fsum(pmf) >= mpmath.mpf("1e-10"):
+            i = len(pmf)
+            pmf.append(pmf[-1] * lam / i)
+        total = mpmath.fsum(pmf)
+        return tuple((i, p / total) for i, p in enumerate(pmf))
+
+
+def dwr_distortion(check_degree: int, rate: float) -> mpmath.mpf:
+    """D in (0, 1/2) with 1 - h(D) = R (1 - exp(-(1 - D) r / R)); 1/2 at R = 0."""
+    with mpmath.workdps(_DIGITS):
+        rate = mpmath.mpf(rate)
+        if rate == 0:
+            return mpmath.mpf(1) / 2
+
+        def slack(d):
+            return 1 - _entropy(d) - rate * (1 - mpmath.exp(-(1 - d) * check_degree / rate))
+
+        return _root(slack, mpmath.mpf(10) ** -300, mpmath.mpf(1) / 2)
+
+
+def test_channel_rate(degree: int, distortion) -> mpmath.mpf:
+    """max over D' in [D, 1/2) of (1 - h(D) - KL(D || D')) / (1 - log2(1 + s^l)),
+    s = D'/(1 - D'), with the D' -> 1/2 limit (1 - 2D)/l as a candidate.
+
+    A 16-point grid over D' picks the best cell, and golden-section
+    search refines the maximum inside it to a width of 1e-10, where the
+    value is off by about the square of that.
+    """
+    with mpmath.workdps(_DIGITS):
+        d = mpmath.mpf(distortion)
+        if d == 0:
+            return mpmath.mpf(1)
+        if d == mpmath.mpf(1) / 2:
+            return mpmath.mpf(0)
+        base = 1 - _entropy(d)
+
+        def ratio(c):
+            divergence = d * mpmath.log(d / c, 2) + (1 - d) * mpmath.log((1 - d) / (1 - c), 2)
+            return (base - divergence) / (1 - mpmath.log(1 + (c / (1 - c)) ** degree, 2))
+
+        top = mpmath.mpf(1) / 2 - mpmath.mpf(10) ** -20
+        grid = [d + (top - d) * k / 15 for k in range(16)]
+        best = max(range(16), key=lambda k: ratio(grid[k]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, 15)]
+        golden = (mpmath.sqrt(5) - 1) / 2
+        left, right = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        f_left, f_right = ratio(left), ratio(right)
+        while hi - lo > mpmath.mpf(10) ** -10:
+            if f_left < f_right:
+                lo, left, f_left = left, right, f_right
+                right = lo + golden * (hi - lo)
+                f_right = ratio(right)
+            else:
+                hi, right, f_right = right, left, f_left
+                left = hi - golden * (hi - lo)
+                f_left = ratio(left)
+        return max(f_left, f_right, ratio(grid[best]), (1 - 2 * d) / degree)
+
+
+def test_channel_distortion(degree: int, rate: float) -> mpmath.mpf:
+    """D in [0, 1/2] where ``test_channel_rate`` falls to R; 1/2 at R = 0, 0 at R = 1."""
+    with mpmath.workdps(_DIGITS):
+        rate = mpmath.mpf(rate)
+        if rate == 0:
+            return mpmath.mpf(1) / 2
+        if rate == 1:
+            return mpmath.mpf(0)
+        return _root(
+            lambda d: test_channel_rate(degree, d) - rate,
+            mpmath.mpf(10) ** -300,
+            mpmath.mpf(1) / 2,
+            width=1e-16,
+        )

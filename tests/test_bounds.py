@@ -1,6 +1,7 @@
 """Bound families: reference values, identities, and curve sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,10 +32,12 @@ from ldgm_bounds import (
     test_channel_rate_bound as channel_rate_bound,
 )
 from ldgm_bounds import bounds as bounds_module
+from ldgm_bounds.degree import poisson_minimum_max_degree
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
 MIXED = DegreeDistribution.from_fractions({1: 0.5, 3: 0.5})
+DEGREE0 = DegreeDistribution.from_fractions({0: 0.1, 2: 0.5, 4: 0.4})
 
 # Frozen references from independent 30-digit recomputations.
 COUNTING_REG2_HALF = 0.11504158274866218
@@ -131,12 +134,18 @@ def mixed_profiles(draw):
     return DegreeDistribution.from_fractions(fractions)
 
 
+def poisson_member(check_degree, rate):
+    """The truncated Poisson member a Poisson counting curve uses at ``rate``."""
+    cut = poisson_minimum_max_degree(check_degree, rate)
+    return DegreeDistribution.poisson_truncated(check_degree, rate, cut)
+
+
 ARC_PROFILES = st.one_of(
     st.integers(2, 12).map(DegreeDistribution.regular),
     # r/R <= 1 leaves the truncated mean at or below 1: no arc
-    st.builds(
-        bounds_module._poisson_family_member, st.integers(1, 8), st.floats(0.15, 1.0)
-    ).filter(lambda dist: dist.average_degree > 1.0),
+    st.builds(poisson_member, st.integers(1, 8), st.floats(0.15, 1.0)).filter(
+        lambda dist: dist.average_degree > 1.0
+    ),
     mixed_profiles(),
 )
 
@@ -445,13 +454,19 @@ def test_conjecture_rate_matches_mpmath(degree, distortion):
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
-@pytest.mark.parametrize("gap", [10.0**-k for k in range(3, 9)])
+@pytest.mark.parametrize(
+    # the last four are gaps where bisecting on R itself, which is known to
+    # a few ulp only there, misses by 1.1e-12 to 1.8e-12
+    "gap", [10.0**-k for k in range(3, 9)] + [1.07e-8, 1.26e-8, 1.41e-8, 2.41e-8]
+)
 def test_conjecture_distortion_near_reciprocal_degree(degree, gap):
     # Just above R = 1/l the crossing lies near D = 1/2, where the rate
     # bound is a ratio of two O((1/2 - D)^2) quantities.
     rate = 1.0 / degree + gap
     reference = float(oracles_mp.conjecture_distortion(degree, rate))
     assert abs(conjectured_exit_distortion_bound(degree, rate) - reference) <= 1e-12
+    row = sample_curve("conjectured_exit", [rate], degree=degree).points[0].distortion
+    assert abs(row - reference) <= 1e-12
 
 
 def test_conjecture_distortion_inversion():
@@ -520,6 +535,31 @@ def test_sample_curve_conjecture_flagged():
     assert curve.is_conjecture
 
 
+GRID = [k / 40 for k in range(41)]
+
+
+@pytest.mark.parametrize(
+    "kind, params, rates, point",
+    [
+        ("shannon", {}, GRID, shannon_distortion),
+        ("counting", {"dist": REG3}, GRID, lambda r: counting_bound_distortion(REG3, r)),
+        ("counting", {"dist": DEGREE0}, GRID, lambda r: counting_bound_distortion(DEGREE0, r)),
+        ("counting", {"check_degree": 3}, GRID[1:], lambda r: counting_bound_distortion(poisson_member(3, r), r)),
+        ("test_channel", {"degree": 3}, GRID, lambda r: channel_distortion_bound(3, r)),
+        ("dwr", {"check_degree": 3}, GRID, lambda r: poisson_ensemble_distortion_bound(3, r) if r else 0.5),
+        ("conjectured_exit", {"degree": 3}, GRID, lambda r: conjectured_exit_distortion_bound(3, r)),
+    ],
+    ids=["shannon", "counting", "counting-degree0", "poisson", "test_channel", "dwr", "conjecture"],
+)
+def test_curve_rows_match_float_calls(kind, params, rates, point):
+    # The float route is the reference for the row-wise solve.  The two
+    # round differently, so a bisection may end one step apart: the bound
+    # is twice the coarsest solver tolerance, 1e-12.
+    curve = sample_curve(kind, rates, **params)
+    for rate, row in zip(rates, curve.points):
+        assert row.distortion == pytest.approx(point(rate), abs=2e-12), rate
+
+
 def test_sample_curve_argument_validation():
     with pytest.raises(ValueError):
         sample_curve("counting", [0.5])  # needs a distribution or family
@@ -538,15 +578,35 @@ def test_sample_curve_argument_validation():
 # ---------------------------------------------------------------------------
 
 def test_poisson_curve_leaves_bounded_caches():
-    # Check degree 1 puts every rate below its member's reciprocal average
-    # degree, so each of the 300 new distributions takes the segment.
+    # A Poisson curve builds no distribution per rate, so it leaves the
+    # anchor cache untouched.  Check degree 1 puts every rate below its
+    # member's reciprocal average degree, so each row takes the segment,
+    # anchored on its own member; rows match the float route.
     bounds_module._line_anchor.cache_clear()
     rates = [0.05 + 0.9 * k / 299 for k in range(300)]
-    sample_curve("counting", rates, check_degree=1)
+    curve = sample_curve("counting", rates, check_degree=1)
     info = bounds_module._line_anchor.cache_info()
-    assert info.misses == 300  # one new distribution per rate
-    assert info.maxsize == bounds_module._DIST_CACHE_SIZE
-    assert info.currsize <= info.maxsize
+    assert info.misses == 0
+    assert info.currsize == 0
+    for k in (0, 150, 299):
+        member = poisson_member(1, rates[k])
+        assert rates[k] < 1.0 / member.average_degree
+        expected = counting_bound_distortion(member, rates[k])
+        assert curve.points[k].distortion == pytest.approx(expected, abs=1e-12)
+    bounds_module._line_anchor.cache_clear()
+
+
+def test_poisson_curve_memory_does_not_grow_with_the_grid():
+    # The zero-padded pmf matrix is built a bounded number of rows at a
+    # time; built whole, this grid's matrices peak at about 24 MB.
+    rates = [0.05 + 0.9 * k / 1999 for k in range(2000)]
+    tracemalloc.start()
+    try:
+        sample_curve("counting", rates, check_degree=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_line_anchor_cache_bounded_over_many_profiles():
@@ -560,9 +620,111 @@ def test_line_anchor_cache_bounded_over_many_profiles():
 
 
 def test_fixed_profile_curve_hits_caches():
+    # The segment rows of a curve share one anchor, solved once per
+    # distribution: a second curve over the same profile only hits.
     bounds_module._line_anchor.cache_clear()
     rates = [0.05 + 0.9 * k / 49 for k in range(50)]
     sample_curve("counting", rates, dist=REG2)
+    sample_curve("counting", rates, dist=REG2)
     info = bounds_module._line_anchor.cache_info()
     assert info.misses == 1
-    assert info.hits >= 10
+    assert info.hits == 1
+
+
+# ---------------------------------------------------------------------------
+# sampled curves against 60-digit mpmath, family by family
+# ---------------------------------------------------------------------------
+
+RATE_LISTS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)
+
+
+def assert_rows_match(curve, oracle, tol=1e-10):
+    for point in curve.points:
+        expected = float(oracle(point.rate))
+        assert abs(point.distortion - expected) <= tol, (point.rate, point.distortion, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(RATE_LISTS)
+@example([0.0, 1e-300, 1e-20, 1e-9, 0.5, 1.0 - 1e-9, 1.0])
+def test_shannon_curve_matches_mpmath(rates):
+    assert_rows_match(sample_curve("shannon", rates), oracles_mp.shannon_distortion)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.integers(1, 8).map(DegreeDistribution.regular), mixed_profiles()), RATE_LISTS)
+@example(DegreeDistribution.from_fractions({0: 0.1, 2: 0.5, 4: 0.4}), [0.0, 0.1, 0.5, 1.0])
+@example(DegreeDistribution.from_fractions({1: 0.5, 3: 0.5}), [0.01, 0.3, 0.5, 0.99])
+@example(DegreeDistribution.regular(3), [1.0 - 3.13e-8, 1.0 - 1e-12, 1.0])
+def test_counting_curve_matches_mpmath(dist, rates):
+    curve = sample_curve("counting", rates, dist=dist)
+    assert_rows_match(curve, lambda rate: oracles_mp.counting_distortion(dist.entries, rate))
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, 6), st.lists(st.floats(0.15, 1.0), min_size=1, max_size=3))
+@example(4, [0.15, 0.5, 1.0])
+@example(1, [0.2, 0.9, 1.0])
+def test_poisson_counting_curve_matches_mpmath(check_degree, rates):
+    curve = sample_curve("counting", rates, check_degree=check_degree)
+    assert_rows_match(
+        curve,
+        lambda rate: oracles_mp.counting_distortion(
+            oracles_mp.poisson_profile(check_degree, rate), rate
+        ),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 8), RATE_LISTS)
+@example(3, [0.0, 1e-300, 1e-20, 0.02, 0.5, 1.0])
+def test_dwr_curve_matches_mpmath(check_degree, rates):
+    curve = sample_curve("dwr", rates, check_degree=check_degree)
+    assert_rows_match(curve, lambda rate: oracles_mp.dwr_distortion(check_degree, rate))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(2, 5), st.lists(st.floats(0.01, 1.0), min_size=1, max_size=2))
+@example(3, [0.05, 0.14, 1.0])
+def test_test_channel_curve_matches_mpmath(degree, rates):
+    curve = sample_curve("test_channel", rates, degree=degree)
+    assert_rows_match(curve, lambda rate: oracles_mp.test_channel_distortion(degree, rate))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 8), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+@example(3, [0.2, 1.0 / 3.0 + 1e-9, 0.5, 1.0])
+def test_conjecture_curve_matches_mpmath(degree, rates):
+    def oracle(rate):
+        if rate <= 1.0 / degree:
+            return 0.5
+        if rate == 1.0:
+            return 0.0
+        return oracles_mp.conjecture_distortion(degree, rate)
+
+    assert_rows_match(sample_curve("conjectured_exit", rates, degree=degree), oracle)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_rows_at_rate_one_are_exact(degree):
+    # The arc starts at (0, 1); rates within 3.13e-8 of 1 used to clamp
+    # at x = 1e-9 and read about 1e-9.
+    dist = DegreeDistribution.regular(degree)
+    rates = [1.0 - 3.13e-8, 1.0 - 1e-9, 1.0 - 1e-12, 1.0]
+    for curve in (
+        sample_curve("counting", rates, dist=dist),
+        sample_curve("test_channel", rates, degree=degree),
+    ):
+        assert_rows_match(
+            curve,
+            lambda rate: oracles_mp.counting_distortion(dist.entries, rate),
+            tol=1e-12,
+        )
+        assert curve.points[-1].distortion == 0.0
+    for rate in rates:
+        expected = float(oracles_mp.counting_distortion(dist.entries, rate))
+        assert abs(counting_bound_distortion(dist, rate) - expected) <= 1e-12
+    assert counting_bound_distortion(dist, 1.0) == 0.0
+    assert channel_distortion_bound(degree, 1.0) == 0.0
+    assert conjectured_exit_distortion_bound(degree, 1.0) == 0.0
+    assert sample_curve("conjectured_exit", [1.0], degree=degree).points[0].distortion == 0.0

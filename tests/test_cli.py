@@ -1,5 +1,8 @@
 """Command-line interface: CSV shape, reports, and exit codes."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from ldgm_bounds import (
@@ -306,20 +309,51 @@ def test_curve_poisson_large_mean(capsys):
 
 @pytest.mark.parametrize("error", [NoSolutionError, BracketError, TruncationError])
 def test_curve_mathematical_refusal_exits_4(monkeypatch, capsys, error):
-    def refuse(dist, rate, residual_tol=1e-10):
-        raise error(f"no parameter for rate {rate}")
+    # A refusal inside the curve's one solve over all its rates, for a
+    # fixed profile and for the Poisson family.
+    solves = []
 
-    monkeypatch.setattr(bounds_module, "solve_x_for_rate", refuse)
-    status, out, err = run(
-        [
-            "curve", "--bound", "counting", "--degrees", "2:1",
-            "--rate-min", "0.6", "--rate-max", "0.9", "--steps", "4",
-        ],
-        capsys,
-    )
-    assert status == 4
-    assert out == ""
-    assert "error: no parameter for rate 0.6" in err
+    def refuse(fn, lo, hi, target, tol=1e-12):
+        solves.append(np.shape(target))
+        raise error(f"no parameter for {np.size(target)} rates")
+
+    monkeypatch.setattr(bounds_module, "bisect_monotone", refuse)
+    for degrees in ("2:1", "poisson:3"):
+        status, out, err = run(
+            [
+                "curve", "--bound", "counting", "--degrees", degrees,
+                "--rate-min", "0.6", "--rate-max", "0.9", "--steps", "4",
+            ],
+            capsys,
+        )
+        assert status == 4
+        assert out == ""
+        assert "error: no parameter for 4 rates" in err
+    assert solves == [(4,), (4,)]
+
+
+# Small CSVs written by ``ldgm-bounds curve`` before the curve solve went
+# row-wise, one per family; output must match them byte for byte.  Only
+# the R = 1 rows of counting-regular3, test-channel-l3 and conjecture-l3
+# were rewritten since, to the exact 0 (they read 9.99999999e-10 and
+# 4.547473509e-13).
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CURVES = {
+    "shannon": ["--bound", "shannon", "--rate-min", "0.05", "--rate-max", "1", "--steps", "12"],
+    "counting-regular3": ["--bound", "counting", "--degrees", "regular:3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
+    "counting-degree0": ["--bound", "counting", "--degrees", "0:0.1,2:0.5,4:0.4", "--rate-min", "0.05", "--rate-max", "1", "--steps", "12"],
+    "counting-poisson4": ["--bound", "counting", "--degrees", "poisson:4", "--rate-min", "0.15", "--rate-max", "1", "--steps", "12"],
+    "dwr-r3": ["--bound", "dwr", "--r", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
+    "test-channel-l3": ["--bound", "test-channel", "--l", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
+    "conjecture-l3": ["--bound", "conjecture", "--l", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CURVES))
+def test_curve_output_matches_golden_csv(capsys, name):
+    status, out, err = run(["curve", *GOLDEN_CURVES[name]], capsys)
+    assert (status, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.csv").read_text()
 
 
 def test_curve_rejects_single_step(capsys):

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from ldgm_bounds import (
@@ -115,17 +116,83 @@ def test_bisect_target_at_endpoint():
     assert root == pytest.approx(0.0, abs=1e-11)
 
 
-def test_bisect_plateau_tie_rule():
+def _plateau(x):
+    """Rises to 0.3, stays there on [0.3, 0.7], rises again."""
+    return np.minimum(x, 0.3) + np.maximum(x - 0.7, 0.0)
+
+
+@pytest.mark.parametrize("form", ["float", "rows"])
+def test_bisect_plateau_tie_rule(form):
     # On a plateau at the target, ties move the end whose value lies below
     # the target: the lowest root of an increasing function, the highest
     # of a decreasing one.  The bound solvers' printed digits rely on it.
-    def plateau(x):
-        return min(x, 0.3) + max(x - 0.7, 0.0)
-
-    rising = bisect_monotone(plateau, 0.0, 1.0, 0.3)
-    falling = bisect_monotone(lambda x: -plateau(x), 0.0, 1.0, -0.3)
+    # The row form mixes increasing and decreasing rows in one call.
+    if form == "float":
+        rising = bisect_monotone(_plateau, 0.0, 1.0, 0.3)
+        falling = bisect_monotone(lambda x: -_plateau(x), 0.0, 1.0, -0.3)
+    else:
+        sign = np.array([1.0, -1.0, 1.0, -1.0])
+        roots = bisect_monotone(lambda x: sign * _plateau(x), 0.0, 1.0, 0.3 * sign)
+        assert roots.shape == (4,)
+        rising, falling = roots[0], roots[1]
+        assert (roots[2], roots[3]) == (rising, falling)
     assert rising == pytest.approx(0.3, abs=1e-12)
     assert falling == pytest.approx(0.7, abs=1e-12)
+
+
+# Functions whose float and array evaluations agree bit for bit: plain
+# arithmetic, and numpy ufuncs, which evaluate one float by the array loop.
+ROW_FUNCTIONS = [
+    lambda x: x * x * x - x,
+    lambda x: -np.tanh(3.0 * x),
+    lambda x: np.log2(1.0 + x * x) + 0.25 * x,
+    lambda x: -_plateau(x),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(range(len(ROW_FUNCTIONS))),
+            st.floats(-2.0, 2.0),
+            st.floats(1e-6, 3.0),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from([1e-12, 1e-15, 0.0]),
+)
+@example([(1, 0.0625, 1.0, 1.0), (3, -0.5, 1.5, 0.5), (0, 0.0, 1e-6, 0.0)], 0.0)
+def test_bisect_rows_match_the_float_loop_bit_for_bit(rows, tol):
+    # Each row of one array call returns exactly what the float loop
+    # returns for that row alone; rows may use different functions.
+    kinds = np.array([kind for kind, _, _, _ in rows])
+    lo = np.array([start for _, start, _, _ in rows])
+    hi = lo + np.array([width for _, _, width, _ in rows])
+    ends = [(ROW_FUNCTIONS[k](float(a)), ROW_FUNCTIONS[k](float(b))) for k, a, b in zip(kinds, lo, hi)]
+    target = np.array(
+        [
+            min(max(fa + share * (fb - fa), min(fa, fb)), max(fa, fb))
+            for (fa, fb), (_, _, _, share) in zip(ends, rows)
+        ]
+    )
+
+    def fn(x):
+        return np.select([kinds == k for k in range(len(ROW_FUNCTIONS))], [f(x) for f in ROW_FUNCTIONS])
+
+    solved = bisect_monotone(fn, lo, hi, target, tol=tol)
+    for k, row in enumerate(rows):
+        alone = bisect_monotone(ROW_FUNCTIONS[row[0]], float(lo[k]), float(hi[k]), float(target[k]), tol=tol)
+        assert solved[k] == alone, k
+
+
+def test_bisect_rows_bracket_error_names_first_bad_row():
+    lo = np.zeros(5)
+    target = np.array([0.5, 0.2, 2.0, 0.1, 3.0])
+    with pytest.raises(BracketError, match=r"^row 2: target 2\.0 not bracketed"):
+        bisect_monotone(lambda x: x, lo, 1.0, target)
 
 
 def test_bisect_unbracketed_raises():
