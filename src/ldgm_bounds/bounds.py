@@ -416,7 +416,9 @@ def poisson_ensemble_rate_bound(check_degree: int, distortion: float) -> float:
 
     This is the ensemble bound for random codes whose check nodes all have
     degree ``check_degree``.  Raises :class:`NoSolutionError` when even
-    rate 1 fails the inequality.
+    rate 1 fails the inequality.  Since R(1 - exp(...)) <= R, the rate is
+    at least delta = 1 - h(D), which vanishes like (1 - 2D)^2 near D = 1/2;
+    the root is bracketed on [delta, 1] and resolved relative to delta.
     """
     if check_degree < 1:
         raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
@@ -429,7 +431,8 @@ def poisson_ensemble_rate_bound(check_degree: int, distortion: float) -> float:
             f"no admissible rate: slack at rate 1 is {slack(1.0):.6g} > 0 "
             f"(check degree {check_degree}, distortion {distortion!r})"
         )
-    return bisect_monotone(slack, 1e-12, 1.0, 0.0, tol=1e-14)
+    delta = _entropy_deficit(distortion)
+    return bisect_monotone(slack, delta, 1.0, 0.0, tol=1e-14 * delta)
 
 
 def poisson_ensemble_distortion_bound(check_degree: int, rate):

@@ -19,6 +19,7 @@ numerics cannot deliver one (``NoSolutionError``, ``BracketError``,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -315,9 +316,15 @@ def cmd_enum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and shared by every later
+    one in the process: building it costs more than a small ``verify``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"curve": cmd_curve, "verify": cmd_verify, "enum": cmd_enum}
     try:
         return handlers[args.command](args)

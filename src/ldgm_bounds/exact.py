@@ -371,21 +371,21 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
     return CoverProfile(m, tuple(c << k for c in _histogram(table, m + 1)))
 
 
-def _covered_count(profile: CoverProfile, distortion: float) -> int:
-    """Source words within radius floor(distortion * m).
+def _radius(distortion, num_checks: int) -> int:
+    """Covering radius floor(distortion * m) of a distortion in [0, 1].
 
     The 1e-9 guard lands gridded distortions on an integer radius despite
     rounding.
     """
-    radius = int(math.floor(distortion * profile.num_checks + 1e-9))
-    return sum(profile.histogram[: radius + 1])
+    if not 0.0 <= distortion <= 1.0:
+        raise ValueError(f"distortion out of range: {distortion!r}")
+    return int(math.floor(distortion * num_checks + 1e-9))
 
 
 def covered_fraction(profile: CoverProfile, distortion: float) -> float:
     """Fraction of source words within radius floor(distortion * m)."""
-    if not 0.0 <= distortion <= 1.0:
-        raise ValueError(f"distortion out of range: {distortion!r}")
-    return _covered_count(profile, distortion) / (1 << profile.num_checks)
+    radius = _radius(distortion, profile.num_checks)
+    return sum(profile.histogram[: radius + 1]) / (1 << profile.num_checks)
 
 
 def optimal_average_distortion(code: LdgmCode) -> float:
@@ -403,7 +403,8 @@ class VerificationReport:
     """Outcome of the three per-code checks, with literal margins.
 
     * chain: optimal distortion >= d * (1 - covered_fraction(d)) on the
-      grid, compared in exact rational arithmetic (zero tolerance).
+      grid, compared by exact integer cross-multiplication (zero
+      tolerance); ``chain_margin`` rounds the exact worst case once.
     * enumerator: cumulative weight counts >= coefficient floor, exact
       integers; ``enumerator_slack`` is the smallest difference.
     * bound: optimal distortion >= counting bound - 1e-9.
@@ -428,6 +429,14 @@ class VerificationReport:
         return self.chain_ok and self.enumerator_ok and self.bound_ok
 
 
+def _ratio(value) -> tuple[int, int]:
+    """An int, float or rational, numpy's scalars included, as an exact pair
+    (numerator, denominator > 0) of Python ints, which cannot overflow."""
+    as_ratio = getattr(value, "as_integer_ratio", None)
+    num, den = as_ratio() if as_ratio else (value.numerator, value.denominator)
+    return int(num), int(den)
+
+
 def verify_code(
     code: LdgmCode,
     dist: DegreeDistribution,
@@ -446,18 +455,23 @@ def verify_code(
     weighted = sum(d * count for d, count in enumerate(profile.histogram))
     optimal = profile.average_distortion()
 
+    # d (1 - covered/2^m) <= weighted / (m 2^m) for d = num/den is
+    # num (2^m - covered) m <= weighted den, all in integers.  The worst
+    # right-hand side num (2^m - covered) / den is kept as a pair too.
+    within = tuple(accumulate(profile.histogram))  # source words within radius r
     chain_ok = True
-    worst_rhs = Fraction(0)
+    worst_num, worst_den = 0, 1
     covered_samples = []
     for d in d_grid:
-        covered = _covered_count(profile, d)
+        covered = within[_radius(d, m)]
         covered_samples.append((float(d), covered / total))
-        rhs = Fraction(d) * (total - covered)  # times m 2^m, like `weighted`
-        if rhs > worst_rhs:
-            worst_rhs = rhs
-        if Fraction(weighted) < rhs * m:
+        num, den = _ratio(d)
+        rhs = num * (total - covered)
+        if rhs * worst_den > worst_num * den:
+            worst_num, worst_den = rhs, den
+        if weighted * den < rhs * m:
             chain_ok = False
-    chain_margin = optimal - float(worst_rhs) / total
+    chain_margin = optimal - float(Fraction(worst_num, worst_den)) / total
 
     cumulative = enumerator.cumulative()
     last = len(floors) - 1

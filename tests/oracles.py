@@ -1,5 +1,9 @@
-"""Brute-force oracles for the exact kernels, built on ``encode`` alone."""
+"""Brute-force oracles for the exact kernels, built on ``encode`` alone, and a
+naive chain check in ``Fraction``s."""
 
+import math
+import numbers
+from fractions import Fraction
 from itertools import product
 
 from ldgm_bounds import CoverProfile, LdgmCode, WeightEnumerator, encode
@@ -28,3 +32,27 @@ def distance_transform_naive(code: LdgmCode) -> CoverProfile:
     for word in range(1 << code.num_checks):
         histogram[min((word ^ c).bit_count() for c in codewords)] += 1
     return CoverProfile(code.num_checks, tuple(histogram))
+
+
+def chain_check_naive(profile: CoverProfile, d_grid):
+    """Reference chain check: (chain_ok, chain_margin, covered) in ``Fraction``s.
+
+    At each grid d, with covered the source words within radius
+    floor(d m + 1e-9), the chain holds when optimal >= d (1 - covered/2^m).
+    Integers are taken as Python ints: ``Fraction`` keeps a numpy integer
+    as its numerator, and its arithmetic would then overflow.
+    """
+    m, total = profile.num_checks, 1 << profile.num_checks
+    optimal = Fraction(sum(d * count for d, count in enumerate(profile.histogram)), m * total)
+    chain_ok = True
+    worst = Fraction(0)
+    covered_samples = []
+    for d in d_grid:
+        covered = sum(profile.histogram[: math.floor(d * m + 1e-9) + 1])
+        covered_samples.append((float(d), covered / total))
+        exact = Fraction(int(d)) if isinstance(d, numbers.Integral) else Fraction(d)
+        rhs = exact * (total - covered) / total
+        worst = max(worst, rhs)
+        if optimal < rhs:
+            chain_ok = False
+    return chain_ok, float(optimal) - float(worst), tuple(covered_samples)

@@ -131,17 +131,40 @@ def poisson_profile(check_degree: int, rate: float):
         return tuple((i, p / total) for i, p in enumerate(pmf))
 
 
+def dwr_slack(check_degree: int, distortion, rate) -> mpmath.mpf:
+    """1 - h(D) - R (1 - exp(-(1 - D) r / R)), for D in [0, 1/2] and R > 0."""
+    with mpmath.workdps(_DIGITS):
+        d, rate = mpmath.mpf(distortion), mpmath.mpf(rate)
+        entropy = _entropy(d) if d > 0 else 0
+        return 1 - entropy - rate * (1 - mpmath.exp(-(1 - d) * check_degree / rate))
+
+
 def dwr_distortion(check_degree: int, rate: float) -> mpmath.mpf:
     """D in (0, 1/2) with 1 - h(D) = R (1 - exp(-(1 - D) r / R)); 1/2 at R = 0."""
     with mpmath.workdps(_DIGITS):
-        rate = mpmath.mpf(rate)
         if rate == 0:
             return mpmath.mpf(1) / 2
+        return _root(
+            lambda d: dwr_slack(check_degree, d, rate), mpmath.mpf(10) ** -300, mpmath.mpf(1) / 2
+        )
 
-        def slack(d):
-            return 1 - _entropy(d) - rate * (1 - mpmath.exp(-(1 - d) * check_degree / rate))
 
-        return _root(slack, mpmath.mpf(10) ** -300, mpmath.mpf(1) / 2)
+def dwr_rate(check_degree: int, distortion: float):
+    """Smallest R in (0, 1] with dwr_slack(r, D, R) <= 0; 0 at D = 1/2, and
+    None when the slack at R = 1 is still positive.
+
+    The root is bisected in log R over [1e-300, 1] to a width of 1e-30, so
+    a rate of any size keeps 30 significant digits.
+    """
+    with mpmath.workdps(_DIGITS):
+        if mpmath.mpf(distortion) == mpmath.mpf(1) / 2:
+            return mpmath.mpf(0)
+        if dwr_slack(check_degree, distortion, 1) > 0:
+            return None
+        log_rate = _root(
+            lambda t: dwr_slack(check_degree, distortion, mpmath.exp(t)), -300 * mpmath.log(10), 0
+        )
+        return mpmath.exp(log_rate)
 
 
 def test_channel_rate(degree: int, distortion) -> mpmath.mpf:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import oracles_mp
@@ -396,6 +396,28 @@ def test_ensemble_rate_bound_no_solution():
     # Check degree 1 cannot reach the entropy target at distortion 0.01.
     with pytest.raises(NoSolutionError):
         poisson_ensemble_rate_bound(1, 0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 0.5, exclude_max=True))
+@example(4, 0.0)
+@example(4, 0.05)
+@example(4, 0.4999999)  # its bound, about 2.9e-14, lay below the old bracket's 1e-12
+@example(4, 0.499999)
+@example(4, 0.5 - 1e-9)
+@example(4, 0.5 - 1e-12)
+@example(1, 0.5 - 1e-12)
+@example(8, 0.5 - 2.0**-53)
+def test_ensemble_rate_bound_matches_mpmath(check_degree, distortion):
+    # where rate 1 is within rounding of the boundary, either answer is right
+    assume(abs(oracles_mp.dwr_slack(check_degree, distortion, 1)) > 1e-12)
+    expected = oracles_mp.dwr_rate(check_degree, distortion)
+    if expected is None:
+        with pytest.raises(NoSolutionError):
+            poisson_ensemble_rate_bound(check_degree, distortion)
+        return
+    value = poisson_ensemble_rate_bound(check_degree, distortion)
+    assert abs(value - expected) <= 1e-10 * expected, (value, expected)
 
 
 def test_ensemble_distortion_bound_round_trip():

@@ -1,5 +1,8 @@
 """Command-line interface: CSV shape, reports, and exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -418,3 +421,56 @@ def test_enum_over_budget_exits_3(tmp_path, capsys):
     assert status == 3
     assert out == ""
     assert "error: 25 generators exceed the enumeration budget of 24" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def outcome(argv, capsys):
+    """Exit status, or the SystemExit argparse raised, with stdout and stderr."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def test_repeated_calls_agree_whatever_runs_between(tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    write_code_file(sample_code(10, 5, REG2, seed=3), path)
+    commands = [
+        ["curve", *GOLDEN_CURVES["counting-regular3"]],
+        ["verify", "--m", "12", "--n", "6", "--degrees", "regular:2", "--trials", "2"],
+        ["enum", str(path)],
+    ]
+    between = (
+        ("SystemExit(2)", ["verify", "--m", "12"]),  # argparse: --n and --degrees missing
+        (3, ["verify", "--m", "30", "--n", "4", "--degrees", "regular:2"]),  # BudgetError
+        ("SystemExit(0)", ["curve", "--help"]),
+    )
+    first = [outcome(argv, capsys) for argv in commands]
+    assert [status for status, _, _ in first] == [0, 0, 0]
+    assert first[0][1] == (GOLDEN / "counting-regular3.csv").read_text()
+    for expected_status, argv in between:
+        interrupted = outcome(argv, capsys)
+        assert interrupted[0] == expected_status
+        assert [outcome(argv, capsys) for argv in commands] == first
+        assert outcome(argv, capsys) == interrupted
+    assert cli_module._parser.cache_info().currsize == 1
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main() call, so importing stays cheap
+    package_root = Path(cli_module.__file__).resolve().parents[1]
+    probe = "import ldgm_bounds.cli as cli; print(cli._parser.cache_info().currsize)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        check=True,
+    )
+    assert result.stdout == "0\n"

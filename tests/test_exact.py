@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,8 +28,8 @@ from ldgm_bounds import (
     weight_enumerator,
     write_code_file,
 )
-from ldgm_bounds.exact import generator_masks
-from oracles import distance_transform_naive, weight_enumerator_naive
+from ldgm_bounds.exact import CoverProfile, generator_masks
+from oracles import chain_check_naive, distance_transform_naive, weight_enumerator_naive
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
@@ -69,9 +71,9 @@ BUDGET_PINS = {
 
 
 @st.composite
-def small_codes(draw):
-    """Codes with m <= 12 and n <= 9, repeats and empty generators included."""
-    m = draw(st.integers(min_value=1, max_value=12))
+def small_codes(draw, max_checks=12):
+    """Codes with m <= max_checks and n <= 9, repeats and empty generators included."""
+    m = draw(st.integers(min_value=1, max_value=max_checks))
     check_sets = st.lists(
         st.integers(min_value=0, max_value=m - 1), unique=True, max_size=min(m, 5)
     ).map(lambda checks: tuple(sorted(checks)))
@@ -372,6 +374,52 @@ def test_verify_report_margins_consistent():
     assert report.bound_distortion == pytest.approx(
         counting_bound_distortion(REG2, 0.5), abs=1e-12
     )
+
+
+def chain_fields(report):
+    return report.chain_ok, report.chain_margin, report.covered
+
+
+# Grid entries of every type verify_code takes: floats, ints, rationals and
+# numpy scalars; 0.5 - 1e-12 reaches its radius only through the 1e-9 guard.
+GRID_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0, 1),
+    st.fractions(0, 1, max_denominator=40),
+    st.sampled_from([Fraction(1, 3), 0.5, 0.5 - 1e-12, 0.125, 1.0 / 3.0, np.int64(1)]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # rate at most 1, where the counting bound is defined
+    small_codes(max_checks=16).filter(lambda code: code.num_generators <= code.num_checks),
+    st.lists(GRID_ENTRIES, min_size=1, max_size=30),
+)
+@example(PAIR_CODE, [0, Fraction(1, 8), 0.124, 0.125, 0.5, 1])
+@example(LdgmCode(6, ()), [0.0, Fraction(1, 6), 1.0 / 6.0, 1])
+# full rank: optimal 0 equals the right-hand side at d = 0, and the chain holds
+@example(LdgmCode(2, ((0,), (0, 1))), [0, 0.0, Fraction(0)])
+def test_chain_check_matches_naive_fractions(code, grid):
+    dist = code.realized_distribution() if code.generators else REG2
+    report = verify_code(code, dist, grid)
+    profile = distance_transform(code)
+    assert chain_fields(report) == chain_check_naive(profile, grid)
+
+
+@pytest.mark.parametrize("seed", sorted(BUDGET_PINS))
+def test_chain_check_at_budget_limit_matches_naive(seed):
+    grid = [k / 50 for k in range(26)] + [Fraction(k, 26) for k in range(27)]
+    report = verify_code(sample_code(26, 24, REG2, seed=seed), REG2, grid, seed=seed)
+    pinned = CoverProfile(26, BUDGET_PINS[seed][0])
+    assert chain_fields(report) == chain_check_naive(pinned, grid)
+    assert report.chain_ok
+
+
+@pytest.mark.parametrize("distortion", [-0.1, 1.5, math.nan])
+def test_verify_code_rejects_distortions_outside_unit_interval(distortion):
+    with pytest.raises(ValueError, match="distortion out of range"):
+        verify_code(PAIR_CODE, REG2, [0.25, distortion])
 
 
 # ---------------------------------------------------------------------------
