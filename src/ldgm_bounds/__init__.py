@@ -16,7 +16,6 @@ from .bounds import (
     CoverageExponent,
     CURVE_KINDS,
     NoSolutionError,
-    RatePoint,
     conjectured_exit_distortion_bound,
     conjectured_exit_rate_bound,
     counting_bound_distortion,
@@ -77,7 +76,6 @@ __all__ = [
     "GENERATOR_LIMIT",
     "LdgmCode",
     "NoSolutionError",
-    "RatePoint",
     "TruncationError",
     "VerificationReport",
     "WeightEnumerator",

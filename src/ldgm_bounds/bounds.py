@@ -55,7 +55,6 @@ __all__ = [
     "BoundCurve",
     "CoverageExponent",
     "NoSolutionError",
-    "RatePoint",
     "conjectured_exit_distortion_bound",
     "conjectured_exit_rate_bound",
     "counting_bound_distortion",
@@ -436,12 +435,16 @@ def poisson_ensemble_rate_bound(check_degree: int, distortion: float) -> float:
 
 
 def poisson_ensemble_distortion_bound(check_degree: int, rate):
-    """Distortion below which the fixed-check-degree ensemble bound bites."""
+    """Distortion below which the fixed-check-degree ensemble bound bites.
+
+    Rate 0 admits no distortion under one half, so the bound there is 0.5.
+    """
     if check_degree < 1:
         raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
-    check_range("rate", rate, math.ulp(0.0), 1.0)
+    check_range("rate", rate, 0.0, 1.0)
     slack = lambda distortion: _dwr_slack(check_degree, distortion, rate)
-    return bisect_monotone(slack, 0.0, 0.5, 0.0 * rate, tol=1e-14)  # target 0 in rate's shape
+    solved = bisect_monotone(slack, 0.0, 0.5, 0.0 * rate, tol=1e-14)  # target 0 in rate's shape
+    return pick(rate == 0.0, 0.5, solved)
 
 
 # ---------------------------------------------------------------------------
@@ -564,40 +567,41 @@ def conjectured_exit_distortion_bound(degree: int, rate):
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    """One (distortion, rate) sample of a bound curve."""
-
-    distortion: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.rate <= 1.0 + 1e-12:
-            raise ValueError(f"rate out of range: {self.rate!r}")
-        if not -1e-12 <= self.distortion <= 0.5 + 1e-12:
-            raise ValueError(f"distortion out of range: {self.distortion!r}")
-
-
-@dataclass(frozen=True)
 class BoundCurve:
-    """A sampled bound curve: kind tag, points by rate, generating params,
-    and a fixed-profile counting curve's unrounded distribution."""
+    """A sampled bound curve: kind tag, rates in ascending order and the
+    distortion at each as two tuples of floats, generating params, and a
+    fixed-profile counting curve's unrounded distribution.
+
+    Checks every row: rates in [0, 1] and distortions in [0, 1/2], each to
+    1e-12, rates sorted, and no distortion rising by more than 1e-9."""
 
     kind: str
-    points: tuple[RatePoint, ...]
+    rates: tuple[float, ...]
+    distortions: tuple[float, ...]
     params: tuple[tuple[str, str], ...]
     dist: DegreeDistribution | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind: {self.kind!r}")
-        for before, after in zip(self.points, self.points[1:]):
-            if after.rate < before.rate:
+        if len(self.rates) != len(self.distortions):
+            raise ValueError(f"{len(self.rates)} rates but {len(self.distortions)} distortions")
+        rates, distortions = np.array(self.rates, float), np.array(self.distortions, float)
+        bad_rate = ~((rates >= -1e-12) & (rates <= 1.0 + 1e-12))
+        bad_distortion = ~((distortions >= -1e-12) & (distortions <= 0.5 + 1e-12))
+        bad = np.flatnonzero(bad_rate | bad_distortion)
+        if bad.size:
+            row = int(bad[0])
+            name, value = ("rate", rates[row]) if bad_rate[row] else ("distortion", distortions[row])
+            raise ValueError(f"{name} out of range: {float(value)!r}")
+        unsorted = rates[1:] < rates[:-1]
+        bad = np.flatnonzero(unsorted | (distortions[1:] > distortions[:-1] + 1e-9))
+        if bad.size:
+            row = int(bad[0])
+            if unsorted[row]:
                 raise ValueError("curve points must be sorted by rate")
-            if after.distortion > before.distortion + 1e-9:
-                raise ValueError(
-                    f"distortion must not increase with rate: "
-                    f"{before.distortion!r} -> {after.distortion!r}"
-                )
+            before, after = map(float, distortions[row : row + 2])
+            raise ValueError(f"distortion must not increase with rate: {before!r} -> {after!r}")
 
     @property
     def is_conjecture(self) -> bool:
@@ -649,17 +653,12 @@ def sample_curve(
         if check_degree is None:
             raise ValueError("dwr curve needs check_degree")
         params.append(("check_degree", str(check_degree)))
-        positive = rates > 0.0  # rate 0 admits no distortion under one half
-        solved = poisson_ensemble_distortion_bound(check_degree, np.where(positive, rates, 1.0))
-        distortions = np.where(positive, solved, 0.5)
+        distortions = poisson_ensemble_distortion_bound(check_degree, rates)
     else:  # conjectured_exit
         if degree is None:
             raise ValueError("conjectured_exit curve needs degree")
         params.append(("degree", str(degree)))
         distortions = conjectured_exit_distortion_bound(degree, rates)
 
-    points = tuple(
-        RatePoint(distortion, rate)
-        for distortion, rate in zip(distortions.tolist(), rates.tolist())
-    )
-    return BoundCurve(kind, points, tuple(params), dist if kind == "counting" else None)
+    rows = tuple(rates.tolist()), tuple(distortions.tolist())
+    return BoundCurve(kind, *rows, tuple(params), dist if kind == "counting" else None)

@@ -188,8 +188,8 @@ def render_curve_csv(curve: BoundCurve) -> str:
             lines.append(f"# arc endpoint x->0: D={start[0]:.10g},R={start[1]:.10g}")
             lines.append(f"# arc endpoint x->1: D={end[0]:.10g},R={end[1]:.10g}")
     lines.append("D,R")
-    for point in curve.points:
-        lines.append(f"{point.distortion:.10g},{point.rate:.10g}")
+    for distortion, rate in zip(curve.distortions, curve.rates):
+        lines.append(f"{distortion:.10g},{rate:.10g}")
     return "\n".join(lines) + "\n"
 
 

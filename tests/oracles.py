@@ -1,5 +1,6 @@
-"""Brute-force oracles for the exact kernels, built on ``encode`` alone, and a
-naive chain check in ``Fraction``s."""
+"""Brute-force oracles for the exact kernels, built on ``encode`` alone, a
+naive chain check in ``Fraction``s, and the bound curves' row checks taken
+one row and one pair at a time."""
 
 import math
 import numbers
@@ -56,3 +57,25 @@ def chain_check_naive(profile: CoverProfile, d_grid):
         if optimal < rhs:
             chain_ok = False
     return chain_ok, float(optimal) - float(worst), tuple(covered_samples)
+
+
+def curve_check_naive(rates, distortions):
+    """Reference curve check: raise ValueError as ``BoundCurve`` does.
+
+    Each (rate, distortion) row is range-checked in turn, rate first, to
+    1e-12; then each consecutive pair must have rates in order and no
+    distortion rise above 1e-9.
+    """
+    for rate, distortion in zip(rates, distortions):
+        if not -1e-12 <= rate <= 1.0 + 1e-12:
+            raise ValueError(f"rate out of range: {rate!r}")
+        if not -1e-12 <= distortion <= 0.5 + 1e-12:
+            raise ValueError(f"distortion out of range: {distortion!r}")
+    for k in range(1, len(rates)):
+        if rates[k] < rates[k - 1]:
+            raise ValueError("curve points must be sorted by rate")
+        if distortions[k] > distortions[k - 1] + 1e-9:
+            raise ValueError(
+                f"distortion must not increase with rate: "
+                f"{distortions[k - 1]!r} -> {distortions[k]!r}"
+            )

@@ -135,11 +135,11 @@ def test_criterion_06_poisson_family_ordering(capsys):
     worst_shannon = None
     for check_degree in (2, 4):
         counting = sample_curve("counting", rates, check_degree=check_degree)
-        for point, rate in zip(counting.points, rates):
+        for distortion, rate in zip(counting.distortions, rates):
             ensemble = poisson_ensemble_distortion_bound(check_degree, rate)
             shannon = shannon_distortion(rate)
-            pair_margin = point.distortion - ensemble
-            shannon_margin = min(point.distortion - shannon, ensemble - shannon)
+            pair_margin = distortion - ensemble
+            shannon_margin = min(distortion - shannon, ensemble - shannon)
             if worst_pair is None or pair_margin < worst_pair:
                 worst_pair = pair_margin
             if worst_shannon is None or shannon_margin < worst_shannon:

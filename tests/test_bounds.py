@@ -9,12 +9,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import oracles_mp
+from oracles import curve_check_naive
 
 from ldgm_bounds import (
     BoundCurve,
     DegreeDistribution,
     NoSolutionError,
-    RatePoint,
     binary_entropy,
     conjectured_exit_distortion_bound,
     conjectured_exit_rate_bound,
@@ -431,6 +431,16 @@ def test_ensemble_distortion_above_shannon():
         assert poisson_ensemble_distortion_bound(2, rate) > shannon_distortion(rate)
 
 
+def test_ensemble_distortion_at_rate_zero():
+    # Rate 0 admits no distortion under one half, for a float and an array row.
+    assert poisson_ensemble_distortion_bound(3, 0.0) == 0.5
+    rows = poisson_ensemble_distortion_bound(3, np.array([0.0, 0.5]))
+    assert rows[0] == 0.5
+    assert rows[1] == poisson_ensemble_distortion_bound(3, 0.5)
+    with pytest.raises(ValueError):
+        poisson_ensemble_distortion_bound(3, -1e-300)
+
+
 # ---------------------------------------------------------------------------
 # conjectured bound
 # ---------------------------------------------------------------------------
@@ -487,7 +497,7 @@ def test_conjecture_distortion_near_reciprocal_degree(degree, gap):
     rate = 1.0 / degree + gap
     reference = float(oracles_mp.conjecture_distortion(degree, rate))
     assert abs(conjectured_exit_distortion_bound(degree, rate) - reference) <= 1e-12
-    row = sample_curve("conjectured_exit", [rate], degree=degree).points[0].distortion
+    row = sample_curve("conjectured_exit", [rate], degree=degree).distortions[0]
     assert abs(row - reference) <= 1e-12
 
 
@@ -512,44 +522,93 @@ def test_conjecture_saturates_at_low_rate():
 
 
 def test_rate_point_validation():
-    with pytest.raises(ValueError):
-        RatePoint(distortion=0.6, rate=0.5)
-    with pytest.raises(ValueError):
-        RatePoint(distortion=0.1, rate=1.5)
+    with pytest.raises(ValueError, match="distortion out of range: 0.6"):
+        BoundCurve("shannon", rates=(0.5,), distortions=(0.6,), params=())
+    with pytest.raises(ValueError, match="rate out of range: 1.5"):
+        BoundCurve("shannon", rates=(1.5,), distortions=(0.1,), params=())
+    with pytest.raises(ValueError, match="2 rates but 1 distortions"):
+        BoundCurve("shannon", rates=(0.2, 0.5), distortions=(0.1,), params=())
 
 
 def test_bound_curve_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        BoundCurve(kind="mystery", points=(), params=())
+        BoundCurve(kind="mystery", rates=(), distortions=(), params=())
+
+
+RATE_EDGES = [math.nan, 0.0, 1.0, -1e-12, -2e-12, 1.0 + 1e-12, 1.0 + 2e-12]
+DISTORTION_EDGES = [math.nan, 0.0, 0.5, -1e-12, -2e-12, 0.5 + 1e-12, 0.5 + 2e-12]
+
+
+@st.composite
+def curve_rows(draw):
+    """Short curves at the checks' edges: NaN, values 1e-12 and 2e-12 past
+    each end of the range, tied rates, and rises of 5e-10 and 2e-9."""
+    size = draw(st.integers(0, 5))
+    rate_steps = st.sampled_from([0.0, 0.0, 0.1, 0.25, -0.1])
+    distortion_steps = st.sampled_from([0.0, -0.05, 5e-10, 2e-9])
+    rates = [draw(st.sampled_from(RATE_EDGES) | st.floats(0.0, 1.0))]
+    distortions = [draw(st.sampled_from(DISTORTION_EDGES) | st.floats(0.0, 0.5))]
+    for _ in range(1, size):
+        rates.append(rates[-1] + draw(rate_steps))
+        distortions.append(distortions[-1] + draw(distortion_steps))
+    for row in draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=2)):
+        if draw(st.booleans()):
+            rates[row] = draw(st.sampled_from(RATE_EDGES))
+        else:
+            distortions[row] = draw(st.sampled_from(DISTORTION_EDGES))
+    return rates[:size], distortions[:size]
+
+
+def _rejection(check, *args):
+    """The message ``check`` raises for ``args``, or None when it accepts them."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_rows())
+@example(([0.2, 0.2, 0.5], [0.3, 0.3 + 5e-10, 0.1]))
+@example(([0.2, 0.5], [0.3, 0.3 + 2e-9]))
+@example(([0.5, 0.2], [0.3, 0.3 + 2e-9]))
+@example(([0.2, 1.0 + 2e-12], [0.5 + 2e-12, 0.1]))
+@example(([0.2, math.nan], [0.3, 0.1]))
+def test_bound_curve_checks_match_naive(rows):
+    rates, distortions = rows
+    expected = _rejection(curve_check_naive, rates, distortions)
+    got = _rejection(BoundCurve, "shannon", tuple(rates), tuple(distortions), ())
+    assert got == expected
 
 
 def test_sample_curve_shannon():
     curve = sample_curve("shannon", [0.2, 0.5, 0.8])
     assert curve.kind == "shannon"
-    assert [p.rate for p in curve.points] == [0.2, 0.5, 0.8]
-    assert curve.points[1].distortion == pytest.approx(0.11002786443835955, abs=1e-9)
+    assert curve.rates == (0.2, 0.5, 0.8)
+    assert curve.distortions[1] == pytest.approx(0.11002786443835955, abs=1e-9)
     assert not curve.is_conjecture
 
 
 def test_sample_curve_counting_fixed_distribution():
     curve = sample_curve("counting", [0.4, 0.5, 0.66], dist=REG2)
     assert dict(curve.params)["degrees"] == REG2.to_literal()
-    distortions = [p.distortion for p in curve.points]
+    distortions = curve.distortions
     assert distortions[0] > distortions[1] > distortions[2]
 
 
 def test_sample_curve_counting_poisson_family():
     curve = sample_curve("counting", [0.5, 0.7], check_degree=2)
     assert dict(curve.params)["family"] == "poisson"
-    assert curve.points[0].distortion == pytest.approx(0.1161882945, abs=1e-6)
+    assert curve.distortions[0] == pytest.approx(0.1161882945, abs=1e-6)
 
 
 def test_sample_curve_dominance_over_shannon():
     rates = [0.3, 0.5, 0.7, 0.9]
     counting = sample_curve("counting", rates, dist=REG2)
     shannon = sample_curve("shannon", rates)
-    for c, s in zip(counting.points, shannon.points):
-        assert c.distortion > s.distortion
+    for c, s in zip(counting.distortions, shannon.distortions):
+        assert c > s
 
 
 def test_sample_curve_conjecture_flagged():
@@ -568,7 +627,7 @@ GRID = [k / 40 for k in range(41)]
         ("counting", {"dist": DEGREE0}, GRID, lambda r: counting_bound_distortion(DEGREE0, r)),
         ("counting", {"check_degree": 3}, GRID[1:], lambda r: counting_bound_distortion(poisson_member(3, r), r)),
         ("test_channel", {"degree": 3}, GRID, lambda r: channel_distortion_bound(3, r)),
-        ("dwr", {"check_degree": 3}, GRID, lambda r: poisson_ensemble_distortion_bound(3, r) if r else 0.5),
+        ("dwr", {"check_degree": 3}, GRID, lambda r: poisson_ensemble_distortion_bound(3, r)),
         ("conjectured_exit", {"degree": 3}, GRID, lambda r: conjectured_exit_distortion_bound(3, r)),
     ],
     ids=["shannon", "counting", "counting-degree0", "poisson", "test_channel", "dwr", "conjecture"],
@@ -578,8 +637,10 @@ def test_curve_rows_match_float_calls(kind, params, rates, point):
     # round differently, so a bisection may end one step apart: the bound
     # is twice the coarsest solver tolerance, 1e-12.
     curve = sample_curve(kind, rates, **params)
-    for rate, row in zip(rates, curve.points):
-        assert row.distortion == pytest.approx(point(rate), abs=2e-12), rate
+    assert curve.rates == tuple(rates)
+    assert {type(value) for value in curve.rates + curve.distortions} == {float}
+    for rate, distortion in zip(rates, curve.distortions):
+        assert distortion == pytest.approx(point(rate), abs=2e-12), rate
 
 
 def test_sample_curve_argument_validation():
@@ -614,7 +675,7 @@ def test_poisson_curve_leaves_bounded_caches():
         member = poisson_member(1, rates[k])
         assert rates[k] < 1.0 / member.average_degree
         expected = counting_bound_distortion(member, rates[k])
-        assert curve.points[k].distortion == pytest.approx(expected, abs=1e-12)
+        assert curve.distortions[k] == pytest.approx(expected, abs=1e-12)
     bounds_module._line_anchor.cache_clear()
 
 
@@ -661,9 +722,9 @@ RATE_LISTS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)
 
 
 def assert_rows_match(curve, oracle, tol=1e-10):
-    for point in curve.points:
-        expected = float(oracle(point.rate))
-        assert abs(point.distortion - expected) <= tol, (point.rate, point.distortion, expected)
+    for rate, distortion in zip(curve.rates, curve.distortions):
+        expected = float(oracle(rate))
+        assert abs(distortion - expected) <= tol, (rate, distortion, expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -742,11 +803,11 @@ def test_rows_at_rate_one_are_exact(degree):
             lambda rate: oracles_mp.counting_distortion(dist.entries, rate),
             tol=1e-12,
         )
-        assert curve.points[-1].distortion == 0.0
+        assert curve.distortions[-1] == 0.0
     for rate in rates:
         expected = float(oracles_mp.counting_distortion(dist.entries, rate))
         assert abs(counting_bound_distortion(dist, rate) - expected) <= 1e-12
     assert counting_bound_distortion(dist, 1.0) == 0.0
     assert channel_distortion_bound(degree, 1.0) == 0.0
     assert conjectured_exit_distortion_bound(degree, 1.0) == 0.0
-    assert sample_curve("conjectured_exit", [1.0], degree=degree).points[0].distortion == 0.0
+    assert sample_curve("conjectured_exit", [1.0], degree=degree).distortions[0] == 0.0
