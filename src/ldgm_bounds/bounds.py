@@ -7,12 +7,12 @@ are expressed as curves in the (distortion, rate) plane.  Five families:
 * ``counting``: bound for a single code with a known generator degree
   distribution, obtained by counting low-weight codewords.
 * ``test_channel``: bound for degree-regular codes via a perturbed test
-  channel, maximized over the channel parameter D'.  Down to R = 1/l^2 it
-  traces the counting arc: the ``counting`` curve itself at R >= 1/l, and
-  lower than its straight segment below 1/l (0.3005 against 0.3641 at
-  l = 3, R = 0.14).  The arc ends at its x -> 1 limit ((l-1)/(2l), 1/l^2);
-  below that rate the maximum is the D' -> 1/2 limit, giving the line
-  D = (1 - l R)/2.
+  channel D'; its numerator 1 - h(D) - KL(D || D') is affine in D, so the
+  distortion bound is one maximisation over D'.  Down to R = 1/l^2 it
+  traces the counting arc: the ``counting`` curve at R >= 1/l, and lower
+  than its straight segment below 1/l (0.3005 against 0.3641 at l = 3,
+  R = 0.14).  The arc ends at its x -> 1 limit ((l-1)/(2l), 1/l^2); below
+  that, the maximum is the D' -> 1/2 limit, the line D = (1 - l R)/2.
 * ``dwr``: bound for the ensemble of random codes whose check nodes all
   have one fixed degree (Poisson generator degrees in the limit).
 * ``conjectured_exit``: a stronger curve obtained from an EXIT-style area
@@ -79,8 +79,8 @@ CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 _X_MIN = 1e-300
 _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
-# Entries kept by the ``_line_anchor`` cache.  A fixed-profile curve uses
-# one entry; float calls over many profiles must not grow it without end.
+# Entries kept by the ``_line_anchor`` and ``_arc_distortion`` caches.  A
+# fixed-profile curve uses one; float calls must not grow them without end.
 _DIST_CACHE_SIZE = 16
 # Poisson rows solved together, so the zero-padded pmf matrix stays at
 # this many rows whatever the grid.
@@ -205,6 +205,12 @@ def _segment(rate, average, share, occupancy):
 
 
 @functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
+def _arc_distortion(dist: DegreeDistribution, rate: float) -> float:
+    """The arc's distortion at one float rate, solved once per profile and rate."""
+    return parametric_distortion(dist, solve_x_for_rate(dist, rate))
+
+
+@functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
 def _line_anchor(dist: DegreeDistribution) -> tuple[float, float]:
     """Arc point (occupancy form) where the straight segment attaches."""
     x_star = solve_x_for_rate(dist, 1.0 / dist.average_degree)
@@ -234,9 +240,7 @@ def counting_bound_distortion(dist: DegreeDistribution, rate):
         return np.where(rate >= start, 0.0, distortion)
     if rate < 1.0 / average:
         return _segment(rate, average, *_line_anchor(dist))
-    if rate >= start:
-        return 0.0
-    return parametric_distortion(dist, solve_x_for_rate(dist, rate))
+    return 0.0 if rate >= start else _arc_distortion(dist, rate)
 
 
 def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
@@ -288,10 +292,8 @@ def coverage_exponent(
     least value on a grid brackets the minimiser, and bisection on that
     sign finds it.
     """
-    if not 0.0 <= distortion <= 0.5:
-        raise ValueError(f"distortion out of range: {distortion!r}")
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate out of range: {rate!r}")
+    check_range("distortion", distortion, 0.0, 0.5)
+    check_range("rate", rate, 0.0, 1.0)
 
     def objective(x: float) -> float:
         if x == 0.0:
@@ -360,9 +362,9 @@ def test_channel_rate_bound(degree: int, distortion):
     l q N - (D' - D) Den, q = s^l/(1 + s^l): positive at D' = D and, as
     checked on dense grids for l = 1..8, changing sign at most once, so
     bisection on that sign finds the maximiser.  The ratio is 0/0 at
-    D' = 1/2 with limit (1 - 2D)/l, a candidate of its own; the search ends
-    at 1/2 - 1e-4, where cancellation in N costs about four digits.  Below
-    R = 1/l^2 the limit wins, so the bound is the line D = (1 - l R)/2.
+    D' = 1/2 with limit (1 - 2D)/l, a candidate of its own and the bound
+    past 1/2 - 1e-4, where the search ends: cancellation in N costs about
+    four digits there.  Below R = 1/l^2 the limit wins: D = (1 - l R)/2.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
@@ -370,7 +372,7 @@ def test_channel_rate_bound(degree: int, distortion):
     # rows at D = 0 and D = 1/2 are set at the end; keep their arithmetic finite
     d = pick((distortion > 0.0) & (distortion < 0.5), distortion, 0.25)
     top = 0.5 - 1e-4
-    channel = pick(d < top, top, d)
+    channel = top + 0.0 * d  # in the shape of d; past the cap only the limit counts
     search = (d < top) & (_channel_slope(degree, d, top) < 0.0)
     if isinstance(d, np.ndarray):
         rows = np.flatnonzero(search)
@@ -380,19 +382,37 @@ def test_channel_rate_bound(degree: int, distortion):
     elif search:
         channel = bisect_monotone(functools.partial(_channel_slope, degree, d), d, top, 0.0, tol=1e-12)
     numerator, denominator, _ = _channel_terms(degree, d, channel)
-    bound = math_of(d).maximum(numerator / denominator, (1.0 - 2.0 * d) / degree)
+    bound = math_of(d).maximum(pick(d < top, numerator / denominator, 0.0), (1.0 - 2.0 * d) / degree)
     return pick(distortion == 0.0, 1.0, pick(distortion == 0.5, 0.0, bound))
 
 
 def test_channel_distortion_bound(degree: int, rate):
-    """Largest distortion the test-channel bound rules out below ``rate``."""
+    """Largest distortion the test-channel bound rules out below ``rate``.
+
+    With B = log2((1 - D')/D') > 0, N = 1 + log2(1 - D') - D B, so N/Den >= R
+    exactly when D <= phi_R(D') = A/B, A = 1 + log2(1 - D') - R Den.  The
+    bound is the larger of the line (1 - l R)/2 and max phi_R over D' in
+    (0, 1/2 - 1e-4].  phi_R's slope has the sign of A + (l R q - D') B,
+    q = s^l/(1 + s^l): 1 - R as D' -> 0 and, checked on dense grids for
+    l = 1..8, changing sign at most once, so one bisection in log2 s finds
+    the maximiser; a row rising at the cap takes the line.  There
+    phi_R = D' - l R q < D', so the primal's D' >= D holds by itself.
+    """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
     check_range("rate", rate, 0.0, 1.0)
-    solved = bisect_monotone(
-        functools.partial(test_channel_rate_bound, degree), 0.0, 0.5, rate, tol=1e-12
-    )
-    return pick(rate == 0.0, 0.5, pick(rate == 1.0, 0.0, solved))
+    xp, top = math_of(rate), math.log2((0.5 - 1e-4) / (0.5 + 1e-4))  # the cap, as log2 s
+
+    def dual(u):  # phi_R = A/B and A + (l R q - D') B at s = 2^u, where B = -u
+        s, power = 2.0**u, 2.0 ** (degree * u)
+        a = 1.0 - xp.log1p(s) / math.log(2.0) - rate * (1.0 - xp.log2(1.0 + power))
+        return -a / u, a - (degree * rate * power / (1.0 + power) - s / (1.0 + s)) * u
+
+    rising = (rate == 1.0) | (dual(top)[1] >= 0.0)  # solved at the cap; R = 1 is set below
+    slope = lambda u: pick(rising, top - u, dual(u)[1])
+    u = bisect_monotone(slope, -200.0, top, 0.0 * rate, tol=1e-10)  # target 0 in rate's shape
+    bound = xp.maximum(dual(u)[0], (1.0 - degree * rate) / 2.0)
+    return pick(rate == 0.0, 0.5, pick(rate == 1.0, 0.0, bound))
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,36 @@ def test_test_channel_rate_bound_against_grid(degree, distortion):
     assert best - 1e-12 <= value <= best + 1e-6
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+@example(2, 0.26)
+@example(4, 0.0626)
+@example(3, 1.0 - 1e-6)
+def test_test_channel_distortion_bound_against_grid(degree, rate):
+    # Brute force over D' on a fine grid, geometric below 1e-3 where the
+    # maximiser sits at rates near 1: a missed second peak of
+    # phi_R(D') = (1 + log2(1 - D') - R Den) / log2((1 - D')/D') would put
+    # the bound below the grid maximum.
+    channels = np.concatenate((np.geomspace(1e-12, 1e-3, 2000), np.linspace(1e-3, 0.5 - 1e-4, 20001)))
+    denominator = 1.0 - np.log2(1.0 + (channels / (1.0 - channels)) ** degree)
+    phi = (1.0 + np.log2(1.0 - channels) - rate * denominator) / np.log2((1.0 - channels) / channels)
+    best = max(float(np.max(phi)), (1.0 - degree * rate) / 2.0)
+    value = channel_distortion_bound(degree, rate)
+    assert best - 1e-12 <= value <= best + 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.floats(min_value=0.0, max_value=1.0))
+@example(3, 1.0 / 9.0)
+@example(2, 1.0 - 1e-12)
+@example(5, 0.5)
+def test_test_channel_distortion_bound_inverts_rate_bound(degree, rate):
+    # The bound, one maximisation over D' at a fixed R, against the primal
+    # rate bound, which maximises N/Den over D' at a fixed D.
+    distortion = channel_distortion_bound(degree, rate)
+    assert abs(channel_rate_bound(degree, distortion) - rate) <= 1e-10
+
+
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
 def test_test_channel_equals_counting_arc(degree):
     # Between R = 1/l^2, where the arc reaches x -> 1, and R = 1 the

@@ -271,6 +271,28 @@ def test_verify_budget_refused_before_sampling(monkeypatch, capsys):
         assert flag in err
 
 
+def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):
+    # Every trial checks against the bound at the same rate n/m = 1/2, on
+    # the arc of regular-3; the float solve is memoised, not repeated.
+    solves = []
+
+    def counted(dist, rate, *args):
+        solves.append(rate)
+        return solve(dist, rate, *args)
+
+    solve = bounds_module.solve_x_for_rate
+    monkeypatch.setattr(bounds_module, "solve_x_for_rate", counted)
+    bounds_module._arc_distortion.cache_clear()
+    argv = ["verify", "--m", "16", "--n", "8", "--degrees", "regular:3", "--trials", "5"]
+    status, out, _ = run(argv, capsys)
+    assert status == 0
+    assert out.count("PASS") == 5
+    assert solves == [0.5]
+    assert run(argv, capsys) == (status, out, "")
+    assert solves == [0.5]
+    bounds_module._arc_distortion.cache_clear()
+
+
 @pytest.mark.parametrize("size", [("0", "4"), ("14", "-1")])
 def test_verify_negative_sizes_are_usage_errors(size, capsys):
     status, _, err = run(
@@ -348,6 +370,7 @@ GOLDEN_CURVES = {
     "counting-poisson4": ["--bound", "counting", "--degrees", "poisson:4", "--rate-min", "0.15", "--rate-max", "1", "--steps", "12"],
     "dwr-r3": ["--bound", "dwr", "--r", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "test-channel-l3": ["--bound", "test-channel", "--l", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
+    "test-channel-l2": ["--bound", "test-channel", "--l", "2", "--rate-min", "0", "--rate-max", "1", "--steps", "41"],
     "conjecture-l3": ["--bound", "conjecture", "--l", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
 }
 
