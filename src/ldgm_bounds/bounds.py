@@ -79,9 +79,13 @@ CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 _X_MIN = 1e-300
 _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
-# Entries kept by the ``_line_anchor`` and ``_arc_distortion`` caches.  A
-# fixed-profile curve uses one; float calls must not grow them without end.
+# Entries kept by the ``_x_for_rate`` memo, keyed by profile and
+# max(R, 1/avg): a fixed-profile curve uses one, its segment anchor at
+# 1/avg; float calls must not grow it without end.
 _DIST_CACHE_SIZE = 16
+# The test-channel searches end at D' = 1/2 - 1e-4, where cancellation
+# sets in, written as u = log2 s, s = D'/(1-D').
+_CAP_U = math.log2((0.5 - 1e-4) / (0.5 + 1e-4))
 # Poisson rows solved together, so the zero-padded pmf matrix stays at
 # this many rows whatever the grid.
 _POISSON_ROWS = 256
@@ -198,23 +202,19 @@ def solve_x_for_rate(dist: DegreeDistribution, rate, residual_tol: float = 1e-10
     return _arc_parameter(dist.degrees, dist.fractions, rate, residual_tol)
 
 
-def _segment(rate, average, share, occupancy):
-    """Straight segment through (1/2, 0), attached to the arc point of rate
-    1/average, given there by its share and occupancy."""
-    return 0.5 * (1.0 - rate * average * (1.0 - 2.0 * (share - occupancy / average)))
-
-
 @functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
-def _arc_distortion(dist: DegreeDistribution, rate: float) -> float:
-    """The arc's distortion at one float rate, solved once per profile and rate."""
-    return parametric_distortion(dist, solve_x_for_rate(dist, rate))
+def _x_for_rate(dist: DegreeDistribution, rate: float) -> float:
+    """``solve_x_for_rate`` at one float rate, solved once per profile and rate."""
+    return solve_x_for_rate(dist, rate)
 
 
-@functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
-def _line_anchor(dist: DegreeDistribution) -> tuple[float, float]:
-    """Arc point (occupancy form) where the straight segment attaches."""
-    x_star = solve_x_for_rate(dist, 1.0 / dist.average_degree)
-    return _arc(dist.degrees, dist.fractions, x_star)[2]
+def _counting(degrees, fractions, average, rate, x):
+    """Counting bound at ``rate`` from the arc at x, its parameter at
+    max(R, 1/average): that arc point from 1/average up, and below it the
+    straight segment through (1/2, 0) that attaches there."""
+    _, arc, (share, occupancy) = _arc(degrees, fractions, x)
+    segment = 0.5 * (1.0 - rate * average * (1.0 - 2.0 * (share - occupancy / average)))
+    return pick(rate >= 1.0 / average, arc, segment)
 
 
 def counting_bound_distortion(dist: DegreeDistribution, rate):
@@ -223,31 +223,34 @@ def counting_bound_distortion(dist: DegreeDistribution, rate):
     Uses the parametric arc for rates at or above the reciprocal average
     degree and the straight segment through (1/2, 0) below it; at the
     arc's start rate and above, the bound is 0.  Distributions with
-    average degree at most 1 degenerate to the line D = (1 - R)/2.
+    average degree at most 1 degenerate to the line D = (1 - R)/2.  Only
+    an array's arc rows are bisected; every segment row, and every float
+    rate below 1/average, shares the memoised solve at 1/average.
     """
     check_range("rate", rate, 0.0, 1.0)
     average = dist.average_degree
     if average <= 1.0:
         return (1.0 - rate) / 2.0
-    start = parametric_endpoints(dist)[0][1]
+    start, floor = parametric_endpoints(dist)[0][1], 1.0 / average
     if isinstance(rate, np.ndarray):
-        arc = rate >= 1.0 / average
-        distortion = np.empty_like(rate)
+        arc = rate >= floor
+        x = np.empty_like(rate)
         if arc.any():
-            distortion[arc] = parametric_distortion(dist, solve_x_for_rate(dist, rate[arc]))
+            x[arc] = solve_x_for_rate(dist, rate[arc])
         if not arc.all():
-            distortion[~arc] = _segment(rate[~arc], average, *_line_anchor(dist))
-        return np.where(rate >= start, 0.0, distortion)
-    if rate < 1.0 / average:
-        return _segment(rate, average, *_line_anchor(dist))
-    return 0.0 if rate >= start else _arc_distortion(dist, rate)
+            x[~arc] = _x_for_rate(dist, floor)
+    elif rate >= start:
+        return 0.0
+    else:
+        x = _x_for_rate(dist, max(rate, floor))
+    return pick(rate >= start, 0.0, _counting(dist.degrees, dist.fractions, average, rate, x))
 
 
 def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
     """Counting bound of the truncated Poisson family, one member per rate.
 
-    Each row solves the arc once, at max(R, 1/avg): an arc row takes that
-    point and a segment row anchors its line there.  Members with average
+    Each row solves its member's arc once, at max(R, 1/avg), and
+    ``_counting`` reads the bound off that point.  Members with average
     degree at most 1 keep the line D = (1 - R)/2.
     """
     parts = []
@@ -260,8 +263,7 @@ def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
         if rows.size:
             rate, mean, profile = part[rows], average[rows], fractions[rows]
             x = _arc_parameter(degrees, profile, np.maximum(rate, 1.0 / mean))
-            _, arc, anchor = _arc(degrees, profile, x)
-            distortion[rows] = np.where(rate >= 1.0 / mean, arc, _segment(rate, mean, *anchor))
+            distortion[rows] = _counting(degrees, profile, mean, rate, x)
         parts.append(distortion)
     return np.concatenate(parts)
 
@@ -338,30 +340,21 @@ def coverage_exponent(
 # ---------------------------------------------------------------------------
 
 
-def _channel_terms(degree: int, distortion, channel):
-    """Numerator, denominator and s^l/(1 + s^l) of the test-channel ratio
-    at D', with s = D'/(1-D').  The numerator 1 - h(D) - KL(D || D') is
-    written 1 + D log2 D' + (1 - D) log2(1 - D')."""
-    xp = math_of(distortion, channel)
-    power = (channel / (1.0 - channel)) ** degree
-    numerator = 1.0 + distortion * xp.log2(channel) + (1.0 - distortion) * xp.log2(1.0 - channel)
-    return numerator, 1.0 - xp.log2(1.0 + power), power / (1.0 + power)
-
-
-def _channel_slope(degree: int, distortion, channel):
-    """Has the sign of the ratio's derivative at D'."""
-    numerator, denominator, share = _channel_terms(degree, distortion, channel)
-    return degree * share * numerator - (channel - distortion) * denominator
+def _channel(degree: int, u):
+    """log2(1 - D'), D', s^l and Den = 1 - log2(1 + s^l) at s = D'/(1-D') = 2^u."""
+    xp, s, power = math_of(u), 2.0**u, 2.0 ** (degree * u)
+    return -xp.log1p(s) / math.log(2.0), s / (1.0 + s), power, 1.0 - xp.log2(1.0 + power)
 
 
 def test_channel_rate_bound(degree: int, distortion):
     """Minimal rate supporting ``distortion`` on a degree-regular code.
 
     Maximizes N/Den = (1 - h(D) - KL(D || D')) / (1 - log2(1 + s^l)) over
-    D' in [D, 1/2), s = D'/(1-D').  Its slope in D' has the sign of
-    l q N - (D' - D) Den, q = s^l/(1 + s^l): positive at D' = D and, as
-    checked on dense grids for l = 1..8, changing sign at most once, so
-    bisection on that sign finds the maximiser.  The ratio is 0/0 at
+    D' in [D, 1/2), s = D'/(1-D'); in u = log2 s, N = 1 + log2(1 - D') + D u.
+    Its slope has the sign of l q N - (D' - D) Den, q = s^l/(1 + s^l):
+    positive at D' = D and, as checked on dense grids for l = 1..8,
+    changing sign at most once, so one bisection in u finds the maximiser
+    and resolves a D' near a tiny D relative to D.  The ratio is 0/0 at
     D' = 1/2 with limit (1 - 2D)/l, a candidate of its own and the bound
     past 1/2 - 1e-4, where the search ends: cancellation in N costs about
     four digits there.  Below R = 1/l^2 the limit wins: D = (1 - l R)/2.
@@ -371,18 +364,21 @@ def test_channel_rate_bound(degree: int, distortion):
     check_range("distortion", distortion, 0.0, 0.5)
     # rows at D = 0 and D = 1/2 are set at the end; keep their arithmetic finite
     d = pick((distortion > 0.0) & (distortion < 0.5), distortion, 0.25)
-    top = 0.5 - 1e-4
-    channel = top + 0.0 * d  # in the shape of d; past the cap only the limit counts
-    search = (d < top) & (_channel_slope(degree, d, top) < 0.0)
-    if isinstance(d, np.ndarray):
-        rows = np.flatnonzero(search)
-        if rows.size:
-            slope = functools.partial(_channel_slope, degree, d[rows])
-            channel[rows] = bisect_monotone(slope, d[rows], top, 0.0, tol=1e-12)
-    elif search:
-        channel = bisect_monotone(functools.partial(_channel_slope, degree, d), d, top, 0.0, tol=1e-12)
-    numerator, denominator, _ = _channel_terms(degree, d, channel)
-    bound = math_of(d).maximum(pick(d < top, numerator / denominator, 0.0), (1.0 - 2.0 * d) / degree)
+    xp, top = math_of(d), _CAP_U + 0.0 * d  # the cap in d's shape
+    start = xp.log2(d / (1.0 - d))  # D' = D, as log2 s
+    near = _channel(degree, start)[1]  # D as the search sees it, so D' - D is 0 at start
+
+    def slope(u):  # has the sign of the ratio's derivative at s = 2^u
+        keep, channel, power, den = _channel(degree, u)
+        return degree * power / (1.0 + power) * (1.0 + keep + d * u) - (channel - near) * den
+
+    # a row rising at the cap is solved there; past the cap only the limit counts
+    capped = (start >= top) | (slope(top) >= 0.0)
+    searched = lambda u: pick(capped, top - u, slope(u))
+    u = bisect_monotone(searched, pick(capped, top - 1.0, start), top, 0.0, tol=1e-12)
+    keep, _, _, den = _channel(degree, u)
+    ratio = pick(start < top, (1.0 + keep + d * u) / den, 0.0)
+    bound = xp.maximum(ratio, (1.0 - 2.0 * d) / degree)
     return pick(distortion == 0.0, 1.0, pick(distortion == 0.5, 0.0, bound))
 
 
@@ -401,16 +397,16 @@ def test_channel_distortion_bound(degree: int, rate):
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
     check_range("rate", rate, 0.0, 1.0)
-    xp, top = math_of(rate), math.log2((0.5 - 1e-4) / (0.5 + 1e-4))  # the cap, as log2 s
+    xp, top = math_of(rate), _CAP_U + 0.0 * rate  # the cap in rate's shape
 
     def dual(u):  # phi_R = A/B and A + (l R q - D') B at s = 2^u, where B = -u
-        s, power = 2.0**u, 2.0 ** (degree * u)
-        a = 1.0 - xp.log1p(s) / math.log(2.0) - rate * (1.0 - xp.log2(1.0 + power))
-        return -a / u, a - (degree * rate * power / (1.0 + power) - s / (1.0 + s)) * u
+        keep, channel, power, den = _channel(degree, u)
+        a = 1.0 + keep - rate * den
+        return -a / u, a - (degree * rate * power / (1.0 + power) - channel) * u
 
     rising = (rate == 1.0) | (dual(top)[1] >= 0.0)  # solved at the cap; R = 1 is set below
     slope = lambda u: pick(rising, top - u, dual(u)[1])
-    u = bisect_monotone(slope, -200.0, top, 0.0 * rate, tol=1e-10)  # target 0 in rate's shape
+    u = bisect_monotone(slope, -200.0, top, 0.0, tol=1e-10)
     bound = xp.maximum(dual(u)[0], (1.0 - degree * rate) / 2.0)
     return pick(rate == 0.0, 0.5, pick(rate == 1.0, 0.0, bound))
 

@@ -333,7 +333,7 @@ def test_test_channel_line_regime(degree, rate):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.floats(min_value=1e-6, max_value=0.4999))
+@given(st.integers(min_value=1, max_value=8), st.floats(min_value=1e-6, max_value=0.4999))
 def test_test_channel_rate_bound_against_grid(degree, distortion):
     # Brute force over D' on a fine grid: a missed second peak would put
     # the bound below the grid maximum.
@@ -346,6 +346,17 @@ def test_test_channel_rate_bound_against_grid(degree, distortion):
     best = max(float(np.max(numerator / denominator)), (1.0 - 2.0 * distortion) / degree)
     value = channel_rate_bound(degree, distortion)
     assert best - 1e-12 <= value <= best + 1e-6
+
+
+@pytest.mark.parametrize(
+    "degree, distortion",
+    [(2, 1.8855786548691747e-18), (1, 1e-15), (3, 1e-12), (8, 1e-300)],
+)
+def test_test_channel_rate_bound_at_tiny_distortion(degree, distortion):
+    # The maximiser D' sits near D here; a search in log2 s resolves it
+    # relative to D, not to an absolute width above D.
+    reference = float(oracles_mp.test_channel_rate(degree, distortion))
+    assert abs(channel_rate_bound(degree, distortion) - reference) <= 1e-15
 
 
 @settings(max_examples=300, deadline=None)
@@ -692,13 +703,13 @@ def test_sample_curve_argument_validation():
 
 def test_poisson_curve_leaves_bounded_caches():
     # A Poisson curve builds no distribution per rate, so it leaves the
-    # anchor cache untouched.  Check degree 1 puts every rate below its
+    # memoised solve untouched.  Check degree 1 puts every rate below its
     # member's reciprocal average degree, so each row takes the segment,
     # anchored on its own member; rows match the float route.
-    bounds_module._line_anchor.cache_clear()
+    bounds_module._x_for_rate.cache_clear()
     rates = [0.05 + 0.9 * k / 299 for k in range(300)]
     curve = sample_curve("counting", rates, check_degree=1)
-    info = bounds_module._line_anchor.cache_info()
+    info = bounds_module._x_for_rate.cache_info()
     assert info.misses == 0
     assert info.currsize == 0
     for k in (0, 150, 299):
@@ -706,7 +717,7 @@ def test_poisson_curve_leaves_bounded_caches():
         assert rates[k] < 1.0 / member.average_degree
         expected = counting_bound_distortion(member, rates[k])
         assert curve.distortions[k] == pytest.approx(expected, abs=1e-12)
-    bounds_module._line_anchor.cache_clear()
+    bounds_module._x_for_rate.cache_clear()
 
 
 def test_poisson_curve_memory_does_not_grow_with_the_grid():
@@ -723,23 +734,23 @@ def test_poisson_curve_memory_does_not_grow_with_the_grid():
 
 
 def test_line_anchor_cache_bounded_over_many_profiles():
-    bounds_module._line_anchor.cache_clear()
+    bounds_module._x_for_rate.cache_clear()
     for k in range(1, 80):
         mixed = DegreeDistribution.from_fractions({2: k / 80, 3: 1 - k / 80})
         counting_bound_distortion(mixed, 0.1)  # below 1/3: the straight segment
-    info = bounds_module._line_anchor.cache_info()
+    info = bounds_module._x_for_rate.cache_info()
     assert info.misses == 79
     assert info.currsize <= info.maxsize
 
 
 def test_fixed_profile_curve_hits_caches():
     # The segment rows of a curve share one anchor, solved once per
-    # distribution: a second curve over the same profile only hits.
-    bounds_module._line_anchor.cache_clear()
+    # distribution at 1/avg: a second curve over the same profile only hits.
+    bounds_module._x_for_rate.cache_clear()
     rates = [0.05 + 0.9 * k / 49 for k in range(50)]
     sample_curve("counting", rates, dist=REG2)
     sample_curve("counting", rates, dist=REG2)
-    info = bounds_module._line_anchor.cache_info()
+    info = bounds_module._x_for_rate.cache_info()
     assert info.misses == 1
     assert info.hits == 1
 

@@ -282,7 +282,7 @@ def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):
 
     solve = bounds_module.solve_x_for_rate
     monkeypatch.setattr(bounds_module, "solve_x_for_rate", counted)
-    bounds_module._arc_distortion.cache_clear()
+    bounds_module._x_for_rate.cache_clear()
     argv = ["verify", "--m", "16", "--n", "8", "--degrees", "regular:3", "--trials", "5"]
     status, out, _ = run(argv, capsys)
     assert status == 0
@@ -290,7 +290,29 @@ def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):
     assert solves == [0.5]
     assert run(argv, capsys) == (status, out, "")
     assert solves == [0.5]
-    bounds_module._arc_distortion.cache_clear()
+    bounds_module._x_for_rate.cache_clear()
+
+
+def test_verify_segment_rates_share_one_solve(monkeypatch, capsys):
+    # Rates 1/4 and 3/8 both lie below 1/avg = 1/2 for regular-2, on the
+    # straight segment anchored at 1/2: the two runs solve the arc once,
+    # there, not once per rate.
+    solves = []
+
+    def counted(dist, rate, *args):
+        solves.append(rate)
+        return solve(dist, rate, *args)
+
+    solve = bounds_module.solve_x_for_rate
+    monkeypatch.setattr(bounds_module, "solve_x_for_rate", counted)
+    bounds_module._x_for_rate.cache_clear()
+    for n in ("4", "6"):
+        argv = ["verify", "--m", "16", "--n", n, "--degrees", "regular:2", "--trials", "3"]
+        status, out, _ = run(argv, capsys)
+        assert status == 0
+        assert out.count("PASS") == 3
+    assert solves == [0.5]
+    bounds_module._x_for_rate.cache_clear()
 
 
 @pytest.mark.parametrize("size", [("0", "4"), ("14", "-1")])
@@ -373,6 +395,10 @@ GOLDEN_CURVES = {
     "test-channel-l2": ["--bound", "test-channel", "--l", "2", "--rate-min", "0", "--rate-max", "1", "--steps", "41"],
     "conjecture-l3": ["--bound", "conjecture", "--l", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
 }
+
+
+def test_golden_curves_name_every_golden_csv():
+    assert sorted(GOLDEN_CURVES) == sorted(path.stem for path in GOLDEN.glob("*.csv"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CURVES))
