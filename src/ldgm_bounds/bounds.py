@@ -25,8 +25,8 @@ that takes over at rates below the reciprocal of the average degree.
 
 Every bound takes a float or a numpy array of rates (or distortions) and
 answers in kind, so ``sample_curve`` solves a family over its whole rate
-grid in one row-wise bisection, while a single point keeps the float
-loop.
+grid in one row-wise call of the shared root finder, ``bisect_monotone``,
+while a single point takes its float loop.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def parametric_endpoints(
     l this is ((l-1)/(2l), 1/l^2).  Both are removable 0/0 limits of the
     parametric formulas, so they are exposed here in closed form.
     """
-    mass_zero = dict(dist.entries).get(0, 0.0)
+    mass_zero = dist.fractions[0] if dist.degrees[0] == 0 else 0.0
     if mass_zero >= 1.0 - 1e-12:
         raise ValueError("distribution has no positive-degree mass")
     second = dist.moment(2)
@@ -161,7 +161,7 @@ def _arc_parameter(degrees, fractions, rate, residual_tol: float = 1e-10):
     """x in (0, 1) where the arc's rate is ``rate``, row by row for an array.
 
     The profile is (degrees, fractions) as ``weight_transforms`` takes it.
-    The bisection relies on the arc's rate decreasing in x.  Rates above
+    The root finder relies on the arc's rate decreasing in x.  Rates above
     its value at _X_LO are bracketed by [_X_MIN, _X_LO], the rest by
     [_X_LO, _X_HI].
     """
@@ -188,10 +188,10 @@ def solve_x_for_rate(dist: DegreeDistribution, rate, residual_tol: float = 1e-10
     """Parameter x in (0, 1) whose arc rate equals ``rate``.
 
     Valid for rates between the reciprocal average degree and 1; an array
-    of rates is solved row by row.  The inversion bisects, so it relies on
-    the arc's rate decreasing in x, a property the test suite checks on
-    dense grids over regular, Poisson and mixed profiles rather than per
-    call.  Whatever the profile, the returned x satisfies
+    of rates is solved row by row.  The inversion brackets the root, so it
+    relies on the arc's rate decreasing in x, a property the test suite
+    checks on dense grids over regular, Poisson and mixed profiles rather
+    than per call.  Whatever the profile, the returned x satisfies
     |parametric_rate(x) - rate| <= residual_tol, or :class:`BracketError`
     is raised.
     """
@@ -222,16 +222,17 @@ def counting_bound_distortion(dist: DegreeDistribution, rate):
 
     Uses the parametric arc for rates at or above the reciprocal average
     degree and the straight segment through (1/2, 0) below it; at the
-    arc's start rate and above, the bound is 0.  Distributions with
-    average degree at most 1 degenerate to the line D = (1 - R)/2.  Only
-    an array's arc rows are bisected; every segment row, and every float
-    rate below 1/average, shares the memoised solve at 1/average.
+    arc's start rate 1/(1 - L_0) and above, the bound is 0.  Distributions
+    with average degree at most 1 degenerate to the line D = (1 - R)/2.
+    Only an array's arc rows are solved for; every segment row, and every
+    float rate below 1/average, shares the memoised solve at 1/average.
     """
     check_range("rate", rate, 0.0, 1.0)
     average = dist.average_degree
     if average <= 1.0:
         return (1.0 - rate) / 2.0
-    start, floor = parametric_endpoints(dist)[0][1], 1.0 / average
+    mass_zero = dist.fractions[0] if dist.degrees[0] == 0 else 0.0
+    start, floor = 1.0 / (1.0 - mass_zero), 1.0 / average
     if isinstance(rate, np.ndarray):
         arc = rate >= floor
         x = np.empty_like(rate)
@@ -291,8 +292,8 @@ def coverage_exponent(
     bound is exactly the locus where this infimum equals 1.  The objective
     is increasing for x > 1, so the search is confined to [0, 1].  Its slope
     has the sign of x/(1+x) - D - a(x) R, which can change sign twice: the
-    least value on a grid brackets the minimiser, and bisection on that
-    sign finds it.
+    least value on a grid brackets the minimiser, and a root finder on
+    that sign finds it.
     """
     check_range("distortion", distortion, 0.0, 0.5)
     check_range("rate", rate, 0.0, 1.0)
@@ -353,7 +354,7 @@ def test_channel_rate_bound(degree: int, distortion):
     D' in [D, 1/2), s = D'/(1-D'); in u = log2 s, N = 1 + log2(1 - D') + D u.
     Its slope has the sign of l q N - (D' - D) Den, q = s^l/(1 + s^l):
     positive at D' = D and, as checked on dense grids for l = 1..8,
-    changing sign at most once, so one bisection in u finds the maximiser
+    changing sign at most once, so one root find in u gives the maximiser
     and resolves a D' near a tiny D relative to D.  The ratio is 0/0 at
     D' = 1/2 with limit (1 - 2D)/l, a candidate of its own and the bound
     past 1/2 - 1e-4, where the search ends: cancellation in N costs about
@@ -390,7 +391,7 @@ def test_channel_distortion_bound(degree: int, rate):
     bound is the larger of the line (1 - l R)/2 and max phi_R over D' in
     (0, 1/2 - 1e-4].  phi_R's slope has the sign of A + (l R q - D') B,
     q = s^l/(1 + s^l): 1 - R as D' -> 0 and, checked on dense grids for
-    l = 1..8, changing sign at most once, so one bisection in log2 s finds
+    l = 1..8, changing sign at most once, so one root find in log2 s gives
     the maximiser; a row rising at the cap takes the line.  There
     phi_R = D' - l R q < D', so the primal's D' >= D holds by itself.
     """
@@ -641,7 +642,7 @@ def sample_curve(
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind: {kind!r}")
-    rates = np.sort(np.array([float(r) for r in rate_grid]))
+    rates = np.sort(np.asarray(rate_grid, dtype=float))
     if not rates.size:
         raise ValueError("empty rate grid")
     if rates[0] < 0.0 or rates[-1] > 1.0:

@@ -23,6 +23,8 @@ import functools
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import BoundCurve, NoSolutionError, parametric_endpoints, sample_curve
 from .degree import DegreeDistribution, TruncationError, parse_degree_literal
 from .exact import (
@@ -119,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _rate_grid(args) -> list[float]:
+def _rate_grid(args) -> np.ndarray:
     if args.steps < 2:
         raise UsageError(f"--steps must be >= 2, got {args.steps}")
     if not (0.0 <= args.rate_min < args.rate_max <= 1.0):
@@ -127,7 +129,7 @@ def _rate_grid(args) -> list[float]:
             f"need 0 <= rate-min < rate-max <= 1, got {args.rate_min}..{args.rate_max}"
         )
     span = args.rate_max - args.rate_min
-    return [args.rate_min + span * k / (args.steps - 1) for k in range(args.steps)]
+    return args.rate_min + span * np.arange(args.steps) / (args.steps - 1)
 
 
 def _curve_for_args(args) -> BoundCurve:

@@ -16,6 +16,7 @@ from ldgm_bounds import (
     DegreeDistribution,
     NoSolutionError,
     binary_entropy,
+    bisect_monotone,
     conjectured_exit_distortion_bound,
     conjectured_exit_rate_bound,
     counting_bound_distortion,
@@ -72,6 +73,68 @@ def test_shannon_reference_values():
 def test_shannon_endpoints():
     assert shannon_distortion(1.0) == 0.0
     assert shannon_distortion(0.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_shannon_rows_within_tolerance_of_mpmath():
+    # bisect_monotone returns the midpoint of a bracket at most 1e-14 wide.
+    rates = np.sort(np.random.default_rng(2024).uniform(0.0, 1.0, 150))
+    for rate, distortion in zip(rates, shannon_distortion(rates)):
+        expected = float(oracles_mp.shannon_distortion(float(rate)))
+        assert abs(distortion - expected) <= 5e-15 + math.ulp(expected), rate
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        shannon_distortion,
+        lambda rate: poisson_ensemble_distortion_bound(3, rate),
+        lambda rate: conjectured_exit_distortion_bound(3, rate),
+    ],
+)
+def test_float_calls_agree_with_array_rows(bound):
+    # math and numpy differ in the last bits of log and exp; the root
+    # finder's grid of tol/2 keeps that from moving the solved points, but
+    # for a point within those bits of a grid line.
+    rates = np.random.default_rng(5).uniform(0.05, 0.95, 400)
+    floats = np.array([bound(float(rate)) for rate in rates])
+    assert np.mean(bound(rates) != floats) <= 0.02
+
+
+def _grid_evaluations(monkeypatch, solve):
+    """Evaluations of the function solved, in the row-wise calls ``solve`` makes."""
+    counts = []
+
+    def counted(fn, lo, hi, target, tol=1e-12):
+        calls = []
+
+        def evaluate(x):
+            calls.append(None)
+            return fn(x)
+
+        root = bisect_monotone(evaluate, lo, hi, target, tol=tol)
+        if np.ndim(root):
+            counts.append(len(calls))
+        return root
+
+    monkeypatch.setattr(bounds_module, "bisect_monotone", counted)
+    bounds_module._x_for_rate.cache_clear()
+    solve()
+    return counts
+
+
+@pytest.mark.parametrize(
+    "family, solve",
+    [
+        ("shannon", lambda: shannon_distortion(np.linspace(0.02, 0.98, 3000))),
+        ("counting regular-3", lambda: counting_bound_distortion(REG3, np.linspace(0.02, 0.98, 3000))),
+        ("dwr r=3", lambda: poisson_ensemble_distortion_bound(3, np.linspace(0.02, 0.98, 3000))),
+        ("conjecture l=3", lambda: conjectured_exit_distortion_bound(3, np.linspace(1 / 3 + 1e-3, 0.98, 3000))),
+    ],
+)
+def test_grid_solve_takes_few_evaluations(monkeypatch, family, solve):
+    # Bisection takes 48, 52, 48 and 41 evaluations here.
+    counts = _grid_evaluations(monkeypatch, solve)
+    assert counts and max(counts) <= 16, (family, counts)
 
 
 # ---------------------------------------------------------------------------

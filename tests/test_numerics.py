@@ -188,6 +188,50 @@ def test_bisect_rows_match_the_float_loop_bit_for_bit(rows, tol):
         assert solved[k] == alone, k
 
 
+def _bisection_steps(width, tol):
+    """Steps bisection needs to bring ``width`` down to ``tol``: the least n
+    with tol 2^n >= width, counted without rounding."""
+    steps = 0
+    while tol * 2.0**steps < width:
+        steps += 1
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ROW_FUNCTIONS + [_plateau]),
+    st.floats(-1.0, 1.0),
+    st.floats(1e-6, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1e-12, 1e-15]),
+)
+@example(_plateau, 0.0, 1.0, 0.5, 1e-12)  # the target 0.3 is the plateau's value
+@example(ROW_FUNCTIONS[3], 0.0, 1.0, 0.5, 1e-12)
+@example(ROW_FUNCTIONS[1], 0.0625, 1.0, 1.0, 1e-15)
+def test_solve_takes_at_most_one_step_beyond_bisection(fn, lo, width, share, tol):
+    # Two evaluations at the ends and at most one step more than bisection
+    # takes: the ends here are below 2, so tol spans at least 4 ulps.
+    hi = lo + width
+    f_lo, f_hi = float(fn(lo)), float(fn(hi))
+    target = min(max(f_lo + share * (f_hi - f_lo), min(f_lo, f_hi)), max(f_lo, f_hi))
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    root = bisect_monotone(counted, lo, hi, target, tol=tol)
+    assert lo <= root <= hi
+    assert len(calls) <= _bisection_steps(hi - lo, tol) + 3
+
+
+def test_float_solve_returns_a_float():
+    # Also when fn answers in numpy scalars, with or without a tolerance.
+    assert type(bisect_monotone(lambda x: x, 0.0, 1.0, 0.5)) is float
+    assert type(bisect_monotone(np.tanh, 0.0, 1.0, 0.5)) is float
+    assert type(bisect_monotone(np.tanh, 0.0, 1.0, 0.5, tol=0.0)) is float
+
+
 def test_bisect_rows_bracket_error_names_first_bad_row():
     lo = np.zeros(5)
     target = np.array([0.5, 0.2, 2.0, 0.1, 3.0])
