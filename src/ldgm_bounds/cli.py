@@ -289,29 +289,33 @@ def cmd_enum(args) -> int:
         raise UsageError(f"cannot read {args.path!r}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{args.path}: {exc}") from exc
-    if code.num_generators == 0:
-        print(f"code: m={code.num_checks} n=0 degrees=-")
-        print(f"{'w':>3} {'A':>12} {'cumulative':>12} {'floor':>12} ok")
-        print(f"{0:>3} {1:>12} {1:>12} {1:>12} yes")
-        return 0
-    dist = code.realized_distribution()
-    enumerator = weight_enumerator(code)
-    cumulative = enumerator.cumulative()
-    floors = coefficient_lower_bound(dist, code.num_generators)
-    last = len(floors) - 1
-
-    print(
-        f"code: m={code.num_checks} n={code.num_generators} "
-        f"degrees={dist.to_literal()}"
-    )
-    print(f"{'w':>3} {'A':>12} {'cumulative':>12} {'floor':>12} ok")
+    header = f"{'w':>3} {'A':>12} {'cumulative':>12} {'floor':>12} ok"
     violations = 0
-    for w, count in enumerate(enumerator.counts):
-        floor = floors[min(w, last)]
-        ok = cumulative[w] >= floor
-        if not ok:
-            violations += 1
-        print(f"{w:>3} {count:>12} {cumulative[w]:>12} {floor:>12} {'yes' if ok else 'NO'}")
+    if code.num_generators == 0:
+        lines = [
+            f"code: m={code.num_checks} n=0 degrees=-",
+            header,
+            f"{0:>3} {1:>12} {1:>12} {1:>12} yes",
+        ]
+    else:
+        dist = code.realized_distribution()
+        enumerator = weight_enumerator(code)
+        cumulative = enumerator.cumulative()
+        floors = coefficient_lower_bound(dist, code.num_generators)
+        last = len(floors) - 1
+        lines = [
+            f"code: m={code.num_checks} n={code.num_generators} degrees={dist.to_literal()}",
+            header,
+        ]
+        for w, count in enumerate(enumerator.counts):
+            floor = floors[min(w, last)]
+            ok = cumulative[w] >= floor
+            if not ok:
+                violations += 1
+            lines.append(
+                f"{w:>3} {count:>12} {cumulative[w]:>12} {floor:>12} {'yes' if ok else 'NO'}"
+            )
+    _write_output("-", "\n".join(lines) + "\n")
     return 1 if violations else 0
 
 

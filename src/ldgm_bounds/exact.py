@@ -8,11 +8,13 @@ against brute-force optima on real instances.
 
 Both kernels start from one GF(2) elimination, ``_basis``, which reduces
 the generator masks to k independent rows, k being the code's rank.  The
-weight enumerator counts the popcounts of their span (``_span``), the 2^k
-distinct codewords, and scales each count by the 2^(n-k) index words that
-share a codeword.  The distance transform works on cosets: every source
-word in a coset is equally far from the code, so it makes m min-plus
-passes over a table of 2^(m-k) cosets and scales its histogram by 2^k.
+weight enumerator counts the popcounts of the smaller of the code and its
+dual: the 2^k distinct codewords, or, when m - k < k, the 2^(m-k) dual
+words turned into codeword counts by the MacWilliams identity in exact
+integers.  It scales each count by the 2^(n-k) index words that share a
+codeword.  The distance transform works on cosets: every source word in a
+coset is equally far from the code, so it makes m min-plus passes over a
+table of 2^(m-k) cosets and scales its histogram by 2^k.
 
 Budgets keep runtimes at desk scale: index-word enumeration is capped at
 n <= 24 generators and the distance transform at m <= 26 checks.  Both
@@ -21,6 +23,7 @@ are checked before anything is allocated.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -217,12 +220,21 @@ def _span(masks, first_check: int = 0) -> np.ndarray:
     return words
 
 
-def _histogram(values: np.ndarray, length: int) -> tuple[int, ...]:
+def _histogram(values: np.ndarray, length: int) -> list[int]:
     """Exact bincount, 2^20 entries at a time to bound bincount's intp copy."""
-    counts = np.zeros(length, dtype=np.int64)
-    for start in range(0, values.size, _COUNT_CHUNK):
+    counts = np.bincount(values[:_COUNT_CHUNK], minlength=length)
+    for start in range(_COUNT_CHUNK, values.size, _COUNT_CHUNK):
         counts += np.bincount(values[start : start + _COUNT_CHUNK], minlength=length)
-    return tuple(int(c) for c in counts)
+    return counts.tolist()
+
+
+def _span_weights(masks, num_checks: int) -> list[int]:
+    """Popcount histogram of the span of ``masks``, summed over 32-check slices."""
+    weights = np.bitwise_count(_span(masks))
+    for first_check in range(32, num_checks, 32):
+        more = np.bitwise_count(_span(masks, first_check))
+        weights = np.add(weights, more, dtype=np.int32)
+    return _histogram(weights, num_checks + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +260,92 @@ class WeightEnumerator:
 
 
 def weight_enumerator(code: LdgmCode) -> WeightEnumerator:
-    """Popcount histogram of the 2^k distinct codewords, times 2^(n-k).
+    """Codeword-weight counts of the 2^k distinct codewords, times 2^(n-k).
 
     Every codeword of a rank-k code is the image of exactly 2^(n-k) index
-    words.  Popcounts are summed over 32-check slices.
+    words.  When the dual code is smaller, 2k > m, its 2^(m-k) words are
+    counted instead and ``_macwilliams`` turns their counts into the
+    code's; so the work is about 2^min(k, m-k) words plus an (m+1)^2
+    integer transform.
     """
     if code.num_generators > GENERATOR_LIMIT:
         raise BudgetError(
             f"{code.num_generators} generators exceed the enumeration budget "
             f"of {GENERATOR_LIMIT}"
         )
+    m = code.num_checks
     rows, _ = _basis(generator_masks(code))
-    weights = np.bitwise_count(_span(rows))
-    for first_check in range(32, code.num_checks, 32):
-        more = np.bitwise_count(_span(rows, first_check))
-        weights = np.add(weights, more, dtype=np.int32)
-    shift = code.num_generators - len(rows)
-    counts = _histogram(weights, code.num_checks + 1)
-    return WeightEnumerator(
-        code.num_checks, code.num_generators, tuple(c << shift for c in counts)
-    )
+    k = len(rows)
+    if 2 * k > m:
+        counts = _macwilliams(_span_weights(_dual_rows(rows, m), m), m - k)
+    else:
+        counts = _span_weights(rows, m)
+    shift = code.num_generators - k
+    return WeightEnumerator(m, code.num_generators, tuple(c << shift for c in counts))
+
+
+def _dual_rows(rows, num_checks: int) -> list[int]:
+    """A basis of the dual code: per non-pivot bit f, e_f plus the pivots of
+    the rows with bit f set.  Such a word meets every row in two bits or
+    none, because a row's only pivot bit is its own."""
+    free = (1 << num_checks) - 1
+    pivots_at: dict[int, int] = {}  # non-pivot bit -> pivots of the rows with it
+    for row in rows:
+        pivot = row & -row
+        free ^= pivot
+        rest = row ^ pivot
+        while rest:
+            bit = rest & -rest
+            pivots_at[bit] = pivots_at.get(bit, 0) | pivot
+            rest ^= bit
+    words = []
+    while free:
+        bit = free & -free
+        words.append(bit | pivots_at.get(bit, 0))
+        free ^= bit
+    return words
+
+
+# Above 41 checks a MacWilliams partial sum may pass 2^63; see _krawtchouk.
+_INT64_CHECKS = 41
+
+
+@functools.cache
+def _krawtchouk(num_checks: int) -> np.ndarray:
+    """Read-only table K[w, j] = K_w(j), the coefficient of z^w in
+    (1 - z)^j (1 + z)^(m - j).
+
+    Built by K_w(j + 1) = K_w(j) - K_(w-1)(j) - K_(w-1)(j + 1) from
+    K_w(0) = C(m, w), one cumulative sum per row.  On the dual side
+    m - k < m/2, so a partial sum of 2^(m-k) dual words against one row is
+    below 2^(m-k) C(m, w) < 2^(1.5 m): int64 holds it up to m = 41, Python
+    ints (object dtype) beyond.  The dual side needs k <= n <= 24, so at
+    most 47 tables are ever cached.
+    """
+    m = num_checks
+    table = np.zeros((m + 1, m + 1), dtype=np.int64 if m <= _INT64_CHECKS else object)
+    table[0] = 1
+    for w in range(1, m + 1):
+        previous = table[w - 1]
+        table[w, 0] = math.comb(m, w)
+        table[w, 1:] = table[w, 0] - np.cumsum(previous[:-1] + previous[1:])
+    table.flags.writeable = False
+    return table
+
+
+def _macwilliams(dual_counts, dual_rank: int) -> list[int]:
+    """Codeword-weight counts A_w = 2^-(m-k) sum_j B_j K_w(j) from the dual's B_j.
+
+    Exact: raises ArithmeticError if a sum is not a multiple of 2^(m-k),
+    which no dual histogram gives.
+    """
+    table = _krawtchouk(len(dual_counts) - 1)
+    sums = table @ np.array(dual_counts, dtype=table.dtype)
+    if (sums & ((1 << dual_rank) - 1)).any():
+        raise ArithmeticError(
+            f"MacWilliams sums {sums.tolist()} are not multiples of 2^{dual_rank}"
+        )
+    return (sums >> dual_rank).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Brute-force oracles for the exact kernels, built on ``encode`` alone, a
-naive chain check in ``Fraction``s, and the bound curves' row checks taken
-one row and one pair at a time."""
+"""Brute-force oracles for the exact kernels, built on ``encode`` or on
+XORs of the generators' check sets in Python ints, a naive chain check in
+``Fraction``s, and the bound curves' row checks taken one row and one pair
+at a time."""
 
 import math
 import numbers
@@ -22,6 +23,20 @@ def weight_enumerator_naive(code: LdgmCode) -> WeightEnumerator:
     """Reference enumerator: encode each index word from scratch."""
     counts = [0] * (code.num_checks + 1)
     for word in _all_codewords(code):
+        counts[word.bit_count()] += 1
+    return WeightEnumerator(code.num_checks, code.num_generators, tuple(counts))
+
+
+def weight_enumerator_gray(code: LdgmCode) -> WeightEnumerator:
+    """Reference enumerator for codes too long to encode word by word: a Gray
+    walk over the index words, one generator's check set XORed in per step,
+    as Python ints."""
+    masks = [sum(1 << index for index in checks) for checks in code.generators]
+    counts = [0] * (code.num_checks + 1)
+    word = 0
+    counts[0] = 1
+    for step in range(1, 1 << len(masks)):
+        word ^= masks[(step & -step).bit_length() - 1]
         counts[word.bit_count()] += 1
     return WeightEnumerator(code.num_checks, code.num_generators, tuple(counts))
 

@@ -28,8 +28,20 @@ from ldgm_bounds import (
     weight_enumerator,
     write_code_file,
 )
-from ldgm_bounds.exact import CoverProfile, generator_masks
-from oracles import chain_check_naive, distance_transform_naive, weight_enumerator_naive
+from ldgm_bounds.exact import (
+    CoverProfile,
+    _basis,
+    _dual_rows,
+    _krawtchouk,
+    _macwilliams,
+    generator_masks,
+)
+from oracles import (
+    chain_check_naive,
+    distance_transform_naive,
+    weight_enumerator_gray,
+    weight_enumerator_naive,
+)
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
@@ -81,6 +93,17 @@ def small_codes(draw, max_checks=12):
     if generators and draw(st.booleans()):
         generators.append(draw(st.sampled_from(generators)))
     return LdgmCode(m, tuple(generators))
+
+
+@st.composite
+def near_full_rank_codes(draw, max_checks=12):
+    """Codes with m <= max_checks and more than m/2, up to m + 3, generators
+    of degree 1-3, so that most have rank k > m - k: the dual side."""
+    m = draw(st.integers(min_value=1, max_value=max_checks))
+    check_sets = st.lists(
+        st.integers(min_value=0, max_value=m - 1), unique=True, min_size=1, max_size=min(m, 3)
+    ).map(lambda checks: tuple(sorted(checks)))
+    return LdgmCode(m, tuple(draw(st.lists(check_sets, min_size=m // 2 + 1, max_size=m + 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +209,70 @@ def test_weight_enumerator_budget():
     wide = LdgmCode(num_checks=2, generators=((0,),) * 30)
     with pytest.raises(BudgetError):
         weight_enumerator(wide)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_full_rank_codes())
+# full rank: m - k = 0, so the dual is the zero word alone
+@example(LdgmCode(4, ((0,), (1, 2), (2,), (3,), (0, 3))))
+# the tie k = m - k, which stays on the primal side
+@example(LdgmCode(6, ((0, 1), (2, 3), (4, 5))))
+# degree-0 and repeated generators on the dual side: rank 4 at m = 5
+@example(LdgmCode(5, ((0, 1), (), (1, 2), (1, 2), (3,), (0, 4), ())))
+def test_weight_enumerator_dual_side_matches_naive(code):
+    masks = generator_masks(code)
+    rows, _ = _basis(masks)
+    dual = _dual_rows(rows, code.num_checks)
+    assert len(dual) == code.num_checks - len(rows)
+    assert all((word & mask).bit_count() % 2 == 0 for word in dual for mask in masks)
+    assert weight_enumerator(code).counts == weight_enumerator_naive(code).counts
+
+
+def test_weight_enumerator_dual_side_past_one_word():
+    # Rank 18 > m - k = 16, and the dual words reach checks 32 and 33, so
+    # their popcounts are summed over two 32-check slices.
+    code = sample_code(34, 18, REG3, seed=0)
+    rows, _ = _basis(generator_masks(code))
+    assert len(rows) == 18
+    assert max(_dual_rows(rows, 34)) >> 32
+    assert weight_enumerator(code).counts == weight_enumerator_gray(code).counts
+
+
+def test_krawtchouk_table_matches_binomial_sums():
+    # int64 up to m = 41, Python ints beyond; the dual side reaches m = 47.
+    for m in range(1, 49):
+        table = _krawtchouk(m)
+        assert table.dtype == (np.int64 if m <= 41 else object), m
+        binomial_sums = [
+            [
+                sum((-1) ** i * math.comb(j, i) * math.comb(m - j, w - i) for i in range(w + 1))
+                for j in range(m + 1)
+            ]
+            for w in range(m + 1)
+        ]
+        assert table.tolist() == binomial_sums, m
+        exact = table.astype(object)
+        identity = [[(1 << m) * (w == v) for v in range(m + 1)] for w in range(m + 1)]
+        assert (exact @ exact).tolist() == identity, m
+
+
+def test_macwilliams_refuses_a_sum_it_cannot_divide():
+    # Three words of weights 0, 1 and 2 at m = 3 are no dual code: A_0 = 3/2.
+    with pytest.raises(ArithmeticError, match="not multiples of 2"):
+        _macwilliams((1, 1, 1, 0), 1)
+
+
+def test_weight_enumerator_allocates_only_the_dual_span():
+    # Rank 24 at m = 26: the dual has 4 words, so nothing sized by the
+    # 2^24 codewords may be allocated.
+    code = sample_code(26, 24, REG2, seed=230)
+    tracemalloc.start()
+    try:
+        weight_enumerator(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
