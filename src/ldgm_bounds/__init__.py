@@ -44,10 +44,7 @@ from .exact import (
     code_to_text,
     coefficient_growth_exponent,
     coefficient_lower_bound,
-    covered_fraction,
     distance_transform,
-    encode,
-    optimal_average_distortion,
     read_code_file,
     sample_code,
     verify_code,
@@ -89,12 +86,9 @@ __all__ = [
     "conjectured_exit_rate_bound",
     "counting_bound_distortion",
     "coverage_exponent",
-    "covered_fraction",
     "distance_transform",
-    "encode",
     "inverse_binary_entropy",
     "kl_bernoulli",
-    "optimal_average_distortion",
     "parametric_distortion",
     "parametric_endpoints",
     "parametric_rate",

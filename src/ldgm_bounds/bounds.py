@@ -81,8 +81,9 @@ _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
 # Entries kept by the ``_x_for_rate`` memo, keyed by profile and
 # max(R, 1/avg): a fixed-profile curve uses one, its segment anchor at
-# 1/avg; float calls must not grow it without end.
-_DIST_CACHE_SIZE = 16
+# 1/avg, and a campaign of verify calls over a few profiles at m <= 20
+# uses a few dozen; float calls must not grow it without end.
+_DIST_CACHE_SIZE = 128
 # The test-channel searches end at D' = 1/2 - 1e-4, where cancellation
 # sets in, written as u = log2 s, s = D'/(1-D').
 _CAP_U = math.log2((0.5 - 1e-4) / (0.5 + 1e-4))

@@ -12,9 +12,10 @@ weight enumerator counts the popcounts of the smaller of the code and its
 dual: the 2^k distinct codewords, or, when m - k < k, the 2^(m-k) dual
 words turned into codeword counts by the MacWilliams identity in exact
 integers.  It scales each count by the 2^(n-k) index words that share a
-codeword.  The distance transform works on cosets: every source word in a
-coset is equally far from the code, so it makes m min-plus passes over a
-table of 2^(m-k) cosets and scales its histogram by 2^k.
+codeword.  The distance transform convolves, in exact integers, the
+histograms of the code's parts on disjoint check sets; a part of m_c
+checks and rank k_c makes at most m_c min-plus passes over a table of its
+2^(m_c-k_c) cosets.
 
 Budgets keep runtimes at desk scale: index-word enumeration is capped at
 n <= 24 generators and the distance transform at m <= 26 checks.  Both
@@ -49,11 +50,8 @@ __all__ = [
     "code_to_text",
     "coefficient_growth_exponent",
     "coefficient_lower_bound",
-    "covered_fraction",
     "distance_transform",
-    "encode",
     "generator_masks",
-    "optimal_average_distortion",
     "read_code_file",
     "sample_code",
     "verify_code",
@@ -161,22 +159,6 @@ def _integral_degree_counts(dist: DegreeDistribution, n: int) -> dict[int, int]:
     if sum(counts.values()) != n:
         raise ValueError(f"degree counts {counts} do not sum to {n}")
     return counts
-
-
-def encode(code: LdgmCode, index_bits) -> list[int]:
-    """Map an index word (length n of 0/1) to its codeword (length m)."""
-    if len(index_bits) != code.num_generators:
-        raise ValueError(
-            f"index word length {len(index_bits)} != {code.num_generators}"
-        )
-    word = [0] * code.num_checks
-    for bit, checks in zip(index_bits, code.generators):
-        if bit not in (0, 1):
-            raise ValueError(f"index word entries must be 0/1, got {bit!r}")
-        if bit:
-            for index in checks:
-                word[index] ^= 1
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +399,21 @@ class CoverProfile:
 def distance_transform(code: LdgmCode) -> CoverProfile:
     """Exact nearest-codeword distance histogram over all 2^m source words.
 
-    A source word's distance to the code depends only on its coset, so the
-    table holds one cell per coset: 2^(m-k) cells for a rank-k code,
-    indexed by the syndrome, the non-pivot bits of the coset's member with
-    clear pivot bits.  Flipping check bit b XORs the syndrome with b's
-    column: its unit vector for a non-pivot bit, its basis row's non-pivot
-    bits for a pivot bit.  From the code's cell 0, one min-plus pass per
-    column leaves in each cell the fewest columns XORing to it, the coset
-    leader's weight.  Syndrome bit j is axis m-k-1-j of a (2,)*(m-k) view,
-    so each pass is a flip and a minimum: O(m 2^(m-k)) in all.  Every cell
-    stands for 2^k source words.
+    The code is a direct sum of parts on disjoint check sets: its basis
+    rows grouped by shared checks, and each check no row touches.  A source
+    word's distance is the sum of its distances in the parts, so the
+    histogram is the convolution of the parts' histograms, C(u, j) for the
+    u uncovered checks.  A row of one check is a part at distance 0.
+
+    Within a part of m_c checks and rank k_c, the distance depends only on
+    the coset: ``_coset_leaders`` keeps one cell per coset, indexed by the
+    syndrome, the non-pivot bits of the coset's member with clear pivot
+    bits.  Flipping check bit b XORs the syndrome with b's column: its unit
+    vector for a non-pivot bit, its basis row's non-pivot bits for a pivot
+    bit.  From the code's cell 0, one min-plus pass per distinct nonzero
+    column leaves in each cell the coset leader's weight.  The work is
+    O(sum of m_c 2^(m_c-k_c)), not O(m 2^(m-k)); each coset stands for 2^k
+    source words.
     """
     if code.num_checks > BLOCKLENGTH_LIMIT:
         raise BudgetError(
@@ -434,19 +421,56 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
             f"of {BLOCKLENGTH_LIMIT}"
         )
     m = code.num_checks
-    rows, pivots = _basis(generator_masks(code))
-    k = len(rows)
-    free = [b for b in range(m) if b not in pivots]
-    table = np.full(1 << (m - k), 100, dtype=np.uint8)  # larger than any distance
+    rows, _ = _basis(generator_masks(code))
+    parts: list[tuple[int, list[int]]] = []  # (check set, basis rows), disjoint
+    for row in rows:
+        if not row & (row - 1):
+            continue
+        checks, members, rest = row, [row], []
+        for part in parts:
+            if part[0] & row:
+                checks |= part[0]
+                members += part[1]
+            else:
+                rest.append(part)
+        parts = rest + [(checks, members)]
+    uncovered = m - functools.reduce(int.__or__, rows, 0).bit_count()
+    histograms = [_coset_leaders(checks, members) for checks, members in parts]
+    if uncovered or not histograms:
+        histograms.append([math.comb(uncovered, j) for j in range(uncovered + 1)])
+    histogram = functools.reduce(_convolve, histograms)
+    histogram += [0] * (m + 1 - len(histogram))
+    return CoverProfile(m, tuple(c << len(rows) for c in histogram))
+
+
+def _coset_leaders(checks: int, rows) -> list[int]:
+    """Coset-leader weights of the span of ``rows`` on the bits of
+    ``checks``, one count per coset.  Syndrome bit j, the j-th non-pivot
+    bit, is axis j from the end of a (2,)*(m_c-k_c) view, so each pass is
+    a flip and a minimum."""
+    syndrome = checks & ~functools.reduce(int.__or__, (row & -row for row in rows), 0)
+    free = [b for b in range(checks.bit_length()) if syndrome >> b & 1]
+    columns = {1 << b for b in free} | {row & syndrome for row in rows}
+    columns.discard(0)
+    table = np.full(1 << len(free), 100, dtype=np.uint8)  # larger than any distance
     table[0] = 0
-    cube = table.reshape((2,) * (m - k))
-    for column in [1 << b for b in free] + rows:
+    cube = table.reshape((2,) * len(free))
+    for column in columns:
         flip = tuple(
             slice(None, None, -1) if column >> b & 1 else slice(None)
             for b in reversed(free)
         )
         np.minimum(cube, cube[flip] + np.uint8(1), out=cube)
-    return CoverProfile(m, tuple(c << k for c in _histogram(table, m + 1)))
+    return _histogram(table, len(free) + 1)
+
+
+def _convolve(left: list[int], right: list[int]) -> list[int]:
+    """Product of two polynomials given by their coefficient lists, exactly."""
+    product = [0] * (len(left) + len(right) - 1)
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            product[i + j] += a * b
+    return product
 
 
 def _radius(distortion, num_checks: int) -> int:
@@ -460,17 +484,6 @@ def _radius(distortion, num_checks: int) -> int:
     return int(math.floor(distortion * num_checks + 1e-9))
 
 
-def covered_fraction(profile: CoverProfile, distortion: float) -> float:
-    """Fraction of source words within radius floor(distortion * m)."""
-    radius = _radius(distortion, profile.num_checks)
-    return sum(profile.histogram[: radius + 1]) / (1 << profile.num_checks)
-
-
-def optimal_average_distortion(code: LdgmCode) -> float:
-    """Distortion of the best possible encoder: mean nearest-codeword distance."""
-    return distance_transform(code).average_distortion()
-
-
 # ---------------------------------------------------------------------------
 # verification of one instance
 # ---------------------------------------------------------------------------
@@ -480,9 +493,10 @@ def optimal_average_distortion(code: LdgmCode) -> float:
 class VerificationReport:
     """Outcome of the three per-code checks, with literal margins.
 
-    * chain: optimal distortion >= d * (1 - covered_fraction(d)) on the
-      grid, compared by exact integer cross-multiplication (zero
-      tolerance); ``chain_margin`` rounds the exact worst case once.
+    * chain: optimal distortion >= d * (1 - covered(d)) on the grid, with
+      covered(d) the share of source words within radius floor(d m),
+      compared by exact integer cross-multiplication (zero tolerance);
+      ``chain_margin`` rounds the exact worst case once.
     * enumerator: cumulative weight counts >= coefficient floor, exact
       integers; ``enumerator_slack`` is the smallest difference.
     * bound: optimal distortion >= counting bound - 1e-9.

@@ -1,14 +1,34 @@
 """Brute-force oracles for the exact kernels, built on ``encode`` or on
-XORs of the generators' check sets in Python ints, a naive chain check in
-``Fraction``s, and the bound curves' row checks taken one row and one pair
-at a time."""
+XORs of the generators' check sets, never on the package's kernels; a
+naive chain check in ``Fraction``s; the bound curves' row checks taken one
+row and one pair at a time; and the exact stack's small helpers that the
+package itself does not use (``encode``, ``covered_fraction``,
+``optimal_average_distortion``)."""
 
 import math
 import numbers
 from fractions import Fraction
 from itertools import product
 
-from ldgm_bounds import CoverProfile, LdgmCode, WeightEnumerator, encode
+import numpy as np
+
+from ldgm_bounds import CoverProfile, LdgmCode, WeightEnumerator
+
+
+def encode(code: LdgmCode, index_bits) -> list[int]:
+    """Map an index word (length n of 0/1) to its codeword (length m)."""
+    if len(index_bits) != code.num_generators:
+        raise ValueError(
+            f"index word length {len(index_bits)} != {code.num_generators}"
+        )
+    word = [0] * code.num_checks
+    for bit, checks in zip(index_bits, code.generators):
+        if bit not in (0, 1):
+            raise ValueError(f"index word entries must be 0/1, got {bit!r}")
+        if bit:
+            for index in checks:
+                word[index] ^= 1
+    return word
 
 
 def _all_codewords(code: LdgmCode) -> list[int]:
@@ -48,6 +68,45 @@ def distance_transform_naive(code: LdgmCode) -> CoverProfile:
     for word in range(1 << code.num_checks):
         histogram[min((word ^ c).bit_count() for c in codewords)] += 1
     return CoverProfile(code.num_checks, tuple(histogram))
+
+
+def distance_transform_table(code: LdgmCode) -> CoverProfile:
+    """Reference transform over one table of all 2^m source words, with no
+    elimination, cosets or factoring.
+
+    The table starts at 0 on the zero word only; XORing in each generator's
+    check set in turn spreads the 0s over the code's span, and one min-plus
+    pass per check bit then leaves each word's distance to the nearest 0.
+    Each XOR is a flip of the axes of a (2,)*m view.
+    """
+    m = code.num_checks
+    table = np.full(1 << m, m + 1, dtype=np.uint8)
+    table[0] = 0
+    cube = table.reshape((2,) * m)
+
+    def flipped(checks):
+        # check bit b is axis m - 1 - b of the view
+        return cube[tuple(slice(None, None, -1) if m - 1 - axis in checks else slice(None)
+                          for axis in range(m))]
+
+    for checks in code.generators:
+        np.minimum(cube, flipped(set(checks)), out=cube)
+    for bit in range(m):
+        np.minimum(cube, flipped({bit}) + np.uint8(1), out=cube)
+    return CoverProfile(m, tuple(np.bincount(table, minlength=m + 1).tolist()))
+
+
+def covered_fraction(profile: CoverProfile, distortion: float) -> float:
+    """Fraction of source words within radius floor(distortion * m)."""
+    if not 0.0 <= distortion <= 1.0:
+        raise ValueError(f"distortion out of range: {distortion!r}")
+    radius = math.floor(distortion * profile.num_checks + 1e-9)
+    return sum(profile.histogram[: radius + 1]) / (1 << profile.num_checks)
+
+
+def optimal_average_distortion(code: LdgmCode) -> float:
+    """Distortion of the best possible encoder: mean nearest-codeword distance."""
+    return distance_transform_table(code).average_distortion()
 
 
 def chain_check_naive(profile: CoverProfile, d_grid):

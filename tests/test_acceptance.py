@@ -15,7 +15,6 @@ from ldgm_bounds import (
     coefficient_lower_bound,
     counting_bound_distortion,
     distance_transform,
-    optimal_average_distortion,
     parametric_distortion,
     parametric_endpoints,
     poisson_ensemble_distortion_bound,
@@ -27,7 +26,7 @@ from ldgm_bounds import (
     verify_code,
     weight_enumerator,
 )
-from oracles import distance_transform_naive, weight_enumerator_naive
+from oracles import distance_transform_naive, optimal_average_distortion, weight_enumerator_naive
 
 REG1 = DegreeDistribution.regular(1)
 REG2 = DegreeDistribution.regular(2)
@@ -204,7 +203,8 @@ def test_criterion_10_degenerate_identities(capsys):
     )
     zero_code = LdgmCode(num_checks=12, generators=((), (), (), ()))
     zero_value = optimal_average_distortion(zero_code)
-    ok = line_worst <= 1e-9 and zero_value == 0.5
-    detail = f"line gap {line_worst:.2e}, zero-matrix optimum {zero_value}"
+    kernel_value = distance_transform(zero_code).average_distortion()
+    ok = line_worst <= 1e-9 and zero_value == 0.5 and kernel_value == 0.5
+    detail = f"line gap {line_worst:.2e}, zero-matrix optimum {kernel_value} (oracle {zero_value})"
     announce(capsys, 10, "degenerate identities", ok, detail)
     assert ok

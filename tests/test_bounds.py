@@ -33,6 +33,7 @@ from ldgm_bounds import (
     test_channel_rate_bound as channel_rate_bound,
 )
 from ldgm_bounds import bounds as bounds_module
+from ldgm_bounds.cli import parse_degree_spec
 from ldgm_bounds.degree import poisson_minimum_max_degree
 
 REG2 = DegreeDistribution.regular(2)
@@ -798,12 +799,42 @@ def test_poisson_curve_memory_does_not_grow_with_the_grid():
 
 def test_line_anchor_cache_bounded_over_many_profiles():
     bounds_module._x_for_rate.cache_clear()
-    for k in range(1, 80):
-        mixed = DegreeDistribution.from_fractions({2: k / 80, 3: 1 - k / 80})
+    profiles = bounds_module._x_for_rate.cache_info().maxsize + 50
+    mixes = [
+        DegreeDistribution.from_fractions({2: k / (profiles + 1), 3: 1 - k / (profiles + 1)})
+        for k in range(1, profiles + 1)
+    ]
+    for mixed in mixes:
         counting_bound_distortion(mixed, 0.1)  # below 1/3: the straight segment
     info = bounds_module._x_for_rate.cache_info()
-    assert info.misses == 79
-    assert info.currsize <= info.maxsize
+    assert info.misses == profiles
+    assert info.currsize == info.maxsize
+    # The first profiles were evicted, so asking again solves afresh.
+    counting_bound_distortion(mixes[0], 0.1)
+    assert bounds_module._x_for_rate.cache_info().misses == profiles + 1
+
+
+def test_campaign_profiles_and_rates_fit_the_anchor_cache():
+    # The (profile, n/m) pairs of one verify campaign: m = 12..20, five
+    # profiles, target rates 1/4, 1/2 and 3/4, n rounded to a multiple the
+    # profile divides, as in perfbench/workloads.py.  Replayed, each degree
+    # spec parsed afresh as verify does, the second pass only hits.
+    profiles = (("regular:2", 1), ("regular:3", 1), ("1:0.5,3:0.5", 2),
+                ("2:0.5,4:0.5", 2), ("1:0.25,2:0.5,3:0.25", 4))
+    pairs = [
+        (spec, max(multiple, round(m * rate / multiple) * multiple) / m)
+        for m in range(12, 21)
+        for spec, multiple in profiles
+        for rate in (0.25, 0.5, 0.75)
+    ]
+    bounds_module._x_for_rate.cache_clear()
+    for _ in range(2):
+        before = bounds_module._x_for_rate.cache_info().misses
+        for spec, rate in pairs:
+            counting_bound_distortion(parse_degree_spec(spec).dist, rate)
+    info = bounds_module._x_for_rate.cache_info()
+    assert info.misses == before
+    assert info.hits >= len(pairs)
 
 
 def test_fixed_profile_curve_hits_caches():

@@ -18,10 +18,7 @@ from ldgm_bounds import (
     coefficient_growth_exponent,
     coefficient_lower_bound,
     counting_bound_distortion,
-    covered_fraction,
     distance_transform,
-    encode,
-    optimal_average_distortion,
     read_code_file,
     sample_code,
     verify_code,
@@ -38,7 +35,11 @@ from ldgm_bounds.exact import (
 )
 from oracles import (
     chain_check_naive,
+    covered_fraction,
     distance_transform_naive,
+    distance_transform_table,
+    encode,
+    optimal_average_distortion,
     weight_enumerator_gray,
     weight_enumerator_naive,
 )
@@ -104,6 +105,36 @@ def near_full_rank_codes(draw, max_checks=12):
         st.integers(min_value=0, max_value=m - 1), unique=True, min_size=1, max_size=min(m, 3)
     ).map(lambda checks: tuple(sorted(checks)))
     return LdgmCode(m, tuple(draw(st.lists(check_sets, min_size=m // 2 + 1, max_size=m + 3))))
+
+
+@st.composite
+def component_codes(draw, max_checks=20):
+    """Codes with m <= max_checks whose covered checks fall into blocks, each
+    tied together by a chain of generators overlapping in one check, and
+    sometimes a single block: one giant component.  Some checks are left
+    uncovered on purpose, and degree-0, repeated and dependent (the XOR of
+    two others) generators are mixed in."""
+    m = draw(st.integers(min_value=1, max_value=max_checks))
+    order = draw(st.permutations(range(m)))
+    covered = order[: draw(st.integers(min_value=0, max_value=m))]
+    cuts = [] if draw(st.booleans()) else sorted(
+        draw(st.sets(st.integers(min_value=1, max_value=max(1, len(covered) - 1)), max_size=6))
+    )
+    generators = []
+    for start, stop in zip([0] + cuts, cuts + [len(covered)]):
+        block = covered[start:stop]
+        step = draw(st.integers(min_value=1, max_value=3))
+        if len(block) == 1:
+            generators.append(tuple(block))
+        for first in range(0, len(block) - 1, step):
+            generators.append(tuple(sorted(block[first : first + step + 1])))
+    generators += [()] * draw(st.integers(min_value=0, max_value=2))
+    if generators and draw(st.booleans()):
+        generators.append(draw(st.sampled_from(generators)))
+    if len(generators) > 1 and draw(st.booleans()):
+        first, second = draw(st.lists(st.sampled_from(generators), min_size=2, max_size=2))
+        generators.append(tuple(sorted(set(first) ^ set(second))))
+    return LdgmCode(m, tuple(draw(st.permutations(generators))))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +411,39 @@ def test_kernels_match_oracles_on_small_codes(code):
     assert distance_transform(code).histogram == distance_transform_naive(code).histogram
 
 
+@settings(max_examples=60, deadline=None)
+@given(component_codes())
+# every check uncovered, beside two degree-0 generators
+@example(LdgmCode(20, ((), ())))
+# one giant component on all 20 checks, a path of degree-2 generators
+@example(LdgmCode(20, tuple((b, b + 1) for b in range(19))))
+# three parts, a repeat, a dependent generator and an uncovered check 3
+@example(LdgmCode(9, ((0, 1), (1, 2), (4, 5, 6), (7, 8), (4, 5, 6), (0, 2), ())))
+# one connected generator graph whose basis rows (0, 1) and (2, 3) split it
+@example(LdgmCode(6, ((0, 1), (0, 1, 2, 3), (2, 3), (4, 5))))
+def test_factored_transform_matches_unfactored_oracles(code):
+    histogram = distance_transform(code).histogram
+    assert histogram == distance_transform_table(code).histogram
+    if code.num_checks <= 12:
+        assert histogram == distance_transform_naive(code).histogram
+
+
+@pytest.mark.parametrize("num_generators", [0, 4])
+def test_low_rank_transform_at_budget_limit_stays_under_1mb(num_generators):
+    # At m = 26 and rank <= 4 the unfactored coset table had at least 2^22
+    # cells; the parts here are single checks or a few generators' checks.
+    codes = [sample_code(26, num_generators, REG2, seed) for seed in range(5)]
+    tracemalloc.start()
+    try:
+        profiles = [distance_transform(code) for code in codes]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    if num_generators == 0:
+        assert profiles[0].histogram == tuple(math.comb(26, j) for j in range(27))
+
+
 def test_distance_transform_allocates_only_its_coset_table():
     # Rank 24 at m = 26: the coset table has 4 cells, so nothing sized
     # by the 2^24 codewords may be allocated.
@@ -422,6 +486,7 @@ def test_verify_code_refuses_enumeration_before_allocating():
 def test_optimal_distortion_zero_matrix():
     zero = LdgmCode(num_checks=10, generators=((), (), ()))
     assert optimal_average_distortion(zero) == 0.5
+    assert distance_transform(zero).average_distortion() == 0.5
 
 
 def test_covered_fraction_radius_floor():
