@@ -13,23 +13,17 @@ The package splits into four layers:
 
 from .bounds import (
     BoundCurve,
-    CoverageExponent,
     CURVE_KINDS,
     NoSolutionError,
     conjectured_exit_distortion_bound,
     conjectured_exit_rate_bound,
     counting_bound_distortion,
-    coverage_exponent,
-    parametric_distortion,
     parametric_endpoints,
-    parametric_rate,
     poisson_ensemble_distortion_bound,
-    poisson_ensemble_rate_bound,
     sample_curve,
     shannon_distortion,
     solve_x_for_rate,
     test_channel_distortion_bound,
-    test_channel_rate_bound,
 )
 from .degree import DegreeDistribution, TruncationError, parse_degree_literal
 from .exact import (
@@ -42,7 +36,6 @@ from .exact import (
     WeightEnumerator,
     code_from_text,
     code_to_text,
-    coefficient_growth_exponent,
     coefficient_lower_bound,
     distance_transform,
     read_code_file,
@@ -68,7 +61,6 @@ __all__ = [
     "BudgetError",
     "CURVE_KINDS",
     "CoverProfile",
-    "CoverageExponent",
     "DegreeDistribution",
     "GENERATOR_LIMIT",
     "LdgmCode",
@@ -80,28 +72,22 @@ __all__ = [
     "bisect_monotone",
     "code_from_text",
     "code_to_text",
-    "coefficient_growth_exponent",
     "coefficient_lower_bound",
     "conjectured_exit_distortion_bound",
     "conjectured_exit_rate_bound",
     "counting_bound_distortion",
-    "coverage_exponent",
     "distance_transform",
     "inverse_binary_entropy",
     "kl_bernoulli",
-    "parametric_distortion",
     "parametric_endpoints",
-    "parametric_rate",
     "parse_degree_literal",
     "poisson_ensemble_distortion_bound",
-    "poisson_ensemble_rate_bound",
     "read_code_file",
     "sample_code",
     "sample_curve",
     "shannon_distortion",
     "solve_x_for_rate",
     "test_channel_distortion_bound",
-    "test_channel_rate_bound",
     "verify_code",
     "weight_enumerator",
     "write_code_file",

@@ -23,10 +23,11 @@ The counting bound is pieced together from a parametric arc, traced by a
 parameter x in (0, 1), and a straight segment through (D, R) = (1/2, 0)
 that takes over at rates below the reciprocal of the average degree.
 
-Every bound takes a float or a numpy array of rates (or distortions) and
+Every distortion bound takes a float or a numpy array of rates and
 answers in kind, so ``sample_curve`` solves a family over its whole rate
 grid in one row-wise call of the shared root finder, ``bisect_monotone``,
-while a single point takes its float loop.
+while a single point takes its float loop.  The conjecture's rate form,
+which its distortion form inverts, takes distortions alike.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .numerics import (
     BracketError,
     _entropy,
     _entropy_deficit,
-    binary_entropy,
     bisect_monotone,
     check_range,
     math_of,
@@ -53,22 +53,16 @@ from .numerics import (
 __all__ = [
     "CURVE_KINDS",
     "BoundCurve",
-    "CoverageExponent",
     "NoSolutionError",
     "conjectured_exit_distortion_bound",
     "conjectured_exit_rate_bound",
     "counting_bound_distortion",
-    "coverage_exponent",
-    "parametric_distortion",
     "parametric_endpoints",
-    "parametric_rate",
     "poisson_ensemble_distortion_bound",
-    "poisson_ensemble_rate_bound",
     "sample_curve",
     "shannon_distortion",
     "solve_x_for_rate",
     "test_channel_distortion_bound",
-    "test_channel_rate_bound",
 ]
 
 CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
@@ -121,23 +115,6 @@ def _arc(degrees, fractions, x):
     return rate, share - occupancy * rate, (share, occupancy)
 
 
-def _parameter(x):
-    """x itself, once checked to lie in (0, 1)."""
-    if not np.all((x > 0.0) & (x < 1.0)):
-        raise ValueError(f"parameter must be in (0, 1), got {x!r}")
-    return x
-
-
-def parametric_rate(dist: DegreeDistribution, x):
-    """Rate coordinate of the counting-bound arc at parameter x in (0, 1)."""
-    return _arc(dist.degrees, dist.fractions, _parameter(x))[0]
-
-
-def parametric_distortion(dist: DegreeDistribution, x):
-    """Distortion coordinate of the counting-bound arc at parameter x."""
-    return _arc(dist.degrees, dist.fractions, _parameter(x))[1]
-
-
 def parametric_endpoints(
     dist: DegreeDistribution,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -158,13 +135,14 @@ def parametric_endpoints(
     return start, end
 
 
-def _arc_parameter(degrees, fractions, rate, residual_tol: float = 1e-10):
+def _arc_parameter(degrees, fractions, rate):
     """x in (0, 1) where the arc's rate is ``rate``, row by row for an array.
 
     The profile is (degrees, fractions) as ``weight_transforms`` takes it.
     The root finder relies on the arc's rate decreasing in x.  Rates above
     its value at _X_LO are bracketed by [_X_MIN, _X_LO], the rest by
-    [_X_LO, _X_HI].
+    [_X_LO, _X_HI].  A row whose arc rate misses ``rate`` by more than 1e-10
+    raises :class:`BracketError`.
     """
 
     def arc_rate(x):
@@ -175,7 +153,7 @@ def _arc_parameter(degrees, fractions, rate, residual_tol: float = 1e-10):
     hi = pick(near_start, _X_LO, _X_HI)
     x = bisect_monotone(arc_rate, lo, hi, rate, tol=1e-15)
     residual = np.abs(arc_rate(x) - rate)
-    stalled = np.flatnonzero(residual > residual_tol)
+    stalled = np.flatnonzero(residual > 1e-10)
     if stalled.size:
         row = int(stalled[0])
         raise BracketError(
@@ -185,22 +163,21 @@ def _arc_parameter(degrees, fractions, rate, residual_tol: float = 1e-10):
     return x
 
 
-def solve_x_for_rate(dist: DegreeDistribution, rate, residual_tol: float = 1e-10):
+def solve_x_for_rate(dist: DegreeDistribution, rate):
     """Parameter x in (0, 1) whose arc rate equals ``rate``.
 
     Valid for rates between the reciprocal average degree and 1; an array
     of rates is solved row by row.  The inversion brackets the root, so it
     relies on the arc's rate decreasing in x, a property the test suite
     checks on dense grids over regular, Poisson and mixed profiles rather
-    than per call.  Whatever the profile, the returned x satisfies
-    |parametric_rate(x) - rate| <= residual_tol, or :class:`BracketError`
-    is raised.
+    than per call.  Whatever the profile, the arc's rate at the returned x
+    is within 1e-10 of ``rate``, or :class:`BracketError` is raised.
     """
     average = dist.average_degree
     if average <= 1.0:
         raise ValueError(f"average degree must exceed 1, got {average!r}")
     check_range(f"rate on the arc's span [{1.0 / average!r}, 1]", rate, 1.0 / average - 1e-12, 1.0)
-    return _arc_parameter(dist.degrees, dist.fractions, rate, residual_tol)
+    return _arc_parameter(dist.degrees, dist.fractions, rate)
 
 
 @functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
@@ -271,73 +248,6 @@ def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# coverage exponent
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoverageExponent:
-    """Infimum value of the coverage objective and the x attaining it."""
-
-    value: float
-    minimizer_x: float
-
-
-def coverage_exponent(
-    dist: DegreeDistribution, distortion: float, rate: float
-) -> CoverageExponent:
-    """Exponential growth-rate bound of the covered fraction of source space.
-
-    Minimizes ``-R * (log2 gf(x) - a(x) log2 x) + R + h(D + a(x) R)`` over
-    x >= 0 subject to D + a(x) R <= 1/2.  The curve traced by the counting
-    bound is exactly the locus where this infimum equals 1.  The objective
-    is increasing for x > 1, so the search is confined to [0, 1].  Its slope
-    has the sign of x/(1+x) - D - a(x) R, which can change sign twice: the
-    least value on a grid brackets the minimiser, and a root finder on
-    that sign finds it.
-    """
-    check_range("distortion", distortion, 0.0, 0.5)
-    check_range("rate", rate, 0.0, 1.0)
-
-    def objective(x: float) -> float:
-        if x == 0.0:
-            return rate * (1.0 - dist.log2_weight_gf(0.0)) + binary_entropy(distortion)
-        occupancy = dist.mean_occupancy(x)
-        log_ratio = dist.log2_weight_gf(x) - occupancy * math.log2(x)
-        return (
-            -rate * log_ratio + rate + binary_entropy(distortion + occupancy * rate)
-        )
-
-    if rate == 0.0:
-        return CoverageExponent(binary_entropy(distortion), 0.0)
-
-    occupancy_cap = (0.5 - distortion) / rate
-    if occupancy_cap <= 0.0:
-        return CoverageExponent(objective(0.0), 0.0)
-    if occupancy_cap < dist.mean_occupancy(1.0):
-        x_hi = bisect_monotone(
-            dist.mean_occupancy, 0.0, 1.0, occupancy_cap, tol=1e-14
-        )
-    else:
-        x_hi = 1.0
-
-    def slope(x: float) -> float:
-        """Has the sign of the objective's derivative at x."""
-        return x / (1.0 + x) - distortion - dist.mean_occupancy(x) * rate
-
-    grid = np.concatenate(([0.0], np.geomspace(min(1e-9, x_hi), x_hi, 160)))
-    best = int(np.argmin([objective(float(x)) for x in grid]))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    x_min = float(grid[best])
-    if lo < hi and slope(lo) <= 0.0 <= slope(hi):
-        x_min = bisect_monotone(slope, lo, hi, 0.0, tol=1e-12)
-    candidates = [(objective(x), x) for x in (0.0, x_min, x_hi)]
-    value, minimizer = min(candidates, key=lambda pair: (pair[0], pair[1]))
-    return CoverageExponent(value, minimizer)
-
-
-# ---------------------------------------------------------------------------
 # test-channel bound (regular distributions)
 # ---------------------------------------------------------------------------
 
@@ -346,42 +256,6 @@ def _channel(degree: int, u):
     """log2(1 - D'), D', s^l and Den = 1 - log2(1 + s^l) at s = D'/(1-D') = 2^u."""
     xp, s, power = math_of(u), 2.0**u, 2.0 ** (degree * u)
     return -xp.log1p(s) / math.log(2.0), s / (1.0 + s), power, 1.0 - xp.log2(1.0 + power)
-
-
-def test_channel_rate_bound(degree: int, distortion):
-    """Minimal rate supporting ``distortion`` on a degree-regular code.
-
-    Maximizes N/Den = (1 - h(D) - KL(D || D')) / (1 - log2(1 + s^l)) over
-    D' in [D, 1/2), s = D'/(1-D'); in u = log2 s, N = 1 + log2(1 - D') + D u.
-    Its slope has the sign of l q N - (D' - D) Den, q = s^l/(1 + s^l):
-    positive at D' = D and, as checked on dense grids for l = 1..8,
-    changing sign at most once, so one root find in u gives the maximiser
-    and resolves a D' near a tiny D relative to D.  The ratio is 0/0 at
-    D' = 1/2 with limit (1 - 2D)/l, a candidate of its own and the bound
-    past 1/2 - 1e-4, where the search ends: cancellation in N costs about
-    four digits there.  Below R = 1/l^2 the limit wins: D = (1 - l R)/2.
-    """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree!r}")
-    check_range("distortion", distortion, 0.0, 0.5)
-    # rows at D = 0 and D = 1/2 are set at the end; keep their arithmetic finite
-    d = pick((distortion > 0.0) & (distortion < 0.5), distortion, 0.25)
-    xp, top = math_of(d), _CAP_U + 0.0 * d  # the cap in d's shape
-    start = xp.log2(d / (1.0 - d))  # D' = D, as log2 s
-    near = _channel(degree, start)[1]  # D as the search sees it, so D' - D is 0 at start
-
-    def slope(u):  # has the sign of the ratio's derivative at s = 2^u
-        keep, channel, power, den = _channel(degree, u)
-        return degree * power / (1.0 + power) * (1.0 + keep + d * u) - (channel - near) * den
-
-    # a row rising at the cap is solved there; past the cap only the limit counts
-    capped = (start >= top) | (slope(top) >= 0.0)
-    searched = lambda u: pick(capped, top - u, slope(u))
-    u = bisect_monotone(searched, pick(capped, top - 1.0, start), top, 0.0, tol=1e-12)
-    keep, _, _, den = _channel(degree, u)
-    ratio = pick(start < top, (1.0 + keep + d * u) / den, 0.0)
-    bound = xp.maximum(ratio, (1.0 - 2.0 * d) / degree)
-    return pick(distortion == 0.0, 1.0, pick(distortion == 0.5, 0.0, bound))
 
 
 def test_channel_distortion_bound(degree: int, rate):
@@ -426,30 +300,6 @@ def _dwr_slack(check_degree: int, distortion, rate):
     # there keeps the quotient finite
     gain = rate * (1.0 - xp.exp(-(1.0 - distortion) * check_degree / xp.maximum(rate, 1e-300)))
     return _entropy_deficit(distortion) - gain
-
-
-def poisson_ensemble_rate_bound(check_degree: int, distortion: float) -> float:
-    """Smallest rate R in (0, 1] with R(1 - exp(-(1-D) r / R)) >= 1 - h(D).
-
-    This is the ensemble bound for random codes whose check nodes all have
-    degree ``check_degree``.  Raises :class:`NoSolutionError` when even
-    rate 1 fails the inequality.  Since R(1 - exp(...)) <= R, the rate is
-    at least delta = 1 - h(D), which vanishes like (1 - 2D)^2 near D = 1/2;
-    the root is bracketed on [delta, 1] and resolved relative to delta.
-    """
-    if check_degree < 1:
-        raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
-    check_range("distortion", distortion, 0.0, 0.5)
-    if distortion == 0.5:
-        return 0.0
-    slack = functools.partial(_dwr_slack, check_degree, distortion)
-    if slack(1.0) > 0.0:
-        raise NoSolutionError(
-            f"no admissible rate: slack at rate 1 is {slack(1.0):.6g} > 0 "
-            f"(check degree {check_degree}, distortion {distortion!r})"
-        )
-    delta = _entropy_deficit(distortion)
-    return bisect_monotone(slack, delta, 1.0, 0.0, tol=1e-14 * delta)
 
 
 def poisson_ensemble_distortion_bound(check_degree: int, rate):

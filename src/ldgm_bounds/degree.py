@@ -131,8 +131,8 @@ class DegreeDistribution:
                 raise ValueError(f"bad degree: {degree!r}")
             if degree <= prev:
                 raise ValueError("degrees must be distinct and ascending")
-            if fraction < 0.0:
-                raise ValueError(f"negative fraction for degree {degree}: {fraction!r}")
+            if not fraction >= 0.0:  # written so that NaN fails it too
+                raise ValueError(f"fraction for degree {degree} must be >= 0, got {fraction!r}")
             prev = degree
             total += fraction
         if abs(total - 1.0) > _MASS_TOL:
@@ -204,10 +204,6 @@ class DegreeDistribution:
     @functools.cached_property
     def fractions(self) -> tuple[float, ...]:
         return tuple(fraction for _, fraction in self.entries)
-
-    @property
-    def max_degree(self) -> int:
-        return self.entries[-1][0]
 
     # -- transforms ------------------------------------------------------
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from .bounds import counting_bound_distortion
 from .degree import DegreeDistribution
-from .numerics import bisect_monotone
 
 __all__ = [
     "BLOCKLENGTH_LIMIT",
@@ -48,7 +47,6 @@ __all__ = [
     "WeightEnumerator",
     "code_from_text",
     "code_to_text",
-    "coefficient_growth_exponent",
     "coefficient_lower_bound",
     "distance_transform",
     "generator_masks",
@@ -356,22 +354,6 @@ def coefficient_lower_bound(dist: DegreeDistribution, num_generators: int) -> tu
                 extended[k] += coefficients[k - degree]
             coefficients = extended
     return tuple(accumulate(coefficients))
-
-
-def coefficient_growth_exponent(dist: DegreeDistribution, omega: float) -> float:
-    """Large-n growth rate (1/n) log2 of the coefficient floor at occupancy omega.
-
-    omega must lie in (0, half the average degree]; the defining equation
-    mean_occupancy(x) = omega is solved on (0, 1] and the exponent is
-    log2_weight_gf(x) - omega * log2(x).
-    """
-    half_mean = dist.mean_occupancy(1.0)
-    if not 0.0 < omega <= half_mean:
-        raise ValueError(f"occupancy {omega!r} outside (0, {half_mean!r}]")
-    if omega == half_mean:
-        return dist.log2_weight_gf(1.0)
-    x = bisect_monotone(dist.mean_occupancy, 0.0, 1.0, omega, tol=1e-15)
-    return dist.log2_weight_gf(x) - omega * math.log2(x)
 
 
 # ---------------------------------------------------------------------------

@@ -94,14 +94,14 @@ def binary_entropy(p):
     return _entropy(p)
 
 
-def inverse_binary_entropy(y, tol: float = 1e-12):
+def inverse_binary_entropy(y):
     """Unique p in [0, 1/2] with binary_entropy(p) = y.
 
-    Found by :func:`bisect_monotone`; the result is within ``tol`` of the
+    Found by :func:`bisect_monotone`; the result is within 1e-12 of the
     exact preimage.
     """
     check_range("entropy", y, 0.0, 1.0)
-    p = bisect_monotone(_entropy, 0.0, 0.5, y, tol=tol)
+    p = bisect_monotone(_entropy, 0.0, 0.5, y, tol=1e-12)
     return pick(y == 0.0, 0.0, pick(y == 1.0, 0.5, p))
 
 

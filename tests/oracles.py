@@ -3,7 +3,11 @@ XORs of the generators' check sets, never on the package's kernels; a
 naive chain check in ``Fraction``s; the bound curves' row checks taken one
 row and one pair at a time; and the exact stack's small helpers that the
 package itself does not use (``encode``, ``covered_fraction``,
-``optimal_average_distortion``)."""
+``optimal_average_distortion``).
+
+The bound stack's float second routes (the primal rate bounds, the
+coverage exponent and the coefficient floor's growth rate) live in
+``oracles_float.py``, and its 60-digit references in ``oracles_mp.py``."""
 
 import math
 import numbers

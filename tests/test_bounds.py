@@ -10,6 +10,11 @@ from scipy.optimize import brentq
 
 import oracles_mp
 from oracles import curve_check_naive
+from oracles_float import (
+    coverage_exponent,
+    poisson_ensemble_rate_bound,
+    test_channel_rate_bound as channel_rate_bound,
+)
 
 from ldgm_bounds import (
     BoundCurve,
@@ -20,17 +25,12 @@ from ldgm_bounds import (
     conjectured_exit_distortion_bound,
     conjectured_exit_rate_bound,
     counting_bound_distortion,
-    coverage_exponent,
-    parametric_distortion,
     parametric_endpoints,
-    parametric_rate,
     poisson_ensemble_distortion_bound,
-    poisson_ensemble_rate_bound,
     sample_curve,
     shannon_distortion,
     solve_x_for_rate,
     test_channel_distortion_bound as channel_distortion_bound,
-    test_channel_rate_bound as channel_rate_bound,
 )
 from ldgm_bounds import bounds as bounds_module
 from ldgm_bounds.cli import parse_degree_spec
@@ -40,6 +40,17 @@ REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
 MIXED = DegreeDistribution.from_fractions({1: 0.5, 3: 0.5})
 DEGREE0 = DegreeDistribution.from_fractions({0: 0.1, 2: 0.5, 4: 0.4})
+
+
+def parametric_rate(dist, x):
+    """Rate coordinate of the counting arc at parameter x."""
+    return bounds_module._arc(dist.degrees, dist.fractions, x)[0]
+
+
+def parametric_distortion(dist, x):
+    """Distortion coordinate of the counting arc at parameter x."""
+    return bounds_module._arc(dist.degrees, dist.fractions, x)[1]
+
 
 # Frozen references from independent 30-digit recomputations.
 COUNTING_REG2_HALF = 0.11504158274866218

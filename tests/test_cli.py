@@ -181,6 +181,14 @@ def test_curve_bad_literal(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [["curve", "--bound", "counting"], ["verify", "--m", "14", "--n", "7"]])
+@pytest.mark.parametrize("degrees", ["2:nan", "2:nan,3:1"])
+def test_nan_fraction_is_a_usage_error(capsys, command, degrees):
+    status, out, err = run([*command, "--degrees", degrees], capsys)
+    assert (status, out) == (2, "")
+    assert "fraction for degree 2 must be >= 0, got nan" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -406,6 +414,31 @@ def test_curve_output_matches_golden_csv(capsys, name):
     status, out, err = run(["curve", *GOLDEN_CURVES[name]], capsys)
     assert (status, err) == (0, "")
     assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
+# Reports and tables written by ``ldgm-bounds verify`` and ``enum``, run
+# from the repository root, before the test-only bound forms left the
+# package; output must match them byte for byte.  ``readme.ldgm`` is the
+# code file README.md shows.
+GOLDEN_REPORTS = {
+    "verify-regular2-m14": ["verify", "--m", "14", "--n", "7", "--degrees", "regular:2", "--trials", "3"],
+    "verify-mixed-m16": ["verify", "--m", "16", "--n", "8", "--degrees", "1:0.5,3:0.5", "--trials", "3", "--seed", "5"],
+    "verify-rank24-m26": ["verify", "--m", "26", "--n", "24", "--degrees", "regular:2", "--seed", "230", "--trials", "1"],
+    "verify-rank0-m26": ["verify", "--m", "26", "--n", "0", "--degrees", "regular:2", "--trials", "1"],
+    "enum-readme": ["enum", "tests/golden/readme.ldgm"],
+}
+
+
+def test_golden_reports_name_every_golden_txt():
+    assert sorted(GOLDEN_REPORTS) == sorted(path.stem for path in GOLDEN.glob("*.txt"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_output_matches_golden_txt(monkeypatch, capsys, name):
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    status, out, err = run(GOLDEN_REPORTS[name], capsys)
+    assert (status, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_curve_rejects_single_step(capsys):

@@ -13,7 +13,7 @@ def test_regular_distribution():
     dist = DegreeDistribution.regular(3)
     assert dist.entries == ((3, 1.0),)
     assert dist.average_degree == 3.0
-    assert dist.max_degree == 3
+    assert dist.degrees[-1] == 3
 
 
 def test_from_fractions_orders_entries():
@@ -32,6 +32,18 @@ def test_rejects_bad_mass():
         DegreeDistribution(((1, 0.6), (2, 0.6)))
     with pytest.raises(ValueError):
         DegreeDistribution(((1, -0.1), (2, 1.1)))
+
+
+@pytest.mark.parametrize("entries", [((2, math.nan),), ((2, math.nan), (3, 1.0))])
+def test_rejects_nan_fraction(entries):
+    with pytest.raises(ValueError, match=r"fraction for degree 2 must be >= 0, got nan"):
+        DegreeDistribution(entries)
+
+
+@pytest.mark.parametrize("text", ["2:nan", "2:nan,3:1"])
+def test_literal_rejects_nan_fraction(text):
+    with pytest.raises(ValueError, match=r"fraction for degree 2 must be >= 0, got nan"):
+        parse_degree_literal(text)
 
 
 def test_rejects_duplicate_or_descending_degrees():

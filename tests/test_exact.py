@@ -15,7 +15,6 @@ from ldgm_bounds import (
     binary_entropy,
     code_from_text,
     code_to_text,
-    coefficient_growth_exponent,
     coefficient_lower_bound,
     counting_bound_distortion,
     distance_transform,
@@ -43,6 +42,7 @@ from oracles import (
     weight_enumerator_gray,
     weight_enumerator_naive,
 )
+from oracles_float import coefficient_growth_exponent
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
