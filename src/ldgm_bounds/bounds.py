@@ -485,11 +485,13 @@ def sample_curve(
 ) -> BoundCurve:
     """Sample one bound curve over a grid of rates.
 
-    Parameter requirements by kind: ``counting`` takes either a fixed
-    ``dist`` or a ``check_degree`` (the Poisson family then has a member
-    per rate); ``test_channel`` and ``conjectured_exit`` take ``degree``;
-    ``dwr`` takes ``check_degree``; ``shannon`` takes nothing.  Each
-    family is solved for the whole grid at once.
+    Each family takes one parameter, with the degree spec that gives it on
+    the command line in brackets, and ignores the others: ``counting`` a
+    fixed ``dist`` [a literal or regular:<l>] or a ``check_degree``
+    [poisson:<r>, one member per rate, rates > 0]; ``test_channel`` and
+    ``conjectured_exit`` a ``degree`` [regular:<l>]; ``dwr`` a
+    ``check_degree`` [poisson:<r>]; ``shannon`` none.  Each family is
+    solved for the whole grid at once.
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind: {kind!r}")
@@ -504,7 +506,7 @@ def sample_curve(
         distortions = shannon_distortion(rates)
     elif kind == "counting":
         if (dist is None) == (check_degree is None):
-            raise ValueError("counting curve needs exactly one of dist, check_degree")
+            raise ValueError("counting takes a degree profile or poisson:<r>, exactly one")
         if dist is not None:
             params.append(("degrees", dist.to_literal()))
             distortions = counting_bound_distortion(dist, rates)
@@ -512,21 +514,19 @@ def sample_curve(
             params.append(("family", "poisson"))
             params.append(("check_degree", str(check_degree)))
             distortions = _poisson_counting(check_degree, rates)
-    elif kind == "test_channel":
-        if degree is None:
-            raise ValueError("test_channel curve needs degree")
-        params.append(("degree", str(degree)))
-        distortions = test_channel_distortion_bound(degree, rates)
     elif kind == "dwr":
         if check_degree is None:
-            raise ValueError("dwr curve needs check_degree")
+            raise ValueError("dwr takes a check degree, poisson:<r>")
         params.append(("check_degree", str(check_degree)))
         distortions = poisson_ensemble_distortion_bound(check_degree, rates)
-    else:  # conjectured_exit
+    else:  # test_channel or conjectured_exit
         if degree is None:
-            raise ValueError("conjectured_exit curve needs degree")
+            raise ValueError(f"{kind} takes a regular degree, regular:<l>")
         params.append(("degree", str(degree)))
-        distortions = conjectured_exit_distortion_bound(degree, rates)
+        if kind == "test_channel":
+            distortions = test_channel_distortion_bound(degree, rates)
+        else:
+            distortions = conjectured_exit_distortion_bound(degree, rates)
 
     rows = tuple(rates.tolist()), tuple(distortions.tolist())
     return BoundCurve(kind, *rows, tuple(params), dist if kind == "counting" else None)

@@ -9,11 +9,11 @@ Three subcommands:
   coefficient floor.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-or parse errors, 3 when an exact computation exceeds its budget
-(``BudgetError``; ``verify`` raises it for ``--m`` or ``--n`` past the
-budget before sampling), and 4 when a bound has no solution or its
-numerics cannot deliver one (``NoSolutionError``, ``BracketError``,
-``TruncationError``).
+or parse errors, 3 when a computation exceeds its budget (``BudgetError``,
+raised for ``--m`` or ``--n`` past the exact budgets and for ``--steps``
+or ``--d-grid-steps`` past the grid caps, before anything is built), and
+4 when a bound has no solution or its numerics cannot deliver one
+(``NoSolutionError``, ``BracketError``, ``TruncationError``).
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ _BOUND_FLAGS = {
 }
 
 CONJECTURE_NOTICE = "# CONJECTURE: unproven bound, not a theorem"
+
+# Grid caps, far above any useful curve or verify grid: a larger grid is
+# refused before it is allocated.
+_STEPS_LIMIT = 10**6
+_D_GRID_LIMIT = 10**5
 
 
 class UsageError(ValueError):
@@ -124,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _rate_grid(args) -> np.ndarray:
     if args.steps < 2:
         raise UsageError(f"--steps must be >= 2, got {args.steps}")
+    if args.steps > _STEPS_LIMIT:
+        raise BudgetError(f"--steps {args.steps} exceeds the budget of {_STEPS_LIMIT}")
     if not (0.0 <= args.rate_min < args.rate_max <= 1.0):
         raise UsageError(
             f"need 0 <= rate-min < rate-max <= 1, got {args.rate_min}..{args.rate_max}"
@@ -133,46 +140,21 @@ def _rate_grid(args) -> np.ndarray:
 
 
 def _curve_for_args(args) -> BoundCurve:
-    kind = _BOUND_FLAGS[args.bound]
     grid = _rate_grid(args)
-    given = [
-        flag
-        for flag, value in (("--degrees", args.degrees), ("--l", args.l), ("--r", args.r))
-        if value is not None
-    ]
+    texts = {
+        "--degrees": args.degrees,
+        "--l": None if args.l is None else f"regular:{args.l}",
+        "--r": None if args.r is None else f"poisson:{args.r}",
+    }
+    given = [flag for flag, text in texts.items() if text is not None]
     if len(given) > 1:
         raise UsageError(
             f"give at most one of --degrees, --l and --r, got {' and '.join(given)}"
         )
-    if args.degrees:
-        spec = parse_degree_spec(args.degrees)
-    else:
-        spec = DegreeSpec(regular=args.l, poisson=args.r)
-
-    if kind == "shannon":
-        return sample_curve("shannon", grid)
-
-    if kind == "counting":
-        if spec.poisson is not None:
-            if min(grid) <= 0.0:
-                raise UsageError("poisson counting curves need rates > 0")
-            return sample_curve("counting", grid, check_degree=spec.poisson)
-        dist = spec.dist
-        if dist is None and spec.regular is not None:
-            dist = DegreeDistribution.regular(spec.regular)
-        if dist is None:
-            raise UsageError("counting needs --degrees (or --l / --r)")
-        return sample_curve("counting", grid, dist=dist)
-
-    if kind in ("test_channel", "conjectured_exit"):
-        if spec.regular is None:
-            raise UsageError(f"{args.bound} needs --l or --degrees regular:<l>")
-        return sample_curve(kind, grid, degree=spec.regular)
-
-    # dwr
-    if spec.poisson is None:
-        raise UsageError("dwr needs --r or --degrees poisson:<r>")
-    return sample_curve("dwr", grid, check_degree=spec.poisson)
+    spec = parse_degree_spec(texts[given[0]]) if given else DegreeSpec()
+    return sample_curve(
+        _BOUND_FLAGS[args.bound], grid, dist=spec.dist, degree=spec.regular, check_degree=spec.poisson
+    )
 
 
 def render_curve_csv(curve: BoundCurve) -> str:
@@ -249,6 +231,10 @@ def cmd_verify(args) -> int:
         raise BudgetError(f"--m {args.m} exceeds the budget of {BLOCKLENGTH_LIMIT}")
     if args.n > GENERATOR_LIMIT:
         raise BudgetError(f"--n {args.n} exceeds the budget of {GENERATOR_LIMIT}")
+    if args.d_grid_steps > _D_GRID_LIMIT:
+        raise BudgetError(
+            f"--d-grid-steps {args.d_grid_steps} exceeds the budget of {_D_GRID_LIMIT}"
+        )
     dist = _verify_distribution(args.degrees)
     grid = [k / (2 * (args.d_grid_steps - 1)) for k in range(args.d_grid_steps)]
 

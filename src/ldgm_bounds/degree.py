@@ -96,7 +96,7 @@ def poisson_rows(check_degree: int, rates) -> tuple[np.ndarray, np.ndarray]:
     if check_degree < 1:
         raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
     rates = np.asarray(rates, dtype=float)
-    check_range("rate", rates, math.ulp(0.0), 1.0)
+    check_range("poisson rate", rates, math.ulp(0.0), 1.0)
     lam = check_degree / rates
     top = float(lam.max())
     pmf = _poisson_pmf(lam, min(int(top + 12.0 * math.sqrt(top)) + 40, _POISSON_MAX_DEGREE + 1))

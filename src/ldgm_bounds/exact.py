@@ -13,9 +13,10 @@ dual: the 2^k distinct codewords, or, when m - k < k, the 2^(m-k) dual
 words turned into codeword counts by the MacWilliams identity in exact
 integers.  It scales each count by the 2^(n-k) index words that share a
 codeword.  The distance transform convolves, in exact integers, the
-histograms of the code's parts on disjoint check sets; a part of m_c
-checks and rank k_c makes at most m_c min-plus passes over a table of its
-2^(m_c-k_c) cosets.
+histograms of the code's parts on disjoint check sets: one binomial row
+for the uncovered checks and the parts with one free bit, and for any
+other part, of m_c checks and rank k_c, at most m_c min-plus passes over
+a table of its 2^(m_c-k_c) cosets.
 
 Budgets keep runtimes at desk scale: index-word enumeration is capped at
 n <= 24 generators and the distance transform at m <= 26 checks.  Both
@@ -166,8 +167,8 @@ def _integral_degree_counts(dist: DegreeDistribution, n: int) -> dict[int, int]:
 _COUNT_CHUNK = 1 << 20
 
 
-def _basis(masks) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon basis of the span of ``masks``, and its pivots.
+def _basis(masks) -> list[int]:
+    """Reduced row-echelon basis of the span of ``masks``.
 
     Each row's pivot is its lowest set bit, and that bit is clear in every
     other row, so a combination of rows has a set pivot bit exactly where
@@ -182,7 +183,7 @@ def _basis(masks) -> tuple[list[int], list[int]]:
             pivot = mask & -mask
             rows = [row ^ mask if row & pivot else row for row in rows]
             rows.append(mask)
-    return rows, [(row & -row).bit_length() - 1 for row in rows]
+    return rows
 
 
 def _span(masks, first_check: int = 0) -> np.ndarray:
@@ -254,7 +255,7 @@ def weight_enumerator(code: LdgmCode) -> WeightEnumerator:
             f"of {GENERATOR_LIMIT}"
         )
     m = code.num_checks
-    rows, _ = _basis(generator_masks(code))
+    rows = _basis(generator_masks(code))
     k = len(rows)
     if 2 * k > m:
         counts = _macwilliams(_span_weights(_dual_rows(rows, m), m), m - k)
@@ -342,18 +343,8 @@ def coefficient_lower_bound(dist: DegreeDistribution, num_generators: int) -> tu
     polynomial degree keep the terminal value 2^n.
     """
     counts = _integral_degree_counts(dist, num_generators)
-    coefficients = [1]
-    for degree, count in sorted(counts.items()):
-        if degree == 0:
-            # (1 + x^0) contributes a factor 2 per generator
-            coefficients = [c << count for c in coefficients]
-            continue
-        for _ in range(count):
-            extended = coefficients + [0] * degree
-            for k in range(degree, len(extended)):
-                extended[k] += coefficients[k - degree]
-            coefficients = extended
-    return tuple(accumulate(coefficients))
+    rows = (_binomial(count, degree) for degree, count in sorted(counts.items()))
+    return tuple(accumulate(functools.reduce(_convolve, rows, [1])))
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +375,20 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
     The code is a direct sum of parts on disjoint check sets: its basis
     rows grouped by shared checks, and each check no row touches.  A source
     word's distance is the sum of its distances in the parts, so the
-    histogram is the convolution of the parts' histograms, C(u, j) for the
-    u uncovered checks.  A row of one check is a part at distance 0.
+    histogram is the convolution of the parts' histograms.  A row of one
+    check is a part at distance 0.  An uncovered check, like a part with
+    one free bit (m_c - k_c = 1), has two cosets with leaders of weight 0
+    and 1, a factor (1 + z): one binomial row stands for all of them.
 
-    Within a part of m_c checks and rank k_c, the distance depends only on
-    the coset: ``_coset_leaders`` keeps one cell per coset, indexed by the
-    syndrome, the non-pivot bits of the coset's member with clear pivot
-    bits.  Flipping check bit b XORs the syndrome with b's column: its unit
-    vector for a non-pivot bit, its basis row's non-pivot bits for a pivot
-    bit.  From the code's cell 0, one min-plus pass per distinct nonzero
-    column leaves in each cell the coset leader's weight.  The work is
-    O(sum of m_c 2^(m_c-k_c)), not O(m 2^(m-k)); each coset stands for 2^k
-    source words.
+    In a part of m_c checks and rank k_c with m_c - k_c >= 2, the distance
+    depends only on the coset: ``_coset_leaders`` keeps one cell per coset,
+    indexed by the syndrome, the non-pivot bits of the coset's member with
+    clear pivot bits.  Flipping check bit b XORs the syndrome with b's
+    column: its unit vector for a non-pivot bit, its basis row's non-pivot
+    bits for a pivot bit.  From the code's cell 0, one min-plus pass per
+    distinct nonzero column leaves in each cell the coset leader's weight.
+    The work is O(sum of m_c 2^(m_c-k_c)), not O(m 2^(m-k)); each coset
+    stands for 2^k source words.
     """
     if code.num_checks > BLOCKLENGTH_LIMIT:
         raise BudgetError(
@@ -403,7 +396,7 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
             f"of {BLOCKLENGTH_LIMIT}"
         )
     m = code.num_checks
-    rows, _ = _basis(generator_masks(code))
+    rows = _basis(generator_masks(code))
     parts: list[tuple[int, list[int]]] = []  # (check set, basis rows), disjoint
     for row in rows:
         if not row & (row - 1):
@@ -416,11 +409,11 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
             else:
                 rest.append(part)
         parts = rest + [(checks, members)]
-    uncovered = m - functools.reduce(int.__or__, rows, 0).bit_count()
-    histograms = [_coset_leaders(checks, members) for checks, members in parts]
-    if uncovered or not histograms:
-        histograms.append([math.comb(uncovered, j) for j in range(uncovered + 1)])
-    histogram = functools.reduce(_convolve, histograms)
+    # factors (1 + z): the uncovered checks and the parts with one free bit
+    wide = [part for part in parts if part[0].bit_count() - len(part[1]) > 1]
+    ones = m - functools.reduce(int.__or__, rows, 0).bit_count() + len(parts) - len(wide)
+    histograms = (_coset_leaders(checks, members) for checks, members in wide)
+    histogram = functools.reduce(_convolve, histograms, _binomial(ones))
     histogram += [0] * (m + 1 - len(histogram))
     return CoverProfile(m, tuple(c << len(rows) for c in histogram))
 
@@ -444,6 +437,14 @@ def _coset_leaders(checks: int, rows) -> list[int]:
         )
         np.minimum(cube, cube[flip] + np.uint8(1), out=cube)
     return _histogram(table, len(free) + 1)
+
+
+def _binomial(count: int, stride: int = 1) -> list[int]:
+    """Coefficients of (1 + z^stride)^count, exactly; [2^count] at stride 0."""
+    row = [0] * (stride * count + 1)
+    for j in range(count + 1):
+        row[stride * j] += math.comb(count, j)
+    return row
 
 
 def _convolve(left: list[int], right: list[int]) -> list[int]:

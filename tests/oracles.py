@@ -1,8 +1,10 @@
 """Brute-force oracles for the exact kernels, built on ``encode`` or on
 XORs of the generators' check sets, never on the package's kernels; a
-naive chain check in ``Fraction``s; the bound curves' row checks taken one
-row and one pair at a time; and the exact stack's small helpers that the
-package itself does not use (``encode``, ``covered_fraction``,
+per-generator coefficient floor; a union-find closed form of the
+transform for codes of degree at most 2; a naive chain check in
+``Fraction``s; the bound curves' row checks taken one row and one pair
+at a time; and the exact stack's small helpers that the package itself
+does not use (``encode``, ``covered_fraction``,
 ``optimal_average_distortion``).
 
 The bound stack's float second routes (the primal rate bounds, the
@@ -12,7 +14,7 @@ coverage exponent and the coefficient floor's growth rate) live in
 import math
 import numbers
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -98,6 +100,47 @@ def distance_transform_table(code: LdgmCode) -> CoverProfile:
     for bit in range(m):
         np.minimum(cube, flipped({bit}) + np.uint8(1), out=cube)
     return CoverProfile(m, tuple(np.bincount(table, minlength=m + 1).tolist()))
+
+
+def distance_transform_degree2(code: LdgmCode) -> CoverProfile:
+    """Closed-form transform of a code whose generators have degree <= 2.
+
+    Degree-2 generators are edges of a graph on the checks, and degree-1
+    generators pin a check.  A connected component with a pin has full
+    rank; one without has rank v - 1, and its two cosets have leaders of
+    weight 0 and 1.  With c unpinned components, isolated checks included,
+    the histogram is C(c, j) 2^(m - c).
+    """
+    m = code.num_checks
+    parent = list(range(m))
+
+    def root(check):
+        while parent[check] != check:
+            check = parent[check]
+        return check
+
+    pins = []
+    for checks in code.generators:
+        if len(checks) > 2:
+            raise ValueError(f"generator of degree {len(checks)} > 2")
+        if len(checks) == 1:
+            pins.append(checks[0])
+        elif len(checks) == 2:
+            parent[root(checks[0])] = root(checks[1])
+    free = len({root(check) for check in range(m)} - {root(check) for check in pins})
+    return CoverProfile(m, tuple(math.comb(free, j) << (m - free) for j in range(m + 1)))
+
+
+def coefficient_floor_naive(degrees) -> tuple[int, ...]:
+    """Reference coefficient floor: prefix sums of prod_g (1 + x^(d_g)),
+    multiplied out one generator of degree d_g at a time."""
+    coefficients = [1]
+    for degree in degrees:
+        grown = coefficients + [0] * degree
+        for k, c in enumerate(coefficients):
+            grown[k + degree] += c
+        coefficients = grown
+    return tuple(accumulate(coefficients))
 
 
 def covered_fraction(profile: CoverProfile, distortion: float) -> float:

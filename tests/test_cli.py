@@ -160,6 +160,37 @@ def test_curve_dwr_requires_check_degree(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "bound, flags, family",
+    [
+        ("counting", [], "counting"),
+        ("test-channel", ["--degrees", "2:1"], "test_channel"),
+        ("test-channel", ["--r", "3"], "test_channel"),
+        ("dwr", ["--degrees", "regular:3"], "dwr"),
+        ("dwr", ["--l", "2"], "dwr"),
+        ("conjecture", ["--degrees", "poisson:3"], "conjectured_exit"),
+        ("conjecture", ["--degrees", "1:0.5,3:0.5"], "conjectured_exit"),
+        # the Poisson family has no member at rate 0
+        ("counting", ["--degrees", "poisson:3", "--rate-min", "0"], "poisson"),
+    ],
+)
+def test_curve_spec_a_family_cannot_use_exits_2(capsys, bound, flags, family):
+    status, out, err = run(["curve", "--bound", bound, *flags], capsys)
+    assert (status, out) == (2, "")
+    assert family in err
+
+
+def test_curve_oversized_grid_refused_before_sampling(monkeypatch, capsys):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("sampled a curve past the grid cap")
+
+    monkeypatch.setattr(cli_module, "sample_curve", no_curve)
+    steps = str(cli_module._STEPS_LIMIT + 1)
+    status, out, err = run(["curve", "--bound", "shannon", "--steps", steps], capsys)
+    assert (status, out) == (3, "")
+    assert f"--steps {steps} exceeds the budget" in err
+
+
 def test_curve_bad_rate_window(capsys):
     status, _, err = run(
         [
@@ -277,6 +308,20 @@ def test_verify_budget_refused_before_sampling(monkeypatch, capsys):
         assert status == 3
         assert out == ""
         assert flag in err
+
+
+def test_verify_oversized_d_grid_refused_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("sampled a code past the grid cap")
+
+    monkeypatch.setattr(cli_module, "sample_code", no_sampling)
+    steps = str(cli_module._D_GRID_LIMIT + 1)
+    status, out, err = run(
+        ["verify", "--m", "14", "--n", "7", "--degrees", "regular:2", "--d-grid-steps", steps],
+        capsys,
+    )
+    assert (status, out) == (3, "")
+    assert f"--d-grid-steps {steps} exceeds the budget" in err
 
 
 def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):

@@ -24,7 +24,9 @@ from ldgm_bounds import (
     weight_enumerator,
     write_code_file,
 )
+from ldgm_bounds import exact as exact_module
 from ldgm_bounds.exact import (
+    BLOCKLENGTH_LIMIT,
     CoverProfile,
     _basis,
     _dual_rows,
@@ -34,7 +36,9 @@ from ldgm_bounds.exact import (
 )
 from oracles import (
     chain_check_naive,
+    coefficient_floor_naive,
     covered_fraction,
+    distance_transform_degree2,
     distance_transform_naive,
     distance_transform_table,
     encode,
@@ -252,7 +256,7 @@ def test_weight_enumerator_budget():
 @example(LdgmCode(5, ((0, 1), (), (1, 2), (1, 2), (3,), (0, 4), ())))
 def test_weight_enumerator_dual_side_matches_naive(code):
     masks = generator_masks(code)
-    rows, _ = _basis(masks)
+    rows = _basis(masks)
     dual = _dual_rows(rows, code.num_checks)
     assert len(dual) == code.num_checks - len(rows)
     assert all((word & mask).bit_count() % 2 == 0 for word in dual for mask in masks)
@@ -263,7 +267,7 @@ def test_weight_enumerator_dual_side_past_one_word():
     # Rank 18 > m - k = 16, and the dual words reach checks 32 and 33, so
     # their popcounts are summed over two 32-check slices.
     code = sample_code(34, 18, REG3, seed=0)
-    rows, _ = _basis(generator_masks(code))
+    rows = _basis(generator_masks(code))
     assert len(rows) == 18
     assert max(_dual_rows(rows, 34)) >> 32
     assert weight_enumerator(code).counts == weight_enumerator_gray(code).counts
@@ -336,6 +340,17 @@ def test_coefficient_floor_is_exact_integer_arithmetic():
     floors = coefficient_lower_bound(REG3, 40)
     assert floors[-1] == 2**40
     assert all(isinstance(v, int) for v in floors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=30))
+# degree 0 alone: the floor is 2^n at every weight
+@example([0, 0, 0])
+# degree 0 beside a mix of degrees
+@example([0, 2, 5, 0, 1, 2, 2])
+def test_coefficient_floor_matches_per_generator_product(degrees):
+    dist = DegreeDistribution.from_degrees(degrees)
+    assert coefficient_lower_bound(dist, len(degrees)) == coefficient_floor_naive(degrees)
 
 
 def test_growth_exponent_regular_identity():
@@ -426,6 +441,67 @@ def test_factored_transform_matches_unfactored_oracles(code):
     assert histogram == distance_transform_table(code).histogram
     if code.num_checks <= 12:
         assert histogram == distance_transform_naive(code).histogram
+
+
+@st.composite
+def degree_two_codes(draw, max_checks=BLOCKLENGTH_LIMIT):
+    """Codes with m <= max_checks and up to 40 generators of degree 0, 1 or
+    2, sometimes with a generator repeated."""
+    m = draw(st.integers(min_value=1, max_value=max_checks))
+    check_sets = st.lists(
+        st.integers(min_value=0, max_value=m - 1), unique=True, max_size=min(m, 2)
+    ).map(lambda checks: tuple(sorted(checks)))
+    generators = draw(st.lists(check_sets, max_size=40))
+    if generators and draw(st.booleans()):
+        generators.append(draw(st.sampled_from(generators)))
+    return LdgmCode(m, tuple(generators))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree_two_codes())
+# parallel edges, a repeated pin, degree-0 generators and an isolated check
+@example(LdgmCode(6, ((0, 1), (0, 1), (), (2,), (2,), (1, 3), ())))
+# a cycle without a pin, and a pinned path
+@example(LdgmCode(7, ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6,))))
+# every check pinned, so the code is full rank
+@example(LdgmCode(4, ((0,), (1,), (2,), (3,), (0, 3))))
+# the budget code, regular 2 at m = 26 and rank 20
+@example(sample_code(26, 24, REG2, seed=3))
+def test_distance_transform_matches_degree_two_closed_form(code):
+    assert distance_transform(code).histogram == distance_transform_degree2(code).histogram
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*[st.integers(min_value=0, max_value=20)] * 3).filter(any),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_counting_bound_below_degree_two_optimum(weights, rate):
+    # A forest with distinct pins reaches D = (1 - R (1 - L_0)) / 2, so no
+    # bound for every code with the profile may exceed it.
+    fractions = {d: w / sum(weights) for d, w in enumerate(weights) if w}
+    line = (1.0 - rate * (1.0 - fractions.get(0, 0.0))) / 2.0
+    dist = DegreeDistribution.from_fractions(fractions)
+    assert counting_bound_distortion(dist, rate) <= line + 1e-12
+
+
+def test_coset_table_only_for_parts_with_two_free_bits(monkeypatch):
+    # A part with one free bit is a factor (1 + z) of the binomial row.
+    free_bits = []
+
+    def spy(checks, rows):
+        free_bits.append(checks.bit_count() - len(rows))
+        return coset_leaders(checks, rows)
+
+    coset_leaders = exact_module._coset_leaders
+    monkeypatch.setattr(exact_module, "_coset_leaders", spy)
+    distance_transform(sample_code(26, 24, REG2, seed=3))
+    assert free_bits == []
+    codes = [sample_code(12, 6, REG3, seed) for seed in range(5)] + list(EDGE_CODES)
+    codes.append(sample_code(16, 8, DegreeDistribution.from_fractions({1: 0.5, 3: 0.5}), 0))
+    for code in codes:
+        distance_transform(code)
+    assert free_bits and min(free_bits) >= 2
 
 
 @pytest.mark.parametrize("num_generators", [0, 4])
