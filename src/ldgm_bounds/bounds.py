@@ -23,6 +23,25 @@ The counting bound is pieced together from a parametric arc, traced by a
 parameter x in (0, 1), and a straight segment through (D, R) = (1/2, 0)
 that takes over at rates below the reciprocal of the average degree.
 
+The segment is the least the arc allows.  Below 1/avg a code keeps
+t <= R avg of its checks covered, at total distortion
+f(t) = (1 - t)/2 + t D(R/t), D the arc, and f'(t) = D(r) - r D'(r) - 1/2
+at r = R/t: the arc's tangent meets R = 0 at D(r) - r D'(r).  With G the
+log2 weight gf, the arc's slope is dD/dR = (1 - G(x))/log2 x, so that
+intercept is log2(2/(1 + x)) / log2(1/x) for every profile.  It is below
+1/2 because 4x < (1 + x)^2 on (0, 1), so f falls in t and is least at
+t = R avg, the segment.  The slope falls along x at the rate
+-Den / (x ln 2 (log2 x)^2), where Den = sum_i L_i (1 - h(x^i/(1 + x^i)))
+is the rate's positive denominator, so the arc is convex in R.  The
+tests check both from the arc's analytic derivatives.
+
+The counting bound is not tight for codes whose generators all have
+degree 0, 1 or 2.  Such a code's exact optimum is (m - k)/(2m), half its
+redundancy, and each edge or pin removes at most one free component, so
+it is at least (1 - R (1 - L_0))/2, with equality for a forest with
+distinct pins: that line is the tight bound there.  The counting bound
+lies below it; for regular 2 at R = 1/2 it gives 0.1150 against 0.25.
+
 Every distortion bound takes a float or a numpy array of rates and
 answers in kind, so ``sample_curve`` solves a family over its whole rate
 grid in one row-wise call of the shared root finder, ``bisect_monotone``,

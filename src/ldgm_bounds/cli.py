@@ -10,8 +10,9 @@ Three subcommands:
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 or parse errors, 3 when a computation exceeds its budget (``BudgetError``,
-raised for ``--m`` or ``--n`` past the exact budgets and for ``--steps``
-or ``--d-grid-steps`` past the grid caps, before anything is built), and
+raised for ``--m`` or ``--n`` past the exact budgets, for ``--steps``
+or ``--d-grid-steps`` past the grid caps and for ``--trials`` past 10^6,
+before anything is built), and
 4 when a bound has no solution or its numerics cannot deliver one
 (``NoSolutionError``, ``BracketError``, ``TruncationError``).
 """
@@ -50,9 +51,14 @@ _BOUND_FLAGS = {
 CONJECTURE_NOTICE = "# CONJECTURE: unproven bound, not a theorem"
 
 # Grid caps, far above any useful curve or verify grid: a larger grid is
-# refused before it is allocated.
+# refused before it is allocated.  The trials cap bounds the report lines
+# verify holds until it writes them, about 150 bytes each.
 _STEPS_LIMIT = 10**6
 _D_GRID_LIMIT = 10**5
+_TRIALS_LIMIT = 10**6
+# Entries kept by the ``parse_degree_spec`` memo, keyed by spec text: a
+# campaign of verify calls uses a few profiles.
+_SPEC_CACHE_SIZE = 64
 
 
 class UsageError(ValueError):
@@ -68,8 +74,12 @@ class DegreeSpec:
     poisson: int | None = None
 
 
+@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
 def parse_degree_spec(text: str) -> DegreeSpec:
-    """Accept "regular:<l>", "poisson:<r>", or a degree:fraction literal."""
+    """Accept "regular:<l>", "poisson:<r>", or a degree:fraction literal.
+
+    Memoised per text, so every verify call on one spec shares one
+    distribution and the values it caches."""
     head, sep, tail = text.partition(":")
     if sep and head in ("regular", "poisson"):
         try:
@@ -235,8 +245,10 @@ def cmd_verify(args) -> int:
         raise BudgetError(
             f"--d-grid-steps {args.d_grid_steps} exceeds the budget of {_D_GRID_LIMIT}"
         )
+    if args.trials > _TRIALS_LIMIT:
+        raise BudgetError(f"--trials {args.trials} exceeds the budget of {_TRIALS_LIMIT}")
     dist = _verify_distribution(args.degrees)
-    grid = [k / (2 * (args.d_grid_steps - 1)) for k in range(args.d_grid_steps)]
+    grid = tuple(k / (2 * (args.d_grid_steps - 1)) for k in range(args.d_grid_steps))
 
     lines = []
     failures = 0

@@ -21,6 +21,14 @@ a table of its 2^(m_c-k_c) cosets.
 Budgets keep runtimes at desk scale: index-word enumeration is capped at
 n <= 24 generators and the distance transform at m <= 26 checks.  Both
 are checked before anything is allocated.
+
+``verify_code`` pays per code only for that code.  The code runs one
+elimination, kept on it (``LdgmCode._rows``) for both kernels.  What holds
+for every code of a profile, the coefficient floors, the counting bound at
+n/m and the d-grid's radii with their exact (num, den) pairs, is kept by
+``_profile_checks``, an ``lru_cache`` of ``_PROFILE_CACHE_SIZE`` = 256
+entries keyed by (profile, n, m, d-grid) that holds immutable values only;
+its ``cache_info()`` counts the hits and misses.
 """
 
 from __future__ import annotations
@@ -95,6 +103,12 @@ class LdgmCode:
     def realized_distribution(self) -> DegreeDistribution:
         """Degree distribution actually present in this instance."""
         return DegreeDistribution.from_degrees([len(g) for g in self.generators])
+
+    @functools.cached_property
+    def _rows(self) -> tuple[int, ...]:
+        """The reduced basis of the generator masks, eliminated once per
+        code and read by both exact kernels."""
+        return tuple(_basis(generator_masks(self)))
 
 
 def _check_indices(checks, num_checks: int, label: str, number: int) -> None:
@@ -255,7 +269,7 @@ def weight_enumerator(code: LdgmCode) -> WeightEnumerator:
             f"of {GENERATOR_LIMIT}"
         )
     m = code.num_checks
-    rows = _basis(generator_masks(code))
+    rows = code._rows
     k = len(rows)
     if 2 * k > m:
         counts = _macwilliams(_span_weights(_dual_rows(rows, m), m), m - k)
@@ -396,7 +410,7 @@ def distance_transform(code: LdgmCode) -> CoverProfile:
             f"of {BLOCKLENGTH_LIMIT}"
         )
     m = code.num_checks
-    rows = _basis(generator_masks(code))
+    rows = code._rows
     parts: list[tuple[int, list[int]]] = []  # (check set, basis rows), disjoint
     for row in rows:
         if not row & (row - 1):
@@ -512,6 +526,25 @@ def _ratio(value) -> tuple[int, int]:
     return int(num), int(den)
 
 
+# Entries kept by the ``_profile_checks`` memo, keyed by (profile, n, m,
+# d-grid): one verify command uses one, and a campaign over five
+# profiles at m 12..20 cycles through 133.
+_PROFILE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _profile_checks(
+    dist: DegreeDistribution, num_generators: int, num_checks: int, d_grid: tuple
+):
+    """What ``verify_code`` checks every code of a profile and size against:
+    the coefficient floors, the counting bound at rate n/m, and per grid
+    entry its covering radius and exact (numerator, denominator) pair.
+    Immutable values, computed once per key."""
+    floors = coefficient_lower_bound(dist, num_generators)
+    grid = tuple((_radius(d, num_checks), _ratio(d)) for d in d_grid)
+    return floors, counting_bound_distortion(dist, num_generators / num_checks), grid
+
+
 def verify_code(
     code: LdgmCode,
     dist: DegreeDistribution,
@@ -523,9 +556,10 @@ def verify_code(
     # allocates its table.
     enumerator = weight_enumerator(code)
     profile = distance_transform(code)
-    floors = coefficient_lower_bound(dist, code.num_generators)
-
+    d_grid = tuple(d_grid)
     m = code.num_checks
+    floors, bound, grid = _profile_checks(dist, code.num_generators, m, d_grid)
+
     total = 1 << m
     weighted = sum(d * count for d, count in enumerate(profile.histogram))
     optimal = profile.average_distortion()
@@ -537,10 +571,9 @@ def verify_code(
     chain_ok = True
     worst_num, worst_den = 0, 1
     covered_samples = []
-    for d in d_grid:
-        covered = within[_radius(d, m)]
+    for d, (radius, (num, den)) in zip(d_grid, grid):
+        covered = within[radius]
         covered_samples.append((float(d), covered / total))
-        num, den = _ratio(d)
         rhs = num * (total - covered)
         if rhs * worst_den > worst_num * den:
             worst_num, worst_den = rhs, den
@@ -553,7 +586,6 @@ def verify_code(
     enumerator_slack = min(cumulative[w] - floors[min(w, last)] for w in range(m + 1))
     enumerator_ok = enumerator_slack >= 0
 
-    bound = counting_bound_distortion(dist, code.num_generators / m)
     bound_margin = optimal - bound
     bound_ok = bound_margin >= -1e-9
 

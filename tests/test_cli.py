@@ -16,11 +16,13 @@ from ldgm_bounds import (
     TruncationError,
     sample_code,
     shannon_distortion,
+    verify_code,
     write_code_file,
 )
 from ldgm_bounds import bounds as bounds_module
 from ldgm_bounds import cli as cli_module
-from ldgm_bounds.cli import main, parse_degree_spec
+from ldgm_bounds import exact as exact_module
+from ldgm_bounds.cli import UsageError, main, parse_degree_spec
 
 REG2 = DegreeDistribution.regular(2)
 
@@ -324,6 +326,20 @@ def test_verify_oversized_d_grid_refused_before_sampling(monkeypatch, capsys):
     assert f"--d-grid-steps {steps} exceeds the budget" in err
 
 
+def test_verify_trials_past_cap_refused_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("sampled a code past the trials cap")
+
+    monkeypatch.setattr(cli_module, "sample_code", no_sampling)
+    trials = str(cli_module._TRIALS_LIMIT + 1)
+    status, out, err = run(
+        ["verify", "--m", "14", "--n", "7", "--degrees", "regular:2", "--trials", trials],
+        capsys,
+    )
+    assert (status, out) == (3, "")
+    assert f"--trials {trials} exceeds the budget" in err
+
+
 def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):
     # Every trial checks against the bound at the same rate n/m = 1/2, on
     # the arc of regular-3; the float solve is memoised, not repeated.
@@ -336,6 +352,7 @@ def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):
     solve = bounds_module.solve_x_for_rate
     monkeypatch.setattr(bounds_module, "solve_x_for_rate", counted)
     bounds_module._x_for_rate.cache_clear()
+    exact_module._profile_checks.cache_clear()
     argv = ["verify", "--m", "16", "--n", "8", "--degrees", "regular:3", "--trials", "5"]
     status, out, _ = run(argv, capsys)
     assert status == 0
@@ -359,6 +376,7 @@ def test_verify_segment_rates_share_one_solve(monkeypatch, capsys):
     solve = bounds_module.solve_x_for_rate
     monkeypatch.setattr(bounds_module, "solve_x_for_rate", counted)
     bounds_module._x_for_rate.cache_clear()
+    exact_module._profile_checks.cache_clear()
     for n in ("4", "6"):
         argv = ["verify", "--m", "16", "--n", n, "--degrees", "regular:2", "--trials", "3"]
         status, out, _ = run(argv, capsys)
@@ -366,6 +384,44 @@ def test_verify_segment_rates_share_one_solve(monkeypatch, capsys):
         assert out.count("PASS") == 3
     assert solves == [0.5]
     bounds_module._x_for_rate.cache_clear()
+
+
+def test_campaign_instances_fit_the_profile_memo():
+    # The (profile, n, m) instances of one verify campaign, as in
+    # perfbench/workloads.py, checked on the default d-grid.  Replayed
+    # with fresh codes, and each spec parsed afresh past its own memo, the
+    # second pass only hits: the memo is keyed by value, not by object.
+    profiles = (("regular:2", 1), ("regular:3", 1), ("1:0.5,3:0.5", 2),
+                ("2:0.5,4:0.5", 2), ("1:0.25,2:0.5,3:0.25", 4))
+    instances = [
+        (m, max(multiple, round(m * rate / multiple) * multiple), spec)
+        for m in range(12, 21)
+        for spec, multiple in profiles
+        for rate in (0.25, 0.5, 0.75)
+    ]
+    assert len(instances) == 135
+    grid = tuple(k / 50 for k in range(26))
+    memo = exact_module._profile_checks
+    memo.cache_clear()
+    for seed in range(2):
+        before = memo.cache_info().misses
+        for m, n, spec in instances:
+            dist = parse_degree_spec.__wrapped__(spec).dist
+            verify_code(sample_code(m, n, dist, seed), dist, grid, seed=seed)
+    info = memo.cache_info()
+    assert info.misses == before
+    assert info.hits >= len(instances)
+    memo.cache_clear()
+
+
+def test_parse_degree_spec_memo_returns_one_spec_per_text():
+    parse_degree_spec.cache_clear()
+    first = parse_degree_spec("1:0.5,3:0.5")
+    assert parse_degree_spec("1:0.5,3:0.5") is first
+    assert parse_degree_spec.cache_info()[:2] == (1, 1)  # hits, misses
+    with pytest.raises(UsageError):
+        parse_degree_spec("regular:0")
+    assert parse_degree_spec.cache_info().currsize == 1  # errors are not kept
 
 
 @pytest.mark.parametrize("size", [("0", "4"), ("14", "-1")])
@@ -470,6 +526,7 @@ GOLDEN_REPORTS = {
     "verify-mixed-m16": ["verify", "--m", "16", "--n", "8", "--degrees", "1:0.5,3:0.5", "--trials", "3", "--seed", "5"],
     "verify-rank24-m26": ["verify", "--m", "26", "--n", "24", "--degrees", "regular:2", "--seed", "230", "--trials", "1"],
     "verify-rank0-m26": ["verify", "--m", "26", "--n", "0", "--degrees", "regular:2", "--trials", "1"],
+    "verify-default-m20": ["verify", "--m", "20", "--n", "10", "--degrees", "regular:3"],
     "enum-readme": ["enum", "tests/golden/readme.ldgm"],
 }
 
@@ -484,6 +541,17 @@ def test_report_output_matches_golden_txt(monkeypatch, capsys, name):
     status, out, err = run(GOLDEN_REPORTS[name], capsys)
     assert (status, err) == (0, "")
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_golden_reports_repeat_in_one_process(monkeypatch, capsys):
+    # What one report leaves in the memos must not change another: every
+    # report, run in order and then in reverse in one process, matches
+    # its file.
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    names = list(GOLDEN_REPORTS)
+    for name in names + names[::-1]:
+        expected = (0, (GOLDEN / f"{name}.txt").read_text(), "")
+        assert run(GOLDEN_REPORTS[name], capsys) == expected, name
 
 
 def test_curve_rejects_single_step(capsys):

@@ -644,6 +644,55 @@ def test_chain_check_at_budget_limit_matches_naive(seed):
     assert report.chain_ok
 
 
+def test_verify_code_eliminates_once_per_code(monkeypatch):
+    # Both kernels read one basis per code: the primal-side enumerator at
+    # rank 6 of m = 14, the dual side at rank above m/2 (m = 12, n = 10).
+    calls = []
+
+    def spy(masks):
+        calls.append(masks)
+        return basis(masks)
+
+    basis = exact_module._basis
+    monkeypatch.setattr(exact_module, "_basis", spy)
+    grid = [k / 50 for k in range(26)]
+    codes = [sample_code(14, 6, REG3, seed) for seed in range(3)]
+    codes += [sample_code(12, 10, REG2, seed) for seed in range(3)]
+    for count, code in enumerate(codes, start=1):
+        verify_code(code, code.realized_distribution(), grid)
+        assert len(calls) == count
+    assert max(len(code._rows) for code in codes) > 6
+
+
+def test_profile_memo_bounded_over_many_grids():
+    memo = exact_module._profile_checks
+    memo.cache_clear()
+    keys = memo.cache_info().maxsize + 50
+    grids = [(k / (2 * keys),) for k in range(keys)]
+    for grid in grids:
+        verify_code(PAIR_CODE, REG2, grid)
+    info = memo.cache_info()
+    assert info.misses == keys
+    assert info.currsize == info.maxsize
+    # The first grid was evicted, so asking again computes afresh.
+    verify_code(PAIR_CODE, REG2, grids[0])
+    assert memo.cache_info().misses == keys + 1
+    memo.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=30))
+@example([0, 0, 0])
+@example([0, 2, 5, 0, 1, 2, 2])
+def test_memoised_floors_match_per_generator_product(degrees):
+    # A miss and then a hit both give the naive product, with zero tolerance.
+    dist = DegreeDistribution.from_degrees(degrees)
+    m = max(len(degrees), *degrees, 1)
+    for _ in range(2):
+        floors, _, _ = exact_module._profile_checks(dist, len(degrees), m, ())
+        assert floors == coefficient_floor_naive(degrees)
+
+
 @pytest.mark.parametrize("distortion", [-0.1, 1.5, math.nan])
 def test_verify_code_rejects_distortions_outside_unit_interval(distortion):
     with pytest.raises(ValueError, match="distortion out of range"):
