@@ -12,7 +12,8 @@ Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 or parse errors, 3 when a computation exceeds its budget (``BudgetError``,
 raised for ``--m`` or ``--n`` past the exact budgets, for ``--steps``
 or ``--d-grid-steps`` past the grid caps and for ``--trials`` past 10^6,
-before anything is built), and
+before anything is built, and for an ``enum`` code file of more than 1024
+checks, before its elimination), and
 4 when a bound has no solution or its numerics cannot deliver one
 (``NoSolutionError``, ``BracketError``, ``TruncationError``).
 """
@@ -50,9 +51,11 @@ _BOUND_FLAGS = {
 
 CONJECTURE_NOTICE = "# CONJECTURE: unproven bound, not a theorem"
 
-# Grid caps, far above any useful curve or verify grid: a larger grid is
-# refused before it is allocated.  The trials cap bounds the report lines
-# verify holds until it writes them, about 150 bytes each.
+# Grid caps, far above any useful curve or verify grid.  A curve grid past
+# its cap is refused before it is allocated; the d-grid is never
+# allocated, and its cap bounds the chain check's work, one step per grid
+# point per code.  The trials cap bounds the report lines verify holds
+# until it writes them, about 150 bytes each.
 _STEPS_LIMIT = 10**6
 _D_GRID_LIMIT = 10**5
 _TRIALS_LIMIT = 10**6
@@ -248,7 +251,6 @@ def cmd_verify(args) -> int:
     if args.trials > _TRIALS_LIMIT:
         raise BudgetError(f"--trials {args.trials} exceeds the budget of {_TRIALS_LIMIT}")
     dist = _verify_distribution(args.degrees)
-    grid = tuple(k / (2 * (args.d_grid_steps - 1)) for k in range(args.d_grid_steps))
 
     lines = []
     failures = 0
@@ -257,7 +259,7 @@ def cmd_verify(args) -> int:
     for trial in range(args.trials):
         seed = args.seed + trial
         code = sample_code(args.m, args.n, dist, seed)
-        report = verify_code(code, dist, grid, seed=seed)
+        report = verify_code(code, dist, args.d_grid_steps, seed=seed)
         bound_value = report.bound_distortion
         if worst_optimal is None or report.optimal_distortion < worst_optimal:
             worst_optimal = report.optimal_distortion

@@ -18,17 +18,19 @@ for the uncovered checks and the parts with one free bit, and for any
 other part, of m_c checks and rank k_c, at most m_c min-plus passes over
 a table of its 2^(m_c-k_c) cosets.
 
-Budgets keep runtimes at desk scale: index-word enumeration is capped at
-n <= 24 generators and the distance transform at m <= 26 checks.  Both
-are checked before anything is allocated.
+Budgets keep runtimes at desk scale: the weight enumerator is capped at
+n <= 24 generators and m <= 1024 checks, and the distance transform at
+m <= 26 checks.  All are checked before anything is allocated.
 
 ``verify_code`` pays per code only for that code.  The code runs one
 elimination, kept on it (``LdgmCode._rows``) for both kernels.  What holds
-for every code of a profile, the coefficient floors, the counting bound at
-n/m and the d-grid's radii with their exact (num, den) pairs, is kept by
-``_profile_checks``, an ``lru_cache`` of ``_PROFILE_CACHE_SIZE`` = 256
-entries keyed by (profile, n, m, d-grid) that holds immutable values only;
-its ``cache_info()`` counts the hits and misses.
+for every code of a profile, the coefficient floors and the counting bound
+at n/m, is kept by ``_profile_checks``, an ``lru_cache`` of
+``_PROFILE_CACHE_SIZE`` = 256 entries keyed by (profile, n, m) that holds
+immutable values only; its ``cache_info()`` counts the hits and misses.
+The chain check takes the d-grid as its step count s: grid point k is
+k / den with den = 2 (s - 1), its radius is floor(k m / den), and the
+check runs in integers over den.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -68,6 +69,9 @@ __all__ = [
 
 BLOCKLENGTH_LIMIT = 26
 GENERATOR_LIMIT = 24
+# The weight enumerator's check budget: its histograms and its output grow
+# with m, even at rank 0.
+_CHECKS_LIMIT = 1024
 
 
 class BudgetError(ValueError):
@@ -269,6 +273,10 @@ def weight_enumerator(code: LdgmCode) -> WeightEnumerator:
             f"of {GENERATOR_LIMIT}"
         )
     m = code.num_checks
+    if m > _CHECKS_LIMIT:
+        raise BudgetError(
+            f"blocklength {m} exceeds the enumeration budget of {_CHECKS_LIMIT}"
+        )
     rows = code._rows
     k = len(rows)
     if 2 * k > m:
@@ -470,17 +478,6 @@ def _convolve(left: list[int], right: list[int]) -> list[int]:
     return product
 
 
-def _radius(distortion, num_checks: int) -> int:
-    """Covering radius floor(distortion * m) of a distortion in [0, 1].
-
-    The 1e-9 guard lands gridded distortions on an integer radius despite
-    rounding.
-    """
-    if not 0.0 <= distortion <= 1.0:
-        raise ValueError(f"distortion out of range: {distortion!r}")
-    return int(math.floor(distortion * num_checks + 1e-9))
-
-
 # ---------------------------------------------------------------------------
 # verification of one instance
 # ---------------------------------------------------------------------------
@@ -490,9 +487,10 @@ def _radius(distortion, num_checks: int) -> int:
 class VerificationReport:
     """Outcome of the three per-code checks, with literal margins.
 
-    * chain: optimal distortion >= d * (1 - covered(d)) on the grid, with
-      covered(d) the share of source words within radius floor(d m),
-      compared by exact integer cross-multiplication (zero tolerance);
+    * chain: optimal distortion >= d (1 - covered(d)) at each grid point
+      d = k / den, den = 2 (steps - 1), k = 0 .. steps - 1, with covered(d)
+      the share of source words within radius floor(k m / den), compared
+      by exact integer cross-multiplication over den (zero tolerance);
       ``chain_margin`` rounds the exact worst case once.
     * enumerator: cumulative weight counts >= coefficient floor, exact
       integers; ``enumerator_slack`` is the smallest difference.
@@ -508,7 +506,6 @@ class VerificationReport:
     bound_margin: float
     chain_margin: float
     enumerator_slack: int
-    covered: tuple[tuple[float, float], ...]
     chain_ok: bool
     enumerator_ok: bool
     bound_ok: bool
@@ -518,68 +515,50 @@ class VerificationReport:
         return self.chain_ok and self.enumerator_ok and self.bound_ok
 
 
-def _ratio(value) -> tuple[int, int]:
-    """An int, float or rational, numpy's scalars included, as an exact pair
-    (numerator, denominator > 0) of Python ints, which cannot overflow."""
-    as_ratio = getattr(value, "as_integer_ratio", None)
-    num, den = as_ratio() if as_ratio else (value.numerator, value.denominator)
-    return int(num), int(den)
-
-
-# Entries kept by the ``_profile_checks`` memo, keyed by (profile, n, m,
-# d-grid): one verify command uses one, and a campaign over five
-# profiles at m 12..20 cycles through 133.
+# Entries kept by the ``_profile_checks`` memo, keyed by (profile, n, m):
+# one verify command uses one, and a campaign over five profiles at
+# m 12..20 cycles through 133.
 _PROFILE_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _profile_checks(
-    dist: DegreeDistribution, num_generators: int, num_checks: int, d_grid: tuple
-):
+def _profile_checks(dist: DegreeDistribution, num_generators: int, num_checks: int):
     """What ``verify_code`` checks every code of a profile and size against:
-    the coefficient floors, the counting bound at rate n/m, and per grid
-    entry its covering radius and exact (numerator, denominator) pair.
-    Immutable values, computed once per key."""
+    the coefficient floors and the counting bound at rate n/m.  Immutable
+    values, computed once per key."""
     floors = coefficient_lower_bound(dist, num_generators)
-    grid = tuple((_radius(d, num_checks), _ratio(d)) for d in d_grid)
-    return floors, counting_bound_distortion(dist, num_generators / num_checks), grid
+    return floors, counting_bound_distortion(dist, num_generators / num_checks)
 
 
 def verify_code(
     code: LdgmCode,
     dist: DegreeDistribution,
-    d_grid,
+    d_grid_steps: int,
     seed: int | None = None,
 ) -> VerificationReport:
-    """Run all exact checks of the counting bound against one instance."""
+    """Run all exact checks of the counting bound against one instance,
+    the chain on the d-grid k / (2 (d_grid_steps - 1)), k < d_grid_steps."""
+    if d_grid_steps < 2:
+        raise ValueError(f"need at least 2 d-grid steps, got {d_grid_steps!r}")
     # The enumerator first: its budget then refuses before the transform
     # allocates its table.
     enumerator = weight_enumerator(code)
     profile = distance_transform(code)
-    d_grid = tuple(d_grid)
     m = code.num_checks
-    floors, bound, grid = _profile_checks(dist, code.num_generators, m, d_grid)
+    floors, bound = _profile_checks(dist, code.num_generators, m)
 
     total = 1 << m
     weighted = sum(d * count for d, count in enumerate(profile.histogram))
     optimal = profile.average_distortion()
 
-    # d (1 - covered/2^m) <= weighted / (m 2^m) for d = num/den is
-    # num (2^m - covered) m <= weighted den, all in integers.  The worst
-    # right-hand side num (2^m - covered) / den is kept as a pair too.
+    # At d = k/den, d (1 - covered/2^m) <= weighted / (m 2^m) is
+    # k (2^m - covered) m <= weighted den, all in integers, with covered
+    # the source words within radius floor(k m / den).
+    den = 2 * (d_grid_steps - 1)
     within = tuple(accumulate(profile.histogram))  # source words within radius r
-    chain_ok = True
-    worst_num, worst_den = 0, 1
-    covered_samples = []
-    for d, (radius, (num, den)) in zip(d_grid, grid):
-        covered = within[radius]
-        covered_samples.append((float(d), covered / total))
-        rhs = num * (total - covered)
-        if rhs * worst_den > worst_num * den:
-            worst_num, worst_den = rhs, den
-        if weighted * den < rhs * m:
-            chain_ok = False
-    chain_margin = optimal - float(Fraction(worst_num, worst_den)) / total
+    worst = max(k * (total - within[k * m // den]) for k in range(d_grid_steps))
+    chain_ok = worst * m <= weighted * den
+    chain_margin = optimal - worst / den / total
 
     cumulative = enumerator.cumulative()
     last = len(floors) - 1
@@ -599,7 +578,6 @@ def verify_code(
         bound_margin=bound_margin,
         chain_margin=chain_margin,
         enumerator_slack=enumerator_slack,
-        covered=tuple(covered_samples),
         chain_ok=chain_ok,
         enumerator_ok=enumerator_ok,
         bound_ok=bound_ok,

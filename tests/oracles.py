@@ -12,7 +12,6 @@ coverage exponent and the coefficient floor's growth rate) live in
 ``oracles_float.py``, and its 60-digit references in ``oracles_mp.py``."""
 
 import math
-import numbers
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -157,27 +156,23 @@ def optimal_average_distortion(code: LdgmCode) -> float:
 
 
 def chain_check_naive(profile: CoverProfile, d_grid):
-    """Reference chain check: (chain_ok, chain_margin, covered) in ``Fraction``s.
+    """Reference chain check: (chain_ok, chain_margin) in ``Fraction``s.
 
-    At each grid d, with covered the source words within radius
-    floor(d m + 1e-9), the chain holds when optimal >= d (1 - covered/2^m).
-    Integers are taken as Python ints: ``Fraction`` keeps a numpy integer
-    as its numerator, and its arithmetic would then overflow.
+    ``d_grid`` holds exact ``Fraction``s.  At each grid d, with covered the
+    source words within radius floor(d m), the chain holds when
+    optimal >= d (1 - covered/2^m).
     """
     m, total = profile.num_checks, 1 << profile.num_checks
     optimal = Fraction(sum(d * count for d, count in enumerate(profile.histogram)), m * total)
     chain_ok = True
     worst = Fraction(0)
-    covered_samples = []
     for d in d_grid:
-        covered = sum(profile.histogram[: math.floor(d * m + 1e-9) + 1])
-        covered_samples.append((float(d), covered / total))
-        exact = Fraction(int(d)) if isinstance(d, numbers.Integral) else Fraction(d)
-        rhs = exact * (total - covered) / total
+        covered = sum(profile.histogram[: math.floor(d * m) + 1])
+        rhs = d * (total - covered) / total
         worst = max(worst, rhs)
         if optimal < rhs:
             chain_ok = False
-    return chain_ok, float(optimal) - float(worst), tuple(covered_samples)
+    return chain_ok, float(optimal) - float(worst)
 
 
 def curve_check_naive(rates, distortions):

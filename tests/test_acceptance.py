@@ -33,7 +33,6 @@ REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
 MIXED = DegreeDistribution.from_fractions({1: 0.5, 3: 0.5})
 
-D_GRID_26 = [k / 50 for k in range(26)]
 
 
 def announce(capsys, number, name, ok, detail):
@@ -158,7 +157,7 @@ def test_criterion_07_verification_campaign(capsys):
     ):
         for seed in range(trials):
             code = sample_code(num_checks, num_generators, dist, seed)
-            report = verify_code(code, dist, D_GRID_26, seed=seed)
+            report = verify_code(code, dist, 26, seed=seed)
             total += 1
             if not report.passed:
                 failures += 1

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -400,14 +401,13 @@ def test_campaign_instances_fit_the_profile_memo():
         for rate in (0.25, 0.5, 0.75)
     ]
     assert len(instances) == 135
-    grid = tuple(k / 50 for k in range(26))
     memo = exact_module._profile_checks
     memo.cache_clear()
     for seed in range(2):
         before = memo.cache_info().misses
         for m, n, spec in instances:
             dist = parse_degree_spec.__wrapped__(spec).dist
-            verify_code(sample_code(m, n, dist, seed), dist, grid, seed=seed)
+            verify_code(sample_code(m, n, dist, seed), dist, 26, seed=seed)
     info = memo.cache_info()
     assert info.misses == before
     assert info.hits >= len(instances)
@@ -527,6 +527,7 @@ GOLDEN_REPORTS = {
     "verify-rank24-m26": ["verify", "--m", "26", "--n", "24", "--degrees", "regular:2", "--seed", "230", "--trials", "1"],
     "verify-rank0-m26": ["verify", "--m", "26", "--n", "0", "--degrees", "regular:2", "--trials", "1"],
     "verify-default-m20": ["verify", "--m", "20", "--n", "10", "--degrees", "regular:3"],
+    "verify-dgrid7-m20": ["verify", "--m", "20", "--n", "10", "--degrees", "regular:3", "--d-grid-steps", "7"],
     "enum-readme": ["enum", "tests/golden/readme.ldgm"],
 }
 
@@ -616,6 +617,33 @@ def test_enum_over_budget_exits_3(tmp_path, capsys):
     assert status == 3
     assert out == ""
     assert "error: 25 generators exceed the enumeration budget of 24" in err
+
+
+def test_enum_past_check_budget_refused_before_elimination(tmp_path, capsys):
+    # A 17-byte file that names a million checks: refused before the
+    # enumerator eliminates or allocates anything that grows with m.
+    path = tmp_path / "long.txt"
+    path.write_text("ldgm 1000000 1\n0\n")
+    cli_module._parser()
+    tracemalloc.start()
+    try:
+        status, out, err = run(["enum", str(path)], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (status, out) == (3, "")
+    assert "error: blocklength 1000000 exceeds the enumeration budget of 1024" in err
+    assert peak < 1 << 20
+
+
+def test_enum_check_budget_edge(tmp_path, capsys):
+    path = tmp_path / "edge.txt"
+    path.write_text("ldgm 1024 1\n0\n")
+    status, out, _ = run(["enum", str(path)], capsys)
+    assert status == 0
+    assert len(out.splitlines()) == 1024 + 3
+    path.write_text("ldgm 1025 1\n0\n")
+    assert run(["enum", str(path)], capsys)[0] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -552,7 +552,7 @@ def test_verify_code_refuses_enumeration_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            verify_code(wide, wide.realized_distribution(), [0.0, 0.5])
+            verify_code(wide, wide.realized_distribution(), 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -583,8 +583,7 @@ def test_covered_fraction_radius_floor():
 
 def test_verify_code_passes_on_sampled_instance():
     code = sample_code(12, 6, REG2, seed=9)
-    grid = [k / 50 for k in range(26)]
-    report = verify_code(code, REG2, grid, seed=9)
+    report = verify_code(code, REG2, 26, seed=9)
     assert report.passed
     assert report.chain_ok and report.enumerator_ok and report.bound_ok
     assert report.optimal_distortion >= report.bound_distortion - 1e-9
@@ -594,8 +593,7 @@ def test_verify_code_passes_on_sampled_instance():
 
 def test_verify_report_margins_consistent():
     code = sample_code(14, 7, REG2, seed=2)
-    grid = [k / 50 for k in range(26)]
-    report = verify_code(code, REG2, grid, seed=2)
+    report = verify_code(code, REG2, 26, seed=2)
     assert report.bound_margin == pytest.approx(
         report.optimal_distortion - report.bound_distortion, abs=1e-15
     )
@@ -605,43 +603,45 @@ def test_verify_report_margins_consistent():
 
 
 def chain_fields(report):
-    return report.chain_ok, report.chain_margin, report.covered
+    return report.chain_ok, report.chain_margin
 
 
-# Grid entries of every type verify_code takes: floats, ints, rationals and
-# numpy scalars; 0.5 - 1e-12 reaches its radius only through the 1e-9 guard.
-GRID_ENTRIES = st.one_of(
-    st.floats(0.0, 1.0),
-    st.integers(0, 1),
-    st.fractions(0, 1, max_denominator=40),
-    st.sampled_from([Fraction(1, 3), 0.5, 0.5 - 1e-12, 0.125, 1.0 / 3.0, np.int64(1)]),
-)
+def exact_grid(steps):
+    """The d-grid of ``steps`` steps as exact fractions k / (2 (steps - 1))."""
+    return [Fraction(k, 2 * (steps - 1)) for k in range(steps)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     # rate at most 1, where the counting bound is defined
     small_codes(max_checks=16).filter(lambda code: code.num_generators <= code.num_checks),
-    st.lists(GRID_ENTRIES, min_size=1, max_size=30),
+    st.integers(min_value=2, max_value=200),
 )
-@example(PAIR_CODE, [0, Fraction(1, 8), 0.124, 0.125, 0.5, 1])
-@example(LdgmCode(6, ()), [0.0, Fraction(1, 6), 1.0 / 6.0, 1])
+# den = 16 (steps 9) is a multiple of m = 8: every radius k m / den is whole
+@example(PAIR_CODE, 9)
+# den = 50 (steps 26) is not a multiple of m = 6: most radii are floored
+@example(LdgmCode(6, ()), 26)
+# steps 2, the smallest grid: d in {0, 1/2}
+@example(LdgmCode(7, ((0, 1), (2, 3, 4))), 2)
 # full rank: optimal 0 equals the right-hand side at d = 0, and the chain holds
-@example(LdgmCode(2, ((0,), (0, 1))), [0, 0.0, Fraction(0)])
-def test_chain_check_matches_naive_fractions(code, grid):
+@example(LdgmCode(2, ((0,), (0, 1))), 2)
+def test_chain_check_matches_naive_fractions(code, steps):
     dist = code.realized_distribution() if code.generators else REG2
-    report = verify_code(code, dist, grid)
+    report = verify_code(code, dist, steps)
     profile = distance_transform(code)
-    assert chain_fields(report) == chain_check_naive(profile, grid)
+    assert chain_fields(report) == chain_check_naive(profile, exact_grid(steps))
 
 
 @pytest.mark.parametrize("seed", sorted(BUDGET_PINS))
 def test_chain_check_at_budget_limit_matches_naive(seed):
-    grid = [k / 50 for k in range(26)] + [Fraction(k, 26) for k in range(27)]
-    report = verify_code(sample_code(26, 24, REG2, seed=seed), REG2, grid, seed=seed)
+    # steps 26 is the grid k/50, steps 14 the grid k/26, whose radii k
+    # land exactly on integers at m = 26.
+    code = sample_code(26, 24, REG2, seed=seed)
     pinned = CoverProfile(26, BUDGET_PINS[seed][0])
-    assert chain_fields(report) == chain_check_naive(pinned, grid)
-    assert report.chain_ok
+    for steps in (26, 14):
+        report = verify_code(code, REG2, steps, seed=seed)
+        assert chain_fields(report) == chain_check_naive(pinned, exact_grid(steps))
+        assert report.chain_ok
 
 
 def test_verify_code_eliminates_once_per_code(monkeypatch):
@@ -655,27 +655,30 @@ def test_verify_code_eliminates_once_per_code(monkeypatch):
 
     basis = exact_module._basis
     monkeypatch.setattr(exact_module, "_basis", spy)
-    grid = [k / 50 for k in range(26)]
     codes = [sample_code(14, 6, REG3, seed) for seed in range(3)]
     codes += [sample_code(12, 10, REG2, seed) for seed in range(3)]
     for count, code in enumerate(codes, start=1):
-        verify_code(code, code.realized_distribution(), grid)
+        verify_code(code, code.realized_distribution(), 26)
         assert len(calls) == count
     assert max(len(code._rows) for code in codes) > 6
 
 
-def test_profile_memo_bounded_over_many_grids():
+def test_profile_memo_bounded_over_many_sizes():
+    # One key per (n, m): n generators of degree 1, all on check 0.
     memo = exact_module._profile_checks
     memo.cache_clear()
     keys = memo.cache_info().maxsize + 50
-    grids = [(k / (2 * keys),) for k in range(keys)]
-    for grid in grids:
-        verify_code(PAIR_CODE, REG2, grid)
+    sizes = [(n, m) for m in range(1, BLOCKLENGTH_LIMIT + 1) for n in range(m + 1)][:keys]
+    assert len(sizes) == keys
+    codes = [LdgmCode(m, ((0,),) * n) for n, m in sizes]
+    reg1 = DegreeDistribution.regular(1)
+    for code in codes:
+        verify_code(code, reg1, 26)
     info = memo.cache_info()
     assert info.misses == keys
     assert info.currsize == info.maxsize
-    # The first grid was evicted, so asking again computes afresh.
-    verify_code(PAIR_CODE, REG2, grids[0])
+    # The first size was evicted, so asking again computes afresh.
+    verify_code(codes[0], reg1, 26)
     assert memo.cache_info().misses == keys + 1
     memo.cache_clear()
 
@@ -689,14 +692,14 @@ def test_memoised_floors_match_per_generator_product(degrees):
     dist = DegreeDistribution.from_degrees(degrees)
     m = max(len(degrees), *degrees, 1)
     for _ in range(2):
-        floors, _, _ = exact_module._profile_checks(dist, len(degrees), m, ())
+        floors, _ = exact_module._profile_checks(dist, len(degrees), m)
         assert floors == coefficient_floor_naive(degrees)
 
 
-@pytest.mark.parametrize("distortion", [-0.1, 1.5, math.nan])
-def test_verify_code_rejects_distortions_outside_unit_interval(distortion):
-    with pytest.raises(ValueError, match="distortion out of range"):
-        verify_code(PAIR_CODE, REG2, [0.25, distortion])
+@pytest.mark.parametrize("steps", [1, 0, -3])
+def test_verify_code_rejects_fewer_than_two_steps(steps):
+    with pytest.raises(ValueError, match="at least 2 d-grid steps"):
+        verify_code(PAIR_CODE, REG2, steps)
 
 
 # ---------------------------------------------------------------------------
