@@ -33,14 +33,17 @@ intercept is log2(2/(1 + x)) / log2(1/x) for every profile.  It is below
 t = R avg, the segment.  The slope falls along x at the rate
 -Den / (x ln 2 (log2 x)^2), where Den = sum_i L_i (1 - h(x^i/(1 + x^i)))
 is the rate's positive denominator, so the arc is convex in R.  The
-tests check both from the arc's analytic derivatives.
+tests check both from the arc's analytic derivatives.  At average degree
+at most 1 there is no arc, and the count alone gives the line
+D = (1 - R avg)/2, covered checks taken at distortion 0.
 
 The counting bound is not tight for codes whose generators all have
 degree 0, 1 or 2.  Such a code's exact optimum is (m - k)/(2m), half its
 redundancy, and each edge or pin removes at most one free component, so
 it is at least (1 - R (1 - L_0))/2, with equality for a forest with
 distinct pins: that line is the tight bound there.  The counting bound
-lies below it; for regular 2 at R = 1/2 it gives 0.1150 against 0.25.
+lies below it, and on it for degrees 0 and 1 alone; for regular 2 at
+R = 1/2 it gives 0.1150 against 0.25.
 
 Every distortion bound takes a float or a numpy array of rates and
 answers in kind, so ``sample_curve`` solves a family over its whole rate
@@ -92,11 +95,6 @@ CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 _X_MIN = 1e-300
 _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
-# Entries kept by the ``_x_for_rate`` memo, keyed by profile and
-# max(R, 1/avg): a fixed-profile curve uses one, its segment anchor at
-# 1/avg, and a campaign of verify calls over a few profiles at m <= 20
-# uses a few dozen; float calls must not grow it without end.
-_DIST_CACHE_SIZE = 128
 # The test-channel searches end at D' = 1/2 - 1e-4, where cancellation
 # sets in, written as u = log2 s, s = D'/(1-D').
 _CAP_U = math.log2((0.5 - 1e-4) / (0.5 + 1e-4))
@@ -199,12 +197,6 @@ def solve_x_for_rate(dist: DegreeDistribution, rate):
     return _arc_parameter(dist.degrees, dist.fractions, rate)
 
 
-@functools.lru_cache(maxsize=_DIST_CACHE_SIZE)
-def _x_for_rate(dist: DegreeDistribution, rate: float) -> float:
-    """``solve_x_for_rate`` at one float rate, solved once per profile and rate."""
-    return solve_x_for_rate(dist, rate)
-
-
 def _counting(degrees, fractions, average, rate, x):
     """Counting bound at ``rate`` from the arc at x, its parameter at
     max(R, 1/average): that arc point from 1/average up, and below it the
@@ -220,27 +212,26 @@ def counting_bound_distortion(dist: DegreeDistribution, rate):
     Uses the parametric arc for rates at or above the reciprocal average
     degree and the straight segment through (1/2, 0) below it; at the
     arc's start rate 1/(1 - L_0) and above, the bound is 0.  Distributions
-    with average degree at most 1 degenerate to the line D = (1 - R)/2.
-    Only an array's arc rows are solved for; every segment row, and every
-    float rate below 1/average, shares the memoised solve at 1/average.
+    with average degree at most 1 degenerate to the line D = (1 - R avg)/2:
+    at least a share 1 - R avg of the checks has no generator.  An array's
+    arc rows and the segment's anchor at 1/average are solved together, the
+    anchor as the last row.
     """
     check_range("rate", rate, 0.0, 1.0)
     average = dist.average_degree
     if average <= 1.0:
-        return (1.0 - rate) / 2.0
+        return (1.0 - rate * average) / 2.0
     mass_zero = dist.fractions[0] if dist.degrees[0] == 0 else 0.0
     start, floor = 1.0 / (1.0 - mass_zero), 1.0 / average
     if isinstance(rate, np.ndarray):
         arc = rate >= floor
-        x = np.empty_like(rate)
-        if arc.any():
-            x[arc] = solve_x_for_rate(dist, rate[arc])
-        if not arc.all():
-            x[~arc] = _x_for_rate(dist, floor)
+        solved = solve_x_for_rate(dist, np.append(rate[arc], floor))
+        x = np.full_like(rate, solved[-1])
+        x[arc] = solved[:-1]
     elif rate >= start:
         return 0.0
     else:
-        x = _x_for_rate(dist, max(rate, floor))
+        x = solve_x_for_rate(dist, max(rate, floor))
     return pick(rate >= start, 0.0, _counting(dist.degrees, dist.fractions, average, rate, x))
 
 
@@ -249,14 +240,14 @@ def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
 
     Each row solves its member's arc once, at max(R, 1/avg), and
     ``_counting`` reads the bound off that point.  Members with average
-    degree at most 1 keep the line D = (1 - R)/2.
+    degree at most 1 keep the line D = (1 - R avg)/2.
     """
     parts = []
     for first in range(0, rates.size, _POISSON_ROWS):
         part = rates[first : first + _POISSON_ROWS]
         degrees, fractions = poisson_rows(check_degree, part)
         average = np.array([math.fsum(row) for row in (fractions * degrees).tolist()])
-        distortion = (1.0 - part) / 2.0
+        distortion = (1.0 - part * average) / 2.0
         rows = np.flatnonzero(average > 1.0)
         if rows.size:
             rate, mean, profile = part[rows], average[rows], fractions[rows]

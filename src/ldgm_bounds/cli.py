@@ -220,9 +220,9 @@ def _verify_distribution(text: str) -> DegreeDistribution:
     return spec.dist
 
 
-def report_line(report) -> str:
+def report_line(seed: int, report) -> str:
     return (
-        f"seed={report.seed} m={report.num_checks} n={report.num_generators} "
+        f"seed={seed} m={report.num_checks} n={report.num_generators} "
         f"optimal={report.optimal_distortion:.10g} "
         f"bound={report.bound_distortion:.10g} "
         f"bound_margin={report.bound_margin:.10g} "
@@ -259,13 +259,13 @@ def cmd_verify(args) -> int:
     for trial in range(args.trials):
         seed = args.seed + trial
         code = sample_code(args.m, args.n, dist, seed)
-        report = verify_code(code, dist, args.d_grid_steps, seed=seed)
+        report = verify_code(code, dist, args.d_grid_steps)
         bound_value = report.bound_distortion
         if worst_optimal is None or report.optimal_distortion < worst_optimal:
             worst_optimal = report.optimal_distortion
         if not report.passed:
             failures += 1
-        lines.append(report_line(report))
+        lines.append(report_line(seed, report))
     summary = (
         f"summary: trials={args.trials} passed={args.trials - failures} "
         f"failed={failures} min_optimal={worst_optimal:.10g} bound={bound_value:.10g}"

@@ -497,10 +497,8 @@ class VerificationReport:
     * bound: optimal distortion >= counting bound - 1e-9.
     """
 
-    seed: int | None
     num_checks: int
     num_generators: int
-    degrees: str
     optimal_distortion: float
     bound_distortion: float
     bound_margin: float
@@ -530,12 +528,7 @@ def _profile_checks(dist: DegreeDistribution, num_generators: int, num_checks: i
     return floors, counting_bound_distortion(dist, num_generators / num_checks)
 
 
-def verify_code(
-    code: LdgmCode,
-    dist: DegreeDistribution,
-    d_grid_steps: int,
-    seed: int | None = None,
-) -> VerificationReport:
+def verify_code(code: LdgmCode, dist: DegreeDistribution, d_grid_steps: int) -> VerificationReport:
     """Run all exact checks of the counting bound against one instance,
     the chain on the d-grid k / (2 (d_grid_steps - 1)), k < d_grid_steps."""
     if d_grid_steps < 2:
@@ -569,10 +562,8 @@ def verify_code(
     bound_ok = bound_margin >= -1e-9
 
     return VerificationReport(
-        seed=seed,
         num_checks=m,
         num_generators=code.num_generators,
-        degrees=dist.to_literal(),
         optimal_distortion=optimal,
         bound_distortion=bound,
         bound_margin=bound_margin,

@@ -4,8 +4,7 @@ per-generator coefficient floor; a union-find closed form of the
 transform for codes of degree at most 2; a naive chain check in
 ``Fraction``s; the bound curves' row checks taken one row and one pair
 at a time; and the exact stack's small helpers that the package itself
-does not use (``encode``, ``covered_fraction``,
-``optimal_average_distortion``).
+does not use (``encode``, ``optimal_average_distortion``).
 
 The bound stack's float second routes (the primal rate bounds, the
 coverage exponent and the coefficient floor's growth rate) live in
@@ -140,14 +139,6 @@ def coefficient_floor_naive(degrees) -> tuple[int, ...]:
             grown[k + degree] += c
         coefficients = grown
     return tuple(accumulate(coefficients))
-
-
-def covered_fraction(profile: CoverProfile, distortion: float) -> float:
-    """Fraction of source words within radius floor(distortion * m)."""
-    if not 0.0 <= distortion <= 1.0:
-        raise ValueError(f"distortion out of range: {distortion!r}")
-    radius = math.floor(distortion * profile.num_checks + 1e-9)
-    return sum(profile.histogram[: radius + 1]) / (1 << profile.num_checks)
 
 
 def optimal_average_distortion(code: LdgmCode) -> float:

@@ -89,15 +89,19 @@ def counting_distortion(profile, rate: float) -> mpmath.mpf:
     R(x) = (1 - h(x/(1+x))) / (1 - log2 prod_i (1 + x^i)^L_i + a(x) log2 x),
     a(x) = sum_i i L_i x^i / (1 + x^i), for R >= 1/avg; below, the line
     through (1/2, 0) and the arc point of rate 1/avg.  At R >= 1/(1 - L_0),
-    the arc's x -> 0 end, the bound is 0; an average of at most 1 leaves
-    the line D = (1 - R)/2.
+    the arc's x -> 0 end, the bound is 0.  An average of at most 1 leaves
+    no arc, only the count of covered checks: the n avg = m R avg edges
+    touch at most that many checks, every codeword is 0 on each other
+    check, which so misses a uniform source bit half the time, and a
+    covered check may cost nothing.
     """
     with mpmath.workdps(_DIGITS):
         profile = [(d, mpmath.mpf(f)) for d, f in profile]
         rate = mpmath.mpf(rate)
         avg = mpmath.fsum(d * f for d, f in profile)
         if avg <= 1:
-            return (1 - rate) / 2
+            covered = rate * avg  # share of the m checks some edge touches, at most
+            return (1 - covered) / 2
         if rate >= 1 / (1 - sum(f for d, f in profile if d == 0)):
             return mpmath.mpf(0)
 

@@ -157,7 +157,7 @@ def test_criterion_07_verification_campaign(capsys):
     ):
         for seed in range(trials):
             code = sample_code(num_checks, num_generators, dist, seed)
-            report = verify_code(code, dist, 26, seed=seed)
+            report = verify_code(code, dist, 26)
             total += 1
             if not report.passed:
                 failures += 1

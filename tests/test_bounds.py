@@ -129,7 +129,6 @@ def _grid_evaluations(monkeypatch, solve):
         return root
 
     monkeypatch.setattr(bounds_module, "bisect_monotone", counted)
-    bounds_module._x_for_rate.cache_clear()
     solve()
     return counts
 
@@ -819,26 +818,21 @@ def test_sample_curve_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# per-distribution caches
+# solves per curve
 # ---------------------------------------------------------------------------
 
 def test_poisson_curve_leaves_bounded_caches():
-    # A Poisson curve builds no distribution per rate, so it leaves the
-    # memoised solve untouched.  Check degree 1 puts every rate below its
-    # member's reciprocal average degree, so each row takes the segment,
-    # anchored on its own member; rows match the float route.
-    bounds_module._x_for_rate.cache_clear()
+    # The bound stack keeps no memo for a curve to fill.  Check degree 1
+    # puts every rate below its member's reciprocal average degree, so
+    # each row takes the segment, anchored on its own member; rows match
+    # the float route.
     rates = [0.05 + 0.9 * k / 299 for k in range(300)]
     curve = sample_curve("counting", rates, check_degree=1)
-    info = bounds_module._x_for_rate.cache_info()
-    assert info.misses == 0
-    assert info.currsize == 0
     for k in (0, 150, 299):
         member = poisson_member(1, rates[k])
         assert rates[k] < 1.0 / member.average_degree
         expected = counting_bound_distortion(member, rates[k])
         assert curve.distortions[k] == pytest.approx(expected, abs=1e-12)
-    bounds_module._x_for_rate.cache_clear()
 
 
 def test_poisson_curve_memory_does_not_grow_with_the_grid():
@@ -854,56 +848,29 @@ def test_poisson_curve_memory_does_not_grow_with_the_grid():
     assert peak < 8e6
 
 
-def test_line_anchor_cache_bounded_over_many_profiles():
-    bounds_module._x_for_rate.cache_clear()
-    profiles = bounds_module._x_for_rate.cache_info().maxsize + 50
-    mixes = [
-        DegreeDistribution.from_fractions({2: k / (profiles + 1), 3: 1 - k / (profiles + 1)})
-        for k in range(1, profiles + 1)
-    ]
-    for mixed in mixes:
-        counting_bound_distortion(mixed, 0.1)  # below 1/3: the straight segment
-    info = bounds_module._x_for_rate.cache_info()
-    assert info.misses == profiles
-    assert info.currsize == info.maxsize
-    # The first profiles were evicted, so asking again solves afresh.
-    counting_bound_distortion(mixes[0], 0.1)
-    assert bounds_module._x_for_rate.cache_info().misses == profiles + 1
-
-
-def test_campaign_profiles_and_rates_fit_the_anchor_cache():
-    # The (profile, n/m) pairs of one verify campaign: m = 12..20, five
-    # profiles, target rates 1/4, 1/2 and 3/4, n rounded to a multiple the
-    # profile divides, as in perfbench/workloads.py.  Replayed, each degree
-    # spec parsed afresh as verify does, the second pass only hits.
-    profiles = (("regular:2", 1), ("regular:3", 1), ("1:0.5,3:0.5", 2),
-                ("2:0.5,4:0.5", 2), ("1:0.25,2:0.5,3:0.25", 4))
-    pairs = [
-        (spec, max(multiple, round(m * rate / multiple) * multiple) / m)
-        for m in range(12, 21)
-        for spec, multiple in profiles
-        for rate in (0.25, 0.5, 0.75)
-    ]
-    bounds_module._x_for_rate.cache_clear()
-    for _ in range(2):
-        before = bounds_module._x_for_rate.cache_info().misses
-        for spec, rate in pairs:
-            counting_bound_distortion(parse_degree_spec(spec).dist, rate)
-    info = bounds_module._x_for_rate.cache_info()
-    assert info.misses == before
-    assert info.hits >= len(pairs)
-
-
-def test_fixed_profile_curve_hits_caches():
-    # The segment rows of a curve share one anchor, solved once per
-    # distribution at 1/avg: a second curve over the same profile only hits.
-    bounds_module._x_for_rate.cache_clear()
+def test_fixed_profile_curve_solves_its_anchor_with_its_arc(monkeypatch):
+    # Regular 2 over R 0.05..0.95 spans 1/avg = 1/2: the arc rows and the
+    # segment's anchor at 1/2, the last target, share one row-wise solve,
+    # and no float solve runs.  A second curve repeats exactly that.
     rates = [0.05 + 0.9 * k / 49 for k in range(50)]
-    sample_curve("counting", rates, dist=REG2)
-    sample_curve("counting", rates, dist=REG2)
-    info = bounds_module._x_for_rate.cache_info()
-    assert info.misses == 1
-    assert info.hits == 1
+    arc_rows = sum(rate >= 0.5 for rate in rates)
+    assert 0 < arc_rows < len(rates)
+    targets = []
+
+    def counted(fn, lo, hi, target, tol=1e-12):
+        targets.append(np.array(target, copy=True))
+        return bisect_monotone(fn, lo, hi, target, tol=tol)
+
+    monkeypatch.setattr(bounds_module, "bisect_monotone", counted)
+    first = sample_curve("counting", rates, dist=REG2)
+    assert [target.shape for target in targets] == [(arc_rows + 1,)]
+    assert targets[0][-1] == 0.5
+    assert targets[0][:-1].tolist() == [rate for rate in rates if rate >= 0.5]
+    solved = targets[:]
+    targets.clear()
+    assert sample_curve("counting", rates, dist=REG2) == first
+    assert len(targets) == 1
+    assert np.array_equal(targets[0], solved[0])
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +898,7 @@ def test_shannon_curve_matches_mpmath(rates):
 @example(DegreeDistribution.from_fractions({0: 0.1, 2: 0.5, 4: 0.4}), [0.0, 0.1, 0.5, 1.0])
 @example(DegreeDistribution.from_fractions({1: 0.5, 3: 0.5}), [0.01, 0.3, 0.5, 0.99])
 @example(DegreeDistribution.regular(3), [1.0 - 3.13e-8, 1.0 - 1e-12, 1.0])
+@example(DegreeDistribution.from_fractions({0: 0.5, 1: 0.5}), [0.0, 0.05, 0.5, 0.95, 1.0])
 def test_counting_curve_matches_mpmath(dist, rates):
     curve = sample_curve("counting", rates, dist=dist)
     assert_rows_match(curve, lambda rate: oracles_mp.counting_distortion(dist.entries, rate))

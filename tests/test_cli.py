@@ -142,16 +142,25 @@ def test_curve_conflicting_profile_flags_exit_2(capsys, bound, flags):
     assert "--degrees and " + flags[2] in err
 
 
-@pytest.mark.parametrize("degrees", ["0:1", "0:0.5,1:0.5"])
-def test_curve_without_arc_prints_no_endpoints(capsys, degrees):
-    # Average degree at most 1: the counting bound is the line D = (1 - R)/2.
+@pytest.mark.parametrize(
+    "degrees, expected",
+    [
+        pytest.param("0:1", ["0.5,0.05", "0.5,0.5", "0.5,0.95"], id="0:1"),
+        pytest.param(
+            "0:0.5,1:0.5", ["0.4875,0.05", "0.375,0.5", "0.2625,0.95"], id="0:0.5,1:0.5"
+        ),
+    ],
+)
+def test_curve_without_arc_prints_no_endpoints(capsys, degrees, expected):
+    # Average degree at most 1: the counting bound is the line
+    # D = (1 - R avg)/2, half the least share of checks no edge touches.
     status, out, _ = run(
         ["curve", "--bound", "counting", "--degrees", degrees, "--steps", "3"], capsys
     )
     assert status == 0
     assert "arc endpoint" not in out
     rows = out.splitlines()[out.splitlines().index("D,R") + 1 :]
-    assert rows == ["0.475,0.05", "0.25,0.5", "0.025,0.95"]
+    assert rows == expected
 
 
 def test_curve_dwr_requires_check_degree(capsys):
@@ -343,7 +352,8 @@ def test_verify_trials_past_cap_refused_before_sampling(monkeypatch, capsys):
 
 def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):
     # Every trial checks against the bound at the same rate n/m = 1/2, on
-    # the arc of regular-3; the float solve is memoised, not repeated.
+    # the arc of regular-3; the profile memo keeps it, so the float solve
+    # is not repeated.
     solves = []
 
     def counted(dist, rate, *args):
@@ -352,7 +362,6 @@ def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):
 
     solve = bounds_module.solve_x_for_rate
     monkeypatch.setattr(bounds_module, "solve_x_for_rate", counted)
-    bounds_module._x_for_rate.cache_clear()
     exact_module._profile_checks.cache_clear()
     argv = ["verify", "--m", "16", "--n", "8", "--degrees", "regular:3", "--trials", "5"]
     status, out, _ = run(argv, capsys)
@@ -361,13 +370,13 @@ def test_verify_solves_the_counting_bound_once(monkeypatch, capsys):
     assert solves == [0.5]
     assert run(argv, capsys) == (status, out, "")
     assert solves == [0.5]
-    bounds_module._x_for_rate.cache_clear()
 
 
 def test_verify_segment_rates_share_one_solve(monkeypatch, capsys):
     # Rates 1/4 and 3/8 both lie below 1/avg = 1/2 for regular-2, on the
-    # straight segment anchored at 1/2: the two runs solve the arc once,
-    # there, not once per rate.
+    # straight segment anchored at 1/2.  Each rate solves the arc there
+    # once, on its ``_profile_checks`` miss, and its trials share that
+    # solve; run again, both only hit the memo and solve nothing.
     solves = []
 
     def counted(dist, rate, *args):
@@ -376,15 +385,18 @@ def test_verify_segment_rates_share_one_solve(monkeypatch, capsys):
 
     solve = bounds_module.solve_x_for_rate
     monkeypatch.setattr(bounds_module, "solve_x_for_rate", counted)
-    bounds_module._x_for_rate.cache_clear()
-    exact_module._profile_checks.cache_clear()
-    for n in ("4", "6"):
-        argv = ["verify", "--m", "16", "--n", n, "--degrees", "regular:2", "--trials", "3"]
-        status, out, _ = run(argv, capsys)
-        assert status == 0
-        assert out.count("PASS") == 3
-    assert solves == [0.5]
-    bounds_module._x_for_rate.cache_clear()
+    memo = exact_module._profile_checks
+    memo.cache_clear()
+    for expected in ([0.5, 0.5], []):
+        solves.clear()
+        before = memo.cache_info().misses
+        for n in ("4", "6"):
+            argv = ["verify", "--m", "16", "--n", n, "--degrees", "regular:2", "--trials", "3"]
+            status, out, _ = run(argv, capsys)
+            assert status == 0
+            assert out.count("PASS") == 3
+        assert solves == expected
+        assert memo.cache_info().misses - before == len(expected)
 
 
 def test_campaign_instances_fit_the_profile_memo():
@@ -407,7 +419,7 @@ def test_campaign_instances_fit_the_profile_memo():
         before = memo.cache_info().misses
         for m, n, spec in instances:
             dist = parse_degree_spec.__wrapped__(spec).dist
-            verify_code(sample_code(m, n, dist, seed), dist, 26, seed=seed)
+            verify_code(sample_code(m, n, dist, seed), dist, 26)
     info = memo.cache_info()
     assert info.misses == before
     assert info.hits >= len(instances)
@@ -474,7 +486,8 @@ def test_curve_mathematical_refusal_exits_4(monkeypatch, capsys, error):
         raise error(f"no parameter for {np.size(target)} rates")
 
     monkeypatch.setattr(bounds_module, "bisect_monotone", refuse)
-    for degrees in ("2:1", "poisson:3"):
+    # The fixed profile solves its 4 arc rows and its anchor at 1/avg.
+    for degrees, rows in (("2:1", 5), ("poisson:3", 4)):
         status, out, err = run(
             [
                 "curve", "--bound", "counting", "--degrees", degrees,
@@ -484,8 +497,8 @@ def test_curve_mathematical_refusal_exits_4(monkeypatch, capsys, error):
         )
         assert status == 4
         assert out == ""
-        assert "error: no parameter for 4 rates" in err
-    assert solves == [(4,), (4,)]
+        assert f"error: no parameter for {rows} rates" in err
+    assert solves == [(5,), (4,)]
 
 
 # Small CSVs written by ``ldgm-bounds curve`` before the curve solve went
@@ -520,7 +533,9 @@ def test_curve_output_matches_golden_csv(capsys, name):
 # Reports and tables written by ``ldgm-bounds verify`` and ``enum``, run
 # from the repository root, before the test-only bound forms left the
 # package; output must match them byte for byte.  ``readme.ldgm`` is the
-# code file README.md shows.
+# code file README.md shows.  The codes of ``verify-pins-m8`` pin
+# distinct checks, so its counting bound, the line (1 - R avg)/2, equals
+# their optimum, 0.375: a bound above the optimum would fail it.
 GOLDEN_REPORTS = {
     "verify-regular2-m14": ["verify", "--m", "14", "--n", "7", "--degrees", "regular:2", "--trials", "3"],
     "verify-mixed-m16": ["verify", "--m", "16", "--n", "8", "--degrees", "1:0.5,3:0.5", "--trials", "3", "--seed", "5"],
@@ -528,6 +543,7 @@ GOLDEN_REPORTS = {
     "verify-rank0-m26": ["verify", "--m", "26", "--n", "0", "--degrees", "regular:2", "--trials", "1"],
     "verify-default-m20": ["verify", "--m", "20", "--n", "10", "--degrees", "regular:3"],
     "verify-dgrid7-m20": ["verify", "--m", "20", "--n", "10", "--degrees", "regular:3", "--d-grid-steps", "7"],
+    "verify-pins-m8": ["verify", "--m", "8", "--n", "4", "--degrees", "0:0.5,1:0.5", "--trials", "3"],
     "enum-readme": ["enum", "tests/golden/readme.ldgm"],
 }
 

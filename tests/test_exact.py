@@ -37,7 +37,6 @@ from ldgm_bounds.exact import (
 from oracles import (
     chain_check_naive,
     coefficient_floor_naive,
-    covered_fraction,
     distance_transform_degree2,
     distance_transform_naive,
     distance_transform_table,
@@ -485,6 +484,31 @@ def test_counting_bound_below_degree_two_optimum(weights, rate):
     assert counting_bound_distortion(dist, rate) <= line + 1e-12
 
 
+@st.composite
+def degree_one_instances(draw):
+    """(m, n, generators of degree 1, seed) with m <= 20 and n <= m."""
+    m = draw(st.integers(1, 20))
+    n = draw(st.integers(1, m))
+    return m, n, draw(st.integers(0, n)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree_one_instances())
+def test_counting_bound_of_degree_one_codes(instance):
+    # Degrees 0 and 1 only: the counting bound is the line (1 - R L_1)/2,
+    # no more than the exact optimum (m - pins)/(2m), and equal to it when
+    # the n L_1 pins fall on distinct checks.  The float line may round an
+    # ulp above the optimum it equals.
+    m, n, ones, seed = instance
+    dist = DegreeDistribution.from_degrees([0] * (n - ones) + [1] * ones)
+    code = sample_code(m, n, dist, seed)
+    optimal = distance_transform(code).average_distortion()
+    bound = counting_bound_distortion(dist, n / m)
+    assert bound <= optimal + 1e-15
+    if len(set(code.generators) - {()}) == ones:
+        assert bound == pytest.approx((m - ones) / (2 * m), abs=1e-15)
+
+
 def test_coset_table_only_for_parts_with_two_free_bits(monkeypatch):
     # A part with one free bit is a factor (1 + z) of the binomial row.
     free_bits = []
@@ -565,17 +589,6 @@ def test_optimal_distortion_zero_matrix():
     assert distance_transform(zero).average_distortion() == 0.5
 
 
-def test_covered_fraction_radius_floor():
-    profile = distance_transform(PAIR_CODE)
-    # Radius floor(0.124 * 8) = 0 covers only exact codeword matches.
-    at_zero = covered_fraction(profile, 0.124)
-    assert at_zero == profile.histogram[0] / 256
-    # Distortion 1/8 covers radius exactly 1.
-    at_one = covered_fraction(profile, 0.125)
-    assert at_one == (profile.histogram[0] + profile.histogram[1]) / 256
-    assert covered_fraction(profile, 0.5) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -583,7 +596,7 @@ def test_covered_fraction_radius_floor():
 
 def test_verify_code_passes_on_sampled_instance():
     code = sample_code(12, 6, REG2, seed=9)
-    report = verify_code(code, REG2, 26, seed=9)
+    report = verify_code(code, REG2, 26)
     assert report.passed
     assert report.chain_ok and report.enumerator_ok and report.bound_ok
     assert report.optimal_distortion >= report.bound_distortion - 1e-9
@@ -593,7 +606,7 @@ def test_verify_code_passes_on_sampled_instance():
 
 def test_verify_report_margins_consistent():
     code = sample_code(14, 7, REG2, seed=2)
-    report = verify_code(code, REG2, 26, seed=2)
+    report = verify_code(code, REG2, 26)
     assert report.bound_margin == pytest.approx(
         report.optimal_distortion - report.bound_distortion, abs=1e-15
     )
@@ -639,7 +652,7 @@ def test_chain_check_at_budget_limit_matches_naive(seed):
     code = sample_code(26, 24, REG2, seed=seed)
     pinned = CoverProfile(26, BUDGET_PINS[seed][0])
     for steps in (26, 14):
-        report = verify_code(code, REG2, steps, seed=seed)
+        report = verify_code(code, REG2, steps)
         assert chain_fields(report) == chain_check_naive(pinned, exact_grid(steps))
         assert report.chain_ok
 
