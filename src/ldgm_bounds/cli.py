@@ -6,7 +6,7 @@ Three subcommands:
 * ``verify``: sample random codes, brute-force their optimal distortion,
   and check it against the counting bound and its exact ingredients.
 * ``enum``: print the weight enumerator of a code file next to its
-  coefficient floor.
+  coefficient floor, the rows of the enumerator check ``verify`` runs.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 or parse errors, 3 when a computation exceeds its budget (``BudgetError``,
@@ -33,6 +33,7 @@ from .exact import (
     BLOCKLENGTH_LIMIT,
     GENERATOR_LIMIT,
     BudgetError,
+    _enumerator_rows,
     coefficient_lower_bound,
     read_code_file,
     sample_code,
@@ -289,34 +290,19 @@ def cmd_enum(args) -> int:
         raise UsageError(f"cannot read {args.path!r}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{args.path}: {exc}") from exc
-    header = f"{'w':>3} {'A':>12} {'cumulative':>12} {'floor':>12} ok"
-    violations = 0
-    if code.num_generators == 0:
-        lines = [
-            f"code: m={code.num_checks} n=0 degrees=-",
-            header,
-            f"{0:>3} {1:>12} {1:>12} {1:>12} yes",
-        ]
-    else:
-        dist = code.realized_distribution()
-        enumerator = weight_enumerator(code)
-        cumulative = enumerator.cumulative()
-        floors = coefficient_lower_bound(dist, code.num_generators)
-        last = len(floors) - 1
-        lines = [
-            f"code: m={code.num_checks} n={code.num_generators} degrees={dist.to_literal()}",
-            header,
-        ]
-        for w, count in enumerate(enumerator.counts):
-            floor = floors[min(w, last)]
-            ok = cumulative[w] >= floor
-            if not ok:
-                violations += 1
-            lines.append(
-                f"{w:>3} {count:>12} {cumulative[w]:>12} {floor:>12} {'yes' if ok else 'NO'}"
-            )
+    n = code.num_generators
+    dist = code.realized_distribution() if n else None
+    floors = coefficient_lower_bound(dist, n) if n else (1,)
+    rows = _enumerator_rows(weight_enumerator(code), floors)
+    lines = [
+        f"code: m={code.num_checks} n={n} degrees={dist.to_literal() if n else '-'}",
+        f"{'w':>3} {'A':>12} {'cumulative':>12} {'floor':>12} ok",
+    ]
+    # without generators the one index word is the w = 0 row
+    for w, (count, cumulative, floor, ok) in enumerate(rows if n else rows[:1]):
+        lines.append(f"{w:>3} {count:>12} {cumulative:>12} {floor:>12} {'yes' if ok else 'NO'}")
     _write_output("-", "\n".join(lines) + "\n")
-    return 1 if violations else 0
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,6 @@ class DegreeDistribution:
     def to_literal(self) -> str:
         return ",".join(f"{degree}:{fraction:.10g}" for degree, fraction in self.entries)
 
-    def __str__(self) -> str:
-        return self.to_literal()
-
 
 def parse_degree_literal(text: str) -> DegreeDistribution:
     """Parse a "degree:fraction,degree:fraction" literal."""

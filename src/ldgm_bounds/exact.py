@@ -24,13 +24,15 @@ m <= 26 checks.  All are checked before anything is allocated.
 
 ``verify_code`` pays per code only for that code.  The code runs one
 elimination, kept on it (``LdgmCode._rows``) for both kernels.  What holds
-for every code of a profile, the coefficient floors and the counting bound
-at n/m, is kept by ``_profile_checks``, an ``lru_cache`` of
-``_PROFILE_CACHE_SIZE`` = 256 entries keyed by (profile, n, m) that holds
-immutable values only; its ``cache_info()`` counts the hits and misses.
-The chain check takes the d-grid as its step count s: grid point k is
-k / den with den = 2 (s - 1), its radius is floor(k m / den), and the
-check runs in integers over den.
+for every code of a profile, its degree counts, the coefficient floors
+and the counting bound at n/m, is kept by ``_profile_checks``, an
+``lru_cache`` of ``_PROFILE_CACHE_SIZE`` = 256 entries keyed by
+(profile, n, m) that holds immutable values only; its ``cache_info()``
+counts the hits and misses.  A code that does not realize its profile is
+refused.  The chain check takes the d-grid as its step count s: grid
+point k is k / den with den = 2 (s - 1), its radius is floor(k m / den),
+and the check runs in integers over den.  ``_enumerator_rows`` is the
+enumerator check that ``verify_code`` and the ``enum`` command both read.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -99,10 +103,6 @@ class LdgmCode:
     @property
     def num_generators(self) -> int:
         return len(self.generators)
-
-    @property
-    def rate(self) -> float:
-        return self.num_generators / self.num_checks
 
     def realized_distribution(self) -> DegreeDistribution:
         """Degree distribution actually present in this instance."""
@@ -369,6 +369,14 @@ def coefficient_lower_bound(dist: DegreeDistribution, num_generators: int) -> tu
     return tuple(accumulate(functools.reduce(_convolve, rows, [1])))
 
 
+def _enumerator_rows(enumerator: WeightEnumerator, floors) -> list[tuple[int, int, int, bool]]:
+    """The enumerator check per weight w = 0 .. m: (A_w, cumulative A_w,
+    floor_w, cumulative >= floor), the floor held at 2^n past its degree."""
+    padded = chain(floors, repeat(floors[-1]))
+    rows = zip(enumerator.counts, enumerator.cumulative(), padded)
+    return [(count, total, floor, total >= floor) for count, total, floor in rows]
+
+
 # ---------------------------------------------------------------------------
 # hypercube distance transform
 # ---------------------------------------------------------------------------
@@ -485,15 +493,16 @@ def _convolve(left: list[int], right: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the three per-code checks, with literal margins.
+    """Outcome of the three per-code checks against the code's own profile,
+    with literal margins.
 
     * chain: optimal distortion >= d (1 - covered(d)) at each grid point
       d = k / den, den = 2 (steps - 1), k = 0 .. steps - 1, with covered(d)
       the share of source words within radius floor(k m / den), compared
       by exact integer cross-multiplication over den (zero tolerance);
       ``chain_margin`` rounds the exact worst case once.
-    * enumerator: cumulative weight counts >= coefficient floor, exact
-      integers; ``enumerator_slack`` is the smallest difference.
+    * enumerator: cumulative weight counts >= coefficient floor in the rows
+      ``enum`` prints, exact; ``enumerator_slack`` is the smallest difference.
     * bound: optimal distortion >= counting bound - 1e-9.
     """
 
@@ -522,23 +531,31 @@ _PROFILE_CACHE_SIZE = 256
 @functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _profile_checks(dist: DegreeDistribution, num_generators: int, num_checks: int):
     """What ``verify_code`` checks every code of a profile and size against:
-    the coefficient floors and the counting bound at rate n/m.  Immutable
-    values, computed once per key."""
+    the profile's degree counts, the coefficient floors and the counting
+    bound at rate n/m.  Immutable values, computed once per key."""
+    counts = MappingProxyType(_integral_degree_counts(dist, num_generators))
     floors = coefficient_lower_bound(dist, num_generators)
-    return floors, counting_bound_distortion(dist, num_generators / num_checks)
+    return counts, floors, counting_bound_distortion(dist, num_generators / num_checks)
 
 
 def verify_code(code: LdgmCode, dist: DegreeDistribution, d_grid_steps: int) -> VerificationReport:
     """Run all exact checks of the counting bound against one instance,
-    the chain on the d-grid k / (2 (d_grid_steps - 1)), k < d_grid_steps."""
+    the chain on the d-grid k / (2 (d_grid_steps - 1)), k < d_grid_steps.
+    ValueError unless the code's degree counts are the n L_i of ``dist``."""
     if d_grid_steps < 2:
         raise ValueError(f"need at least 2 d-grid steps, got {d_grid_steps!r}")
-    # The enumerator first: its budget then refuses before the transform
-    # allocates its table.
+    # The enumerator first: its budget, and then a profile the code does
+    # not realize, refuse before the transform allocates its table.
     enumerator = weight_enumerator(code)
-    profile = distance_transform(code)
     m = code.num_checks
-    floors, bound = _profile_checks(dist, code.num_generators, m)
+    counts, floors, bound = _profile_checks(dist, code.num_generators, m)
+    realized = Counter(map(len, code.generators))
+    if realized != counts:
+        raise ValueError(
+            f"degree counts {dict(sorted(realized.items()))} do not realize "
+            f"{dist.to_literal()} over {code.num_generators} generators"
+        )
+    profile = distance_transform(code)
 
     total = 1 << m
     weighted = sum(d * count for d, count in enumerate(profile.histogram))
@@ -553,9 +570,8 @@ def verify_code(code: LdgmCode, dist: DegreeDistribution, d_grid_steps: int) -> 
     chain_ok = worst * m <= weighted * den
     chain_margin = optimal - worst / den / total
 
-    cumulative = enumerator.cumulative()
-    last = len(floors) - 1
-    enumerator_slack = min(cumulative[w] - floors[min(w, last)] for w in range(m + 1))
+    rows = _enumerator_rows(enumerator, floors)
+    enumerator_slack = min(cumulative - floor for _, cumulative, floor, _ in rows)
     enumerator_ok = enumerator_slack >= 0
 
     bound_margin = optimal - bound

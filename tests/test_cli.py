@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ldgm_bounds import (
     BracketError,
@@ -399,17 +400,21 @@ def test_verify_segment_rates_share_one_solve(monkeypatch, capsys):
         assert memo.cache_info().misses - before == len(expected)
 
 
+# The degree specs of a verify campaign, as in perfbench/workloads.py,
+# each with the generator count it divides.
+CAMPAIGN_SPECS = (("regular:2", 1), ("regular:3", 1), ("1:0.5,3:0.5", 2),
+                  ("2:0.5,4:0.5", 2), ("1:0.25,2:0.5,3:0.25", 4))
+
+
 def test_campaign_instances_fit_the_profile_memo():
-    # The (profile, n, m) instances of one verify campaign, as in
-    # perfbench/workloads.py, checked on the default d-grid.  Replayed
-    # with fresh codes, and each spec parsed afresh past its own memo, the
-    # second pass only hits: the memo is keyed by value, not by object.
-    profiles = (("regular:2", 1), ("regular:3", 1), ("1:0.5,3:0.5", 2),
-                ("2:0.5,4:0.5", 2), ("1:0.25,2:0.5,3:0.25", 4))
+    # The (profile, n, m) instances of one verify campaign checked on the
+    # default d-grid.  Replayed with fresh codes, and each spec parsed
+    # afresh past its own memo, the second pass only hits: the memo is
+    # keyed by value, not by object.
     instances = [
         (m, max(multiple, round(m * rate / multiple) * multiple), spec)
         for m in range(12, 21)
-        for spec, multiple in profiles
+        for spec, multiple in CAMPAIGN_SPECS
         for rate in (0.25, 0.5, 0.75)
     ]
     assert len(instances) == 135
@@ -545,6 +550,7 @@ GOLDEN_REPORTS = {
     "verify-dgrid7-m20": ["verify", "--m", "20", "--n", "10", "--degrees", "regular:3", "--d-grid-steps", "7"],
     "verify-pins-m8": ["verify", "--m", "8", "--n", "4", "--degrees", "0:0.5,1:0.5", "--trials", "3"],
     "enum-readme": ["enum", "tests/golden/readme.ldgm"],
+    "enum-empty-m8": ["enum", "tests/golden/empty-m8.ldgm"],
 }
 
 
@@ -660,6 +666,28 @@ def test_enum_check_budget_edge(tmp_path, capsys):
     assert len(out.splitlines()) == 1024 + 3
     path.write_text("ldgm 1025 1\n0\n")
     assert run(["enum", str(path)], capsys)[0] == 3
+    # no generators is no exemption from the check budget
+    path.write_text("ldgm 1025 0\n")
+    assert run(["enum", str(path)], capsys)[:2] == (3, "")
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CAMPAIGN_SPECS), st.integers(min_value=4, max_value=20), st.data())
+def test_enum_table_and_verify_report_agree(tmp_path, capsys, spec_multiple, m, data):
+    # enum on a sampled code prints the rows whose smallest cumulative -
+    # floor is the enum_slack verify reports for the same code.
+    spec, multiple = spec_multiple
+    n = multiple * data.draw(st.integers(min_value=0, max_value=m // multiple), label="n / multiple")
+    seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1), label="seed")
+    path = tmp_path / "code.txt"
+    write_code_file(sample_code(m, n, parse_degree_spec(spec).dist, seed), path)
+    status, table, _ = run(["enum", str(path)], capsys)
+    assert status == 0
+    slack = min(int(row.split()[2]) - int(row.split()[3]) for row in table.splitlines()[2:])
+    argv = ["verify", "--m", str(m), "--n", str(n), "--degrees", spec, "--trials", "1", "--seed", str(seed)]
+    status, report, _ = run(argv, capsys)
+    assert status == 0
+    assert f" enum_slack={slack} " in report.splitlines()[0]
 
 
 # ---------------------------------------------------------------------------

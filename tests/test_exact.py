@@ -18,6 +18,7 @@ from ldgm_bounds import (
     coefficient_lower_bound,
     counting_bound_distortion,
     distance_transform,
+    parse_degree_literal,
     read_code_file,
     sample_code,
     verify_code,
@@ -147,7 +148,6 @@ def component_codes(draw, max_checks=20):
 
 def test_code_basic_properties():
     assert PAIR_CODE.num_generators == 4
-    assert PAIR_CODE.rate == 0.5
     assert PAIR_CODE.realized_distribution().entries == ((2, 1.0),)
 
 
@@ -705,8 +705,42 @@ def test_memoised_floors_match_per_generator_product(degrees):
     dist = DegreeDistribution.from_degrees(degrees)
     m = max(len(degrees), *degrees, 1)
     for _ in range(2):
-        floors, _ = exact_module._profile_checks(dist, len(degrees), m)
+        _, floors, _ = exact_module._profile_checks(dist, len(degrees), m)
         assert floors == coefficient_floor_naive(degrees)
+
+
+def test_verify_code_refuses_an_unrealised_profile(monkeypatch):
+    # The floors and the bound of one profile say nothing of a code of
+    # another, even one of the same size; refused before the transform.
+    monkeypatch.setattr(exact_module, "distance_transform", lambda code: pytest.fail("transform ran"))
+    with pytest.raises(ValueError, match=r"degree counts \{3: 10\} do not realize 2:1"):
+        verify_code(sample_code(20, 10, REG3, seed=0), REG2, 26)
+    half = parse_degree_literal("1:0.5,3:0.5")
+    quarter = parse_degree_literal("1:0.25,3:0.75")
+    with pytest.raises(ValueError, match=r"\{1: 4, 3: 4\} do not realize 1:0.25,3:0.75"):
+        verify_code(sample_code(16, 8, half, seed=0), quarter, 26)
+
+
+# The degree profiles of a verify campaign, each with the generator count
+# it divides, as in perfbench/workloads.py.
+CAMPAIGN_PROFILES = (
+    (REG2, 1),
+    (REG3, 1),
+    (parse_degree_literal("1:0.5,3:0.5"), 2),
+    (parse_degree_literal("2:0.5,4:0.5"), 2),
+    (parse_degree_literal("1:0.25,2:0.5,3:0.25"), 4),
+)
+
+
+@pytest.mark.parametrize(
+    "dist, multiple", CAMPAIGN_PROFILES, ids=[dist.to_literal() for dist, _ in CAMPAIGN_PROFILES]
+)
+def test_verify_code_accepts_the_profile_a_code_was_sampled_from(dist, multiple):
+    for m in (12, 20):
+        for rate in (0.25, 0.5, 0.75):
+            n = max(multiple, round(m * rate / multiple) * multiple)
+            for seed in range(2):
+                assert verify_code(sample_code(m, n, dist, seed), dist, 26).passed
 
 
 @pytest.mark.parametrize("steps", [1, 0, -3])
