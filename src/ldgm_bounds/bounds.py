@@ -275,10 +275,14 @@ def test_channel_distortion_bound(degree: int, rate):
     exactly when D <= phi_R(D') = A/B, A = 1 + log2(1 - D') - R Den.  The
     bound is the larger of the line (1 - l R)/2 and max phi_R over D' in
     (0, 1/2 - 1e-4].  phi_R's slope has the sign of A + (l R q - D') B,
-    q = s^l/(1 + s^l): 1 - R as D' -> 0 and, checked on dense grids for
-    l = 1..8, changing sign at most once, so one root find in log2 s gives
-    the maximiser; a row rising at the cap takes the line.  There
-    phi_R = D' - l R q < D', so the primal's D' >= D holds by itself.
+    q = s^l/(1 + s^l).  At D' = x/(1 + x), as 1 - h(D') = 1 - log2(1 + x)
+    + D' log2 x and Den = 1 - log2 gf(x), phi_R is the counting arc's
+    tangent at x read at R: the arc point plus (1 - log2 gf(x))/log2 x
+    times R - R_arc(x).  The arc is convex, its slope falling in x, so
+    d phi_R/dx has the sign of R_arc(x) - R for every profile: one root
+    find in log2 s gives the maximiser, the arc point of rate R; a row
+    rising at the cap takes the line.  There phi_R = D' - l R q < D', so
+    the primal's D' >= D holds by itself.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")

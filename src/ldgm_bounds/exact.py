@@ -22,14 +22,14 @@ Budgets keep runtimes at desk scale: the weight enumerator is capped at
 n <= 24 generators and m <= 1024 checks, and the distance transform at
 m <= 26 checks.  All are checked before anything is allocated.
 
-``verify_code`` pays per code only for that code.  The code runs one
+``verify_code`` checks a code against its own profile, the degrees of
+its generators, and pays per code only for that code.  The code runs one
 elimination, kept on it (``LdgmCode._rows``) for both kernels.  What holds
-for every code of a profile, its degree counts, the coefficient floors
-and the counting bound at n/m, is kept by ``_profile_checks``, an
-``lru_cache`` of ``_PROFILE_CACHE_SIZE`` = 256 entries keyed by
-(profile, n, m) that holds immutable values only; its ``cache_info()``
-counts the hits and misses.  A code that does not realize its profile is
-refused.  The chain check takes the d-grid as its step count s: grid
+for every code of a profile, the coefficient floors and the counting
+bound at n/m, is kept by ``_profile_checks``, an ``lru_cache`` of
+``_PROFILE_CACHE_SIZE`` = 256 entries keyed by (sorted degrees, m) that
+holds immutable values only; its ``cache_info()`` counts the hits and
+misses.  The chain check takes the d-grid as its step count s: grid
 point k is k / den with den = 2 (s - 1), its radius is floor(k m / den),
 and the check runs in integers over den.  ``_enumerator_rows`` is the
 enumerator check that ``verify_code`` and the ``enum`` command both read.
@@ -44,7 +44,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -356,15 +355,15 @@ def _macwilliams(dual_counts, dual_rank: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def coefficient_lower_bound(dist: DegreeDistribution, num_generators: int) -> tuple[int, ...]:
+def coefficient_lower_bound(degrees) -> tuple[int, ...]:
     """Prefix sums of the coefficients of prod_i (1 + x^i)^{n L_i}.
 
     Entry w floors the number of index words whose codeword weight is at
-    most w, for any code realizing ``dist`` over ``num_generators``
-    generators.  Exact integers; the last entry is 2^n.  Indices past the
-    polynomial degree keep the terminal value 2^n.
+    most w, for any code whose n generators have these ``degrees``, n L_i
+    of degree i.  Exact integers; the last entry is 2^n, (1,) at n = 0.
+    Indices past the polynomial degree keep the terminal value 2^n.
     """
-    counts = _integral_degree_counts(dist, num_generators)
+    counts = Counter(degrees)
     rows = (_binomial(count, degree) for degree, count in sorted(counts.items()))
     return tuple(accumulate(functools.reduce(_convolve, rows, [1])))
 
@@ -494,7 +493,7 @@ def _convolve(left: list[int], right: list[int]) -> list[int]:
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the three per-code checks against the code's own profile,
-    with literal margins.
+    L_i its count of degree-i generators over n, with literal margins.
 
     * chain: optimal distortion >= d (1 - covered(d)) at each grid point
       d = k / den, den = 2 (steps - 1), k = 0 .. steps - 1, with covered(d)
@@ -503,7 +502,7 @@ class VerificationReport:
       ``chain_margin`` rounds the exact worst case once.
     * enumerator: cumulative weight counts >= coefficient floor in the rows
       ``enum`` prints, exact; ``enumerator_slack`` is the smallest difference.
-    * bound: optimal distortion >= counting bound - 1e-9.
+    * bound: optimal distortion >= counting bound at rate n/m - 1e-9.
     """
 
     num_checks: int
@@ -522,39 +521,34 @@ class VerificationReport:
         return self.chain_ok and self.enumerator_ok and self.bound_ok
 
 
-# Entries kept by the ``_profile_checks`` memo, keyed by (profile, n, m):
+# Entries kept by the ``_profile_checks`` memo, keyed by (degrees, m):
 # one verify command uses one, and a campaign over five profiles at
 # m 12..20 cycles through 133.
 _PROFILE_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _profile_checks(dist: DegreeDistribution, num_generators: int, num_checks: int):
-    """What ``verify_code`` checks every code of a profile and size against:
-    the profile's degree counts, the coefficient floors and the counting
-    bound at rate n/m.  Immutable values, computed once per key."""
-    counts = MappingProxyType(_integral_degree_counts(dist, num_generators))
-    floors = coefficient_lower_bound(dist, num_generators)
-    return counts, floors, counting_bound_distortion(dist, num_generators / num_checks)
+def _profile_checks(degrees: tuple[int, ...], num_checks: int):
+    """What ``verify_code`` checks a code with these sorted generator
+    degrees and m checks against, immutable and computed once per key: the
+    coefficient floors and the counting bound at rate n/m, 1/2 at n = 0."""
+    floors = coefficient_lower_bound(degrees)
+    if not degrees:
+        return floors, 0.5
+    dist = DegreeDistribution.from_degrees(degrees)
+    return floors, counting_bound_distortion(dist, len(degrees) / num_checks)
 
 
-def verify_code(code: LdgmCode, dist: DegreeDistribution, d_grid_steps: int) -> VerificationReport:
-    """Run all exact checks of the counting bound against one instance,
-    the chain on the d-grid k / (2 (d_grid_steps - 1)), k < d_grid_steps.
-    ValueError unless the code's degree counts are the n L_i of ``dist``."""
+def verify_code(code: LdgmCode, d_grid_steps: int) -> VerificationReport:
+    """Run all exact checks of the counting bound against one instance and
+    the profile of its own generator degrees, the chain on the d-grid
+    k / (2 (d_grid_steps - 1)), k < d_grid_steps."""
     if d_grid_steps < 2:
         raise ValueError(f"need at least 2 d-grid steps, got {d_grid_steps!r}")
-    # The enumerator first: its budget, and then a profile the code does
-    # not realize, refuse before the transform allocates its table.
+    # The enumerator first: its budget refuses before the transform allocates.
     enumerator = weight_enumerator(code)
     m = code.num_checks
-    counts, floors, bound = _profile_checks(dist, code.num_generators, m)
-    realized = Counter(map(len, code.generators))
-    if realized != counts:
-        raise ValueError(
-            f"degree counts {dict(sorted(realized.items()))} do not realize "
-            f"{dist.to_literal()} over {code.num_generators} generators"
-        )
+    floors, bound = _profile_checks(tuple(sorted(map(len, code.generators))), m)
     profile = distance_transform(code)
 
     total = 1 << m

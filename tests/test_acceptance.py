@@ -157,7 +157,7 @@ def test_criterion_07_verification_campaign(capsys):
     ):
         for seed in range(trials):
             code = sample_code(num_checks, num_generators, dist, seed)
-            report = verify_code(code, dist, 26)
+            report = verify_code(code, 26)
             total += 1
             if not report.passed:
                 failures += 1
@@ -185,7 +185,7 @@ def test_criterion_09_exponent_consistency(capsys):
     asymptotic = coefficient_growth_exponent(REG2, 0.5)
     errors = []
     for n in (50, 100, 200):
-        floors = coefficient_lower_bound(REG2, n)
+        floors = coefficient_lower_bound([2] * n)
         finite = math.log2(floors[n // 2]) / n
         errors.append(abs(finite - asymptotic))
     ok = errors[0] > errors[1] > errors[2] and errors[2] < 0.05

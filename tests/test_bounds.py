@@ -523,6 +523,30 @@ def test_test_channel_equals_counting_arc(degree):
     assert end == pytest.approx((degree - 1) / (2 * degree), abs=1e-11)
 
 
+def degree_profiles_to_nine():
+    """Profiles on degrees 0-9 with average degree above 1."""
+    weights = st.dictionaries(st.integers(0, 9), st.floats(1e-3, 1.0), min_size=1)
+    profiles = weights.map(
+        lambda w: DegreeDistribution.from_fractions({d: v / sum(w.values()) for d, v in w.items()})
+    )
+    return profiles.filter(lambda dist: dist.average_degree > 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree_profiles_to_nine(), st.floats(0.01, 0.95), st.floats(0.0, 1.0))
+def test_test_channel_objective_is_the_counting_arc_tangent(dist, x, rate):
+    # phi_R(D') = (1 + log2(1 - D') - R Den) / log2((1 - D')/D'), with
+    # Den = 1 - log2 gf(s) at s = D'/(1 - D'), is at D' = x/(1 + x) the
+    # counting arc's tangent at x read at R; so, the arc being convex, its
+    # slope in D' changes sign once, at the arc point of rate R.
+    log_gf = math.fsum(f * math.log2(1.0 + x**d) for d, f in dist.entries)
+    share = x / (1.0 + x)
+    phi = (1.0 + math.log2(1.0 - share) - rate * (1.0 - log_gf)) / math.log2((1.0 - share) / share)
+    arc_rate, arc_distortion, _ = bounds_module._arc(dist.degrees, dist.fractions, x)
+    tangent = arc_distortion + (1.0 - log_gf) / math.log2(x) * (rate - arc_rate)
+    assert abs(phi - tangent) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "degree, rate, reference",
     [

@@ -424,7 +424,7 @@ def test_campaign_instances_fit_the_profile_memo():
         before = memo.cache_info().misses
         for m, n, spec in instances:
             dist = parse_degree_spec.__wrapped__(spec).dist
-            verify_code(sample_code(m, n, dist, seed), dist, 26)
+            verify_code(sample_code(m, n, dist, seed), 26)
     info = memo.cache_info()
     assert info.misses == before
     assert info.hits >= len(instances)
@@ -549,6 +549,8 @@ GOLDEN_REPORTS = {
     "verify-default-m20": ["verify", "--m", "20", "--n", "10", "--degrees", "regular:3"],
     "verify-dgrid7-m20": ["verify", "--m", "20", "--n", "10", "--degrees", "regular:3", "--d-grid-steps", "7"],
     "verify-pins-m8": ["verify", "--m", "8", "--n", "4", "--degrees", "0:0.5,1:0.5", "--trials", "3"],
+    # degrees 1 and 2 in thirds: the bound is the code's own profile, not the spelling's floats
+    "verify-thirds-m6": ["verify", "--m", "6", "--n", "3", "--degrees", "1:0.3333333,2:0.6666667", "--trials", "3"],
     "enum-readme": ["enum", "tests/golden/readme.ldgm"],
     "enum-empty-m8": ["enum", "tests/golden/empty-m8.ldgm"],
 }
@@ -575,6 +577,15 @@ def test_golden_reports_repeat_in_one_process(monkeypatch, capsys):
     for name in names + names[::-1]:
         expected = (0, (GOLDEN / f"{name}.txt").read_text(), "")
         assert run(GOLDEN_REPORTS[name], capsys) == expected, name
+
+
+def test_verify_prints_one_report_for_two_spellings_of_a_profile(monkeypatch, capsys):
+    # Both spellings sample the code with one degree-1 and two degree-2
+    # generators, and its report is that of its own profile, the thirds.
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    argv = GOLDEN_REPORTS["verify-thirds-m6"][:]
+    argv[argv.index("--degrees") + 1] = "1:0.3333334,2:0.6666666"
+    assert run(argv, capsys) == (0, (GOLDEN / "verify-thirds-m6.txt").read_text(), "")
 
 
 def test_curve_rejects_single_step(capsys):

@@ -47,6 +47,7 @@ from oracles import (
     weight_enumerator_naive,
 )
 from oracles_float import coefficient_growth_exponent
+from oracles_mp import counting_distortion
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
@@ -317,7 +318,7 @@ def test_weight_enumerator_allocates_only_the_dual_span():
 def test_coefficient_floor_regular_closed_form():
     # For l-regular distributions the floor is a sum of binomials: picking
     # g generators contributes weight exactly l*g.
-    floors = coefficient_lower_bound(REG2, 7)
+    floors = coefficient_lower_bound([2] * 7)
     expected_cumulative = []
     total = 0
     for w in range(15):
@@ -327,16 +328,15 @@ def test_coefficient_floor_regular_closed_form():
 
 
 def test_coefficient_floor_handles_degree_zero():
-    dist = DegreeDistribution.from_fractions({0: 0.5, 2: 0.5})
-    floors = coefficient_lower_bound(dist, 4)
+    floors = coefficient_lower_bound([0, 0, 2, 2])
     # Two degree-zero generators double every coefficient twice over.
-    base = coefficient_lower_bound(DegreeDistribution.regular(2), 2)
+    base = coefficient_lower_bound([2, 2])
     assert floors[-1] == 2**4
     assert list(floors) == [4 * value for value in base]
 
 
 def test_coefficient_floor_is_exact_integer_arithmetic():
-    floors = coefficient_lower_bound(REG3, 40)
+    floors = coefficient_lower_bound([3] * 40)
     assert floors[-1] == 2**40
     assert all(isinstance(v, int) for v in floors)
 
@@ -348,8 +348,7 @@ def test_coefficient_floor_is_exact_integer_arithmetic():
 # degree 0 beside a mix of degrees
 @example([0, 2, 5, 0, 1, 2, 2])
 def test_coefficient_floor_matches_per_generator_product(degrees):
-    dist = DegreeDistribution.from_degrees(degrees)
-    assert coefficient_lower_bound(dist, len(degrees)) == coefficient_floor_naive(degrees)
+    assert coefficient_lower_bound(degrees) == coefficient_floor_naive(degrees)
 
 
 def test_growth_exponent_regular_identity():
@@ -364,12 +363,11 @@ def test_growth_exponent_at_full_occupancy():
 
 
 def test_growth_exponent_matches_finite_size():
-    dist = REG2
     n = 400
-    floors = coefficient_lower_bound(dist, n)
+    floors = coefficient_lower_bound([2] * n)
     w = n // 2
     finite = math.log2(floors[w]) / n
-    asymptotic = coefficient_growth_exponent(dist, 0.5)
+    asymptotic = coefficient_growth_exponent(REG2, 0.5)
     assert finite == pytest.approx(asymptotic, abs=0.02)
 
 
@@ -576,7 +574,7 @@ def test_verify_code_refuses_enumeration_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            verify_code(wide, wide.realized_distribution(), 2)
+            verify_code(wide, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -596,7 +594,7 @@ def test_optimal_distortion_zero_matrix():
 
 def test_verify_code_passes_on_sampled_instance():
     code = sample_code(12, 6, REG2, seed=9)
-    report = verify_code(code, REG2, 26)
+    report = verify_code(code, 26)
     assert report.passed
     assert report.chain_ok and report.enumerator_ok and report.bound_ok
     assert report.optimal_distortion >= report.bound_distortion - 1e-9
@@ -606,7 +604,7 @@ def test_verify_code_passes_on_sampled_instance():
 
 def test_verify_report_margins_consistent():
     code = sample_code(14, 7, REG2, seed=2)
-    report = verify_code(code, REG2, 26)
+    report = verify_code(code, 26)
     assert report.bound_margin == pytest.approx(
         report.optimal_distortion - report.bound_distortion, abs=1e-15
     )
@@ -639,8 +637,7 @@ def exact_grid(steps):
 # full rank: optimal 0 equals the right-hand side at d = 0, and the chain holds
 @example(LdgmCode(2, ((0,), (0, 1))), 2)
 def test_chain_check_matches_naive_fractions(code, steps):
-    dist = code.realized_distribution() if code.generators else REG2
-    report = verify_code(code, dist, steps)
+    report = verify_code(code, steps)
     profile = distance_transform(code)
     assert chain_fields(report) == chain_check_naive(profile, exact_grid(steps))
 
@@ -652,7 +649,7 @@ def test_chain_check_at_budget_limit_matches_naive(seed):
     code = sample_code(26, 24, REG2, seed=seed)
     pinned = CoverProfile(26, BUDGET_PINS[seed][0])
     for steps in (26, 14):
-        report = verify_code(code, REG2, steps)
+        report = verify_code(code, steps)
         assert chain_fields(report) == chain_check_naive(pinned, exact_grid(steps))
         assert report.chain_ok
 
@@ -671,7 +668,7 @@ def test_verify_code_eliminates_once_per_code(monkeypatch):
     codes = [sample_code(14, 6, REG3, seed) for seed in range(3)]
     codes += [sample_code(12, 10, REG2, seed) for seed in range(3)]
     for count, code in enumerate(codes, start=1):
-        verify_code(code, code.realized_distribution(), 26)
+        verify_code(code, 26)
         assert len(calls) == count
     assert max(len(code._rows) for code in codes) > 6
 
@@ -684,14 +681,13 @@ def test_profile_memo_bounded_over_many_sizes():
     sizes = [(n, m) for m in range(1, BLOCKLENGTH_LIMIT + 1) for n in range(m + 1)][:keys]
     assert len(sizes) == keys
     codes = [LdgmCode(m, ((0,),) * n) for n, m in sizes]
-    reg1 = DegreeDistribution.regular(1)
     for code in codes:
-        verify_code(code, reg1, 26)
+        verify_code(code, 26)
     info = memo.cache_info()
     assert info.misses == keys
     assert info.currsize == info.maxsize
     # The first size was evicted, so asking again computes afresh.
-    verify_code(codes[0], reg1, 26)
+    verify_code(codes[0], 26)
     assert memo.cache_info().misses == keys + 1
     memo.cache_clear()
 
@@ -702,23 +698,26 @@ def test_profile_memo_bounded_over_many_sizes():
 @example([0, 2, 5, 0, 1, 2, 2])
 def test_memoised_floors_match_per_generator_product(degrees):
     # A miss and then a hit both give the naive product, with zero tolerance.
-    dist = DegreeDistribution.from_degrees(degrees)
     m = max(len(degrees), *degrees, 1)
     for _ in range(2):
-        _, floors, _ = exact_module._profile_checks(dist, len(degrees), m)
+        floors, _ = exact_module._profile_checks(tuple(sorted(degrees)), m)
         assert floors == coefficient_floor_naive(degrees)
 
 
-def test_verify_code_refuses_an_unrealised_profile(monkeypatch):
-    # The floors and the bound of one profile say nothing of a code of
-    # another, even one of the same size; refused before the transform.
-    monkeypatch.setattr(exact_module, "distance_transform", lambda code: pytest.fail("transform ran"))
-    with pytest.raises(ValueError, match=r"degree counts \{3: 10\} do not realize 2:1"):
-        verify_code(sample_code(20, 10, REG3, seed=0), REG2, 26)
-    half = parse_degree_literal("1:0.5,3:0.5")
-    quarter = parse_degree_literal("1:0.25,3:0.75")
-    with pytest.raises(ValueError, match=r"\{1: 4, 3: 4\} do not realize 1:0.25,3:0.75"):
-        verify_code(sample_code(16, 8, half, seed=0), quarter, 26)
+def test_verify_code_reads_the_profile_from_the_code():
+    # Two spellings of 1/3, 2/3 round to the same counts {1: 1, 2: 2} and
+    # sample the same code; it is checked against its own profile, the
+    # exact thirds, whichever spelling it came from and in any generator
+    # order.
+    spellings = ("1:0.3333333,2:0.6666667", "1:0.3333334,2:0.6666666")
+    codes = [sample_code(6, 3, parse_degree_literal(text), seed=0) for text in spellings]
+    report = verify_code(codes[0], 26)
+    assert verify_code(codes[1], 26) == report
+    assert verify_code(LdgmCode(6, codes[0].generators[::-1]), 26) == report
+    thirds = DegreeDistribution.from_degrees([1, 2, 2])
+    assert report.bound_distortion == counting_bound_distortion(thirds, 0.5)
+    reference = counting_distortion(((1, 1 / 3), (2, 2 / 3)), 0.5)
+    assert abs(report.bound_distortion - float(reference)) <= 1e-10
 
 
 # The degree profiles of a verify campaign, each with the generator count
@@ -740,13 +739,13 @@ def test_verify_code_accepts_the_profile_a_code_was_sampled_from(dist, multiple)
         for rate in (0.25, 0.5, 0.75):
             n = max(multiple, round(m * rate / multiple) * multiple)
             for seed in range(2):
-                assert verify_code(sample_code(m, n, dist, seed), dist, 26).passed
+                assert verify_code(sample_code(m, n, dist, seed), 26).passed
 
 
 @pytest.mark.parametrize("steps", [1, 0, -3])
 def test_verify_code_rejects_fewer_than_two_steps(steps):
     with pytest.raises(ValueError, match="at least 2 d-grid steps"):
-        verify_code(PAIR_CODE, REG2, steps)
+        verify_code(PAIR_CODE, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 independent, and the package exports nothing without a caller.
 
 * No module of the package imports a test or benchmark dependency.
+* Every name a module of the package imports is read in that module or
+  listed in its ``__all__``; ``from __future__`` imports are exempt.
 * ``tests/oracles.py`` builds its brute-force references on its own
   ``encode`` and the package's result types alone, never on the kernels
   it checks.
@@ -48,6 +50,22 @@ def _top(module: str) -> str:
 def test_package_imports_no_test_or_benchmark_dependency(path):
     tops = {_top(module) for module, _ in _imports(path)}
     assert not tops & FORBIDDEN_IN_PACKAGE
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_what_it_uses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and _defined(node) == ["__all__"]:
+            exported.update(ast.literal_eval(node.value))
+    assert imported <= read | exported, sorted(imported - read - exported)
 
 
 def test_oracles_use_only_encode_and_result_types():
