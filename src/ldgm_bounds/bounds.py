@@ -376,11 +376,14 @@ def conjectured_exit_rate_bound(degree: int, distortion):
     d = pick((distortion > 0.0) & (distortion < 0.5), distortion, 0.25)
     keep, xp = 1.0 - d, math_of(d)
     b = 0.5 * (xp.log1p(-d) - xp.log(d))
+    gap = _entropy_gap(b)
     total = 0.0
     for i in range((degree + 1) // 2):
         pair = keep**i * d ** (degree - i) + keep ** (degree - i) * d**i
-        total = total + math.comb(degree, i) * pair * _entropy_gap((degree - 2 * i) * b)
-    bound = _entropy_gap(b) / total
+        # for odd l the last pair has l - 2i = 1, whose term is g(b) itself
+        scaled_gap = gap if degree - 2 * i == 1 else _entropy_gap((degree - 2 * i) * b)
+        total = total + math.comb(degree, i) * pair * scaled_gap
+    bound = gap / total
     return pick(distortion == 0.0, 1.0, pick(distortion == 0.5, 1.0 / degree, bound))
 
 
@@ -468,7 +471,7 @@ class BoundCurve:
             raise ValueError(f"unknown curve kind: {self.kind!r}")
         if len(self.rates) != len(self.distortions):
             raise ValueError(f"{len(self.rates)} rates but {len(self.distortions)} distortions")
-        rates, distortions = np.array(self.rates, float), np.array(self.distortions, float)
+        rates, distortions = self._arrays
         bad_rate = ~((rates >= -1e-12) & (rates <= 1.0 + 1e-12))
         bad_distortion = ~((distortions >= -1e-12) & (distortions <= 0.5 + 1e-12))
         bad = np.flatnonzero(bad_rate | bad_distortion)
@@ -488,6 +491,15 @@ class BoundCurve:
     @property
     def is_conjecture(self) -> bool:
         return self.kind == "conjectured_exit"
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rates and distortions as read-only float arrays, built once
+        for the row checks and read again by the CSV writer."""
+        arrays = np.array(self.rates, float), np.array(self.distortions, float)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
 
 def sample_curve(

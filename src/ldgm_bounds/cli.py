@@ -16,6 +16,12 @@ before anything is built, and for an ``enum`` code file of more than 1024
 checks, before its elimination), and
 4 when a bound has no solution or its numerics cannot deliver one
 (``NoSolutionError``, ``BracketError``, ``TruncationError``).
+
+``main`` hands the arguments after a command name straight to that
+command's own parser, which skips the top-level parser's pass over them.
+When the first argument names no command, or the command's parser leaves
+arguments over, the top-level parser parses them all again, so every
+usage error, help text and exit status is the one it gives.
 """
 
 from __future__ import annotations
@@ -101,7 +107,8 @@ def parse_degree_spec(text: str) -> DegreeSpec:
         raise UsageError(f"bad degree spec {text!r}: {exc}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="ldgm-bounds",
         description="Rate-distortion lower bounds for sparse generator codes.",
@@ -132,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enum", help="weight enumerator of a code file")
     enum.add_argument("path", help="code file")
 
-    return parser
+    return parser, sub.choices
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +178,107 @@ def _curve_for_args(args) -> BoundCurve:
     )
 
 
+# Tables of the CSV rows' fast path, ``_csv_rows``.  Decade e of a value in
+# [1e-4, 1) is -4 plus the number of 0.001, 0.01 and 0.1 at or below it;
+# _TEN_DIGITS[e + 4] is 10^(9 - e) and _FRACTION_SHIFT[e + 4] is 10^(e + 4).
+_TEN_DIGITS = np.array([1e13, 1e12, 1e11, 1e10])
+_FRACTION_SHIFT = np.array([1.0, 10.0, 100.0, 1000.0])
+# The first word of a value's 16 bytes: its separator, "0." and a digit to add.
+_LEAD_WORDS = np.frombuffer(b"\n0.0,0.0", "<u4")
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """"0000" to "9999" as little-endian words of four ASCII digits, then
+    the same 10^4 groups with their trailing zeros written as NUL bytes.
+
+    Built on the first curve written, so ``verify`` and ``enum`` never pay
+    for it; the array is read-only, since every call shares it."""
+    codes, place = np.arange(10_000)[:, None], np.array([1000, 100, 10, 1])
+    chars = (codes // place % 10 + ord("0")).astype(np.uint8)
+    # the digit of place p is a trailing zero when the code is a multiple of 10 p
+    stripped = np.where(codes % (10 * place) == 0, np.uint8(0), chars)
+    words = np.concatenate([chars, stripped], axis=None).view("<u4")
+    words.flags.writeable = False
+    return words
+
+
+def _csv_rows(distortions: np.ndarray, rates: np.ndarray) -> str:
+    """``f"{d:.10g},{r:.10g}\\n"`` for every row, with the rows whose two
+    values lie in [1e-4, 1) written by numpy passes over all of them at once.
+
+    Such a value v is written as "0." and the 13 digits of
+    N = rint(v 10^(9 - e)) 10^(e + 4), which render_curve_csv shows to
+    be its correctly rounded ten significant digits.  Each value is 16
+    bytes: its separator ("\\n" before a row's D, "," before its R), "0.",
+    the first digit, and three groups of four digits from _digit_words.  A
+    group after which only zero groups follow is written with its trailing
+    zeros as NUL bytes, and deleting the NULs strips the zeros as ``%g``
+    does.  Every other row is one f-string, spliced in at a marker byte.
+    """
+    if not len(rates):
+        return ""
+    values = np.stack((distortions, rates), axis=1)
+    fast = (values >= 1e-4) & (values < 1.0)
+    v = np.where(fast, values, 0.5)  # keeps nan, inf and overflow out of the arithmetic
+    decade = (v >= 0.001).astype(np.intp) + (v >= 0.01) + (v >= 0.1)
+    scaled = v * _TEN_DIGITS[decade]
+    digits = np.rint(scaled)
+    fast &= (np.abs(scaled - digits) < 0.5 - 1e-5) & (digits < 1e10)
+    slow = np.flatnonzero(~(fast[:, 0] & fast[:, 1]))
+
+    fraction = digits * _FRACTION_SHIFT[decade]  # N, the 13 fractional digits
+    lead = np.floor(fraction / 1e12)
+    rest = fraction - lead * 1e12
+    g1 = np.floor(rest / 1e8)
+    rest -= g1 * 1e8
+    g2 = np.floor(rest / 1e4)
+    g1, g2, g3 = g1.astype(np.intp), g2.astype(np.intp), (rest - g2 * 1e4).astype(np.intp)
+
+    table = _digit_words()
+    words = np.empty((len(rates), 2, 4), "<u4")
+    words[:, :, 0] = _LEAD_WORDS + (lead.astype(np.uint32) << 24)
+    words[:, :, 3] = table[g3 + 10_000]
+    last = g3 == 0
+    words[:, :, 2] = table[g2 + 10_000 * last]
+    last &= g2 == 0
+    words[:, :, 1] = table[g1 + 10_000 * last]
+    words[slow] = 0
+    words[slow, 0, 0] = 1  # the marker byte "\x01"
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    if slow.size:
+        rows = [f"\n{d:.10g},{r:.10g}" for d, r in values[slow].tolist()] + [""]
+        text = "".join(part + row for part, row in zip(text.split("\x01"), rows))
+    return text[1:] + "\n"
+
+
 def render_curve_csv(curve: BoundCurve) -> str:
-    """CSV with a comment preamble; rows carry 10 significant digits."""
+    """CSV with a comment preamble; rows carry 10 significant digits.
+
+    A row is ``f"{d:.10g},{r:.10g}"``, written byte for byte by
+    ``_csv_rows``: values in [1e-4, 1) by numpy passes over the whole
+    curve, all others by the f-string.  Such a value v in decade e
+    (10^e <= v < 10^(e+1), -4 <= e <= -1) prints as "0." and 9 - e
+    fractional digits, the last ten of them its significant ones, with
+    trailing zeros dropped.  The fast path is exact:
+
+    * e comes from comparing v with the doubles 0.001, 0.01 and 0.1 (and
+      1e-4, the fast path's floor).  Each lies above its decimal and no
+      double lies between, so each comparison is the exact one with
+      10^-3, 10^-2 or 10^-1; log10 can be off by one next to a decade.
+    * t = v 10^(9 - e) lies in [10^9, 10^10); 10^(9 - e) is an exact
+      double, so t is rounded once, by at most half an ulp, 2^-20 <
+      1.2e-6.  Where t is more than 1e-5 from every half-integer, the
+      exact product lies on the same side of each, and rint(t) is the
+      correctly rounded significand; a tie or a near one is left to the
+      f-string.  So is a significand that rounds up to 10^10, whose
+      decade is e + 1.
+    * N = rint(t) 10^(e + 4) < 10^13 < 2^53 is an exact double, and so
+      is each digit group's quotient floor(x / 10^k) of x < 10^13: the
+      exact quotient lies at least 10^-k below the next integer, where
+      doubles are spaced less than 10^-k / 400 apart, so it rounds
+      below that integer.
+    """
     lines = []
     if curve.is_conjecture:
         lines.append(CONJECTURE_NOTICE)
@@ -186,9 +292,8 @@ def render_curve_csv(curve: BoundCurve) -> str:
             lines.append(f"# arc endpoint x->0: D={start[0]:.10g},R={start[1]:.10g}")
             lines.append(f"# arc endpoint x->1: D={end[0]:.10g},R={end[1]:.10g}")
     lines.append("D,R")
-    for distortion, rate in zip(curve.distortions, curve.rates):
-        lines.append(f"{distortion:.10g},{rate:.10g}")
-    return "\n".join(lines) + "\n"
+    rates, distortions = curve._arrays
+    return "\n".join(lines) + "\n" + _csv_rows(distortions, rates)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -309,17 +414,29 @@ def cmd_enum(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and shared by every later
-    one in the process: building it costs more than a small ``verify``."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers, built on the first ``main`` call and shared by every later
+    one in the process: building them costs more than a small ``verify``."""
     return build_parser()
 
 
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command named by ``argv`` and its parsed arguments; see the
+    module docstring for which parser reads them."""
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            return argv[0], args
+    args = parser.parse_args(argv)
+    return args.command, args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     handlers = {"curve": cmd_curve, "verify": cmd_verify, "enum": cmd_enum}
     try:
-        return handlers[args.command](args)
+        return handlers[command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_status(exc)

@@ -3,7 +3,7 @@ XORs of the generators' check sets, never on the package's kernels; a
 per-generator coefficient floor; a union-find closed form of the
 transform for codes of degree at most 2; a naive chain check in
 ``Fraction``s; the bound curves' row checks taken one row and one pair
-at a time; and the exact stack's small helpers that the package itself
+at a time; their CSV rows written one f-string at a time; and the exact stack's small helpers that the package itself
 does not use (``encode``, ``optimal_average_distortion``).
 
 The bound stack's float second routes (the primal rate bounds, the
@@ -186,3 +186,8 @@ def curve_check_naive(rates, distortions):
                 f"distortion must not increase with rate: "
                 f"{distortions[k - 1]!r} -> {distortions[k]!r}"
             )
+
+
+def csv_rows_naive(distortions, rates) -> str:
+    """Reference CSV rows of a curve: one ``%.10g`` f-string per row."""
+    return "".join(f"{d:.10g},{r:.10g}\n" for d, r in zip(distortions, rates))

@@ -1,9 +1,11 @@
 """Command-line interface: CSV shape, reports, and exit codes."""
 
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from ldgm_bounds import bounds as bounds_module
 from ldgm_bounds import cli as cli_module
 from ldgm_bounds import exact as exact_module
 from ldgm_bounds.cli import UsageError, main, parse_degree_spec
+from oracles import csv_rows_naive
 
 REG2 = DegreeDistribution.regular(2)
 
@@ -535,6 +538,92 @@ def test_curve_output_matches_golden_csv(capsys, name):
     assert out == (GOLDEN / f"{name}.csv").read_text()
 
 
+# ---------------------------------------------------------------------------
+# CSV rows: the numpy writer against one f-string per row
+# ---------------------------------------------------------------------------
+
+
+def _ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# Edges of the writer's fast path [1e-4, 1), its decades and its exact
+# values, each with the doubles a few ulps either side.
+_EDGE_VALUES = st.builds(
+    _ulps, st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5e-324, 2.2250738585072014e-308]),
+    st.integers(min_value=-3, max_value=3),
+)
+# Ten-digit decimals q 10^(e - 9) and the half-points between them, in and
+# around the fast path's decades, the nearest double and one ulp either side.
+_DECIMAL_VALUES = st.builds(
+    lambda q, half, e, steps: _ulps(float(Decimal(2 * q + half) / 2 * Decimal(10) ** (e - 9)), steps),
+    st.integers(min_value=10**9, max_value=10**10 - 1),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=-6, max_value=1),
+    st.integers(min_value=-1, max_value=1),
+)
+_CSV_VALUES = st.one_of(
+    st.floats(), st.floats(min_value=1e-4, max_value=1.0, exclude_max=True), _EDGE_VALUES, _DECIMAL_VALUES
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_CSV_VALUES, _CSV_VALUES), max_size=40))
+def test_csv_rows_equal_one_fstring_per_row(rows):
+    distortions = [d for d, _ in rows]
+    rates = [r for _, r in rows]
+    text = cli_module._csv_rows(np.array(distortions, float), np.array(rates, float))
+    assert text == csv_rows_naive(distortions, rates)
+
+
+def test_csv_rows_near_halves_and_decade_edges():
+    # A tie, 3 2^-14 = 0.00018310546875, rounds to even as %g does; the
+    # doubles at and next to the half-points 0.56379300495 and
+    # 0.00035722124205 round away from rint of their scaled value; the
+    # largest doubles below 1e-4, 0.1 and 1 print as the decade above.
+    values = [3 * 2.0**-14]
+    values += [_ulps(half, k) for half in (0.56379300495, 0.00035722124205) for k in range(-2, 3)]
+    values += [_ulps(edge, -1) for edge in (1e-4, 1e-3, 1e-2, 0.1, 1.0)]
+    values += [0.09999999999995, 0.0999999999995, -0.0, math.nan, math.inf]
+    partner = [0.25] * len(values)  # in the fast path, so each row turns on its value
+    for distortions, rates in ((values, partner), (partner, values)):
+        text = cli_module._csv_rows(np.array(distortions), np.array(rates))
+        assert text == csv_rows_naive(distortions, rates)
+
+
+# Every curve family, dense and nested, with the lowest rate it takes.
+_CSV_FAMILIES = [
+    *((["--bound", "counting", "--degrees", spec], 0.0) for spec in (
+        "regular:2", "regular:3", "regular:5", "1:0.5,3:0.5", "2:0.25,3:0.5,6:0.25", "0:0.1,2:0.5,4:0.4",
+    )),
+    (["--bound", "shannon"], 0.0),
+    (["--bound", "dwr", "--r", "3"], 0.0),
+    (["--bound", "dwr", "--r", "6"], 0.0),
+    (["--bound", "conjecture", "--l", "2"], 0.0),
+    (["--bound", "conjecture", "--l", "3"], 0.0),
+    (["--bound", "test-channel", "--l", "2"], 0.0),
+    (["--bound", "test-channel", "--l", "3"], 0.0),
+    (["--bound", "counting", "--degrees", "poisson:3"], 0.15),
+    (["--bound", "counting", "--degrees", "poisson:6"], 0.15),
+]
+
+
+@pytest.mark.parametrize("family, lowest", _CSV_FAMILIES, ids=[" ".join(family) for family, _ in _CSV_FAMILIES])
+def test_curve_rows_equal_one_fstring_per_row(capsys, family, lowest):
+    # 3000 rows over the whole range, where the rows at R = 0 or R = 1 take
+    # the f-string, and on two seeded jittered windows inside it
+    rng = np.random.default_rng(list(map(ord, " ".join(family))))
+    windows = [(lowest, 1.0)] + [(lowest + rng.uniform(0.0, 0.02), 1.0 - rng.uniform(0.0, 0.02)) for _ in range(2)]
+    for lo, hi in windows:
+        argv = ["curve", *family, "--rate-min", repr(lo), "--rate-max", repr(hi), "--steps", "3000"]
+        status, out, err = run(argv, capsys)
+        assert (status, err) == (0, "")
+        curve = cli_module._curve_for_args(cli_module._parser()[1]["curve"].parse_args(argv[1:]))
+        assert out.split("D,R\n", 1)[1] == csv_rows_naive(curve.distortions, curve.rates)
+
+
 # Reports and tables written by ``ldgm-bounds verify`` and ``enum``, run
 # from the repository root, before the test-only bound forms left the
 # package; output must match them byte for byte.  ``readme.ldgm`` is the
@@ -738,6 +827,44 @@ def test_repeated_calls_agree_whatever_runs_between(tmp_path, capsys):
         assert [outcome(argv, capsys) for argv in commands] == first
         assert outcome(argv, capsys) == interrupted
     assert cli_module._parser.cache_info().currsize == 1
+
+
+_VERIFY = ["verify", "--m", "12", "--n", "6", "--degrees", "regular:2", "--trials", "1"]
+DISPATCH_ARGV = [
+    ["--help"],
+    ["-h", "verify"],
+    [],
+    ["frobnicate", "--m", "12"],
+    ["verify"],
+    ["verify", "--m", "x", "--n", "6", "--degrees", "regular:2"],
+    ["verify", "--m", "12", "--n", "6", "--deg", "regular:2", "--trials", "1"],
+    ["verify", "--m=12", "--n=6", "--degrees=regular:2", "--trials=1"],
+    ["verify", "--m", "30", "--n", "6", "--degrees", "regular:2", "--trials", "1", "--m", "12"],
+    ["verify", "--m", "12", "--n", "6", "-h"],
+    ["verify", "--m", "12", "--n", "6", "--he"],
+    [*_VERIFY, "extra", "more"],
+    [*_VERIFY, "--bogus", "1"],
+    [*_VERIFY[:-1], "-1"],
+    ["curve", "--bound", "shannon", "--steps", "3"],
+    ["curve", "--bound", "nope"],
+    ["curve", "--help"],
+    ["enum"],
+    ["enum", "tests/golden/readme.ldgm", "more"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_dispatch_matches_the_top_level_parser(monkeypatch, capsys, argv):
+    # main hands a command's arguments to its own parser; the top-level
+    # parser alone gives the same status, output and messages
+    dispatched = outcome(argv, capsys)
+
+    def top_level(argv):
+        args = cli_module._parser()[0].parse_args(argv)
+        return args.command, args
+
+    monkeypatch.setattr(cli_module, "_parse", top_level)
+    assert outcome(argv, capsys) == dispatched
 
 
 def test_import_builds_no_parser():
