@@ -451,18 +451,19 @@ def conjectured_exit_distortion_bound(degree: int, rate):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCurve:
     """A sampled bound curve: kind tag, rates in ascending order and the
-    distortion at each as two tuples of floats, generating params, and a
-    fixed-profile counting curve's unrounded distribution.
+    distortion at each as read-only float copies of the sequences given,
+    generating params, and a fixed-profile counting curve's unrounded
+    distribution.  Equality is identity: arrays have no truth value.
 
     Checks every row: rates in [0, 1] and distortions in [0, 1/2], each to
     1e-12, rates sorted, and no distortion rising by more than 1e-9."""
 
     kind: str
-    rates: tuple[float, ...]
-    distortions: tuple[float, ...]
+    rates: np.ndarray
+    distortions: np.ndarray
     params: tuple[tuple[str, str], ...]
     dist: DegreeDistribution | None = None
 
@@ -471,7 +472,11 @@ class BoundCurve:
             raise ValueError(f"unknown curve kind: {self.kind!r}")
         if len(self.rates) != len(self.distortions):
             raise ValueError(f"{len(self.rates)} rates but {len(self.distortions)} distortions")
-        rates, distortions = self._arrays
+        for name in ("rates", "distortions"):
+            array = np.array(getattr(self, name), float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        rates, distortions = self.rates, self.distortions
         bad_rate = ~((rates >= -1e-12) & (rates <= 1.0 + 1e-12))
         bad_distortion = ~((distortions >= -1e-12) & (distortions <= 0.5 + 1e-12))
         bad = np.flatnonzero(bad_rate | bad_distortion)
@@ -491,15 +496,6 @@ class BoundCurve:
     @property
     def is_conjecture(self) -> bool:
         return self.kind == "conjectured_exit"
-
-    @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rates and distortions as read-only float arrays, built once
-        for the row checks and read again by the CSV writer."""
-        arrays = np.array(self.rates, float), np.array(self.distortions, float)
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
 
 
 def sample_curve(
@@ -554,5 +550,4 @@ def sample_curve(
         else:
             distortions = conjectured_exit_distortion_bound(degree, rates)
 
-    rows = tuple(rates.tolist()), tuple(distortions.tolist())
-    return BoundCurve(kind, *rows, tuple(params), dist if kind == "counting" else None)
+    return BoundCurve(kind, rates, distortions, tuple(params), dist if kind == "counting" else None)

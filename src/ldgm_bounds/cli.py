@@ -88,8 +88,9 @@ class DegreeSpec:
 def parse_degree_spec(text: str) -> DegreeSpec:
     """Accept "regular:<l>", "poisson:<r>", or a degree:fraction literal.
 
-    Memoised per text, so every verify call on one spec shares one
-    distribution and the values it caches."""
+    Memoised per text, so repeated calls on one spec share one parse:
+    a curve reuses its distribution and the values it caches, and verify
+    samples from it."""
     head, sep, tail = text.partition(":")
     if sep and head in ("regular", "poisson"):
         try:
@@ -292,8 +293,7 @@ def render_curve_csv(curve: BoundCurve) -> str:
             lines.append(f"# arc endpoint x->0: D={start[0]:.10g},R={start[1]:.10g}")
             lines.append(f"# arc endpoint x->1: D={end[0]:.10g},R={end[1]:.10g}")
     lines.append("D,R")
-    rates, distortions = curve._arrays
-    return "\n".join(lines) + "\n" + _csv_rows(distortions, rates)
+    return "\n".join(lines) + "\n" + _csv_rows(curve.distortions, curve.rates)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -396,9 +396,10 @@ def cmd_enum(args) -> int:
     except ValueError as exc:
         raise UsageError(f"{args.path}: {exc}") from exc
     n = code.num_generators
-    floors = coefficient_lower_bound(map(len, code.generators))
-    rows = _enumerator_rows(weight_enumerator(code), floors)
-    degrees = code.realized_distribution().to_literal() if n else "-"
+    lengths = [len(checks) for checks in code.generators]
+    rows = _enumerator_rows(weight_enumerator(code), coefficient_lower_bound(lengths))
+    # n = 0 keeps its own header: an empty degree list has no L(x)
+    degrees = DegreeDistribution.from_degrees(lengths).to_literal() if n else "-"
     lines = [
         f"code: m={code.num_checks} n={n} degrees={degrees}",
         f"{'w':>3} {'A':>12} {'cumulative':>12} {'floor':>12} ok",

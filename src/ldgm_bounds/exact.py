@@ -25,9 +25,9 @@ m <= 26 checks.  All are checked before anything is allocated.
 ``verify_code`` checks a code against its own profile, the degrees of
 its generators, and pays per code only for that code.  The code runs one
 elimination, kept on it (``LdgmCode._rows``) for both kernels.  What holds
-for every code of a profile, the coefficient floors and the counting
-bound at n/m, is kept by ``_profile_checks``, an ``lru_cache`` of
-``_PROFILE_CACHE_SIZE`` = 256 entries keyed by (sorted degrees, m) that
+for every code of a profile, the coefficient floors and the counting bound
+of its positive degrees, is kept by ``_profile_checks``, an ``lru_cache``
+of ``_PROFILE_CACHE_SIZE`` = 256 entries keyed by (sorted degrees, m) that
 holds immutable values only; its ``cache_info()`` counts the hits and
 misses.  The chain check takes the d-grid as its step count s: grid
 point k is k / den with den = 2 (s - 1), its radius is floor(k m / den),
@@ -102,10 +102,6 @@ class LdgmCode:
     @property
     def num_generators(self) -> int:
         return len(self.generators)
-
-    def realized_distribution(self) -> DegreeDistribution:
-        """Degree distribution actually present in this instance."""
-        return DegreeDistribution.from_degrees([len(g) for g in self.generators])
 
     @functools.cached_property
     def _rows(self) -> tuple[int, ...]:
@@ -502,7 +498,8 @@ class VerificationReport:
       ``chain_margin`` rounds the exact worst case once.
     * enumerator: cumulative weight counts >= coefficient floor in the rows
       ``enum`` prints, exact; ``enumerator_slack`` is the smallest difference.
-    * bound: optimal distortion >= counting bound at rate n/m - 1e-9.
+    * bound: optimal distortion >= counting bound - 1e-9, that of its n+
+      positive-degree generators at rate n+/m (see ``_profile_checks``).
     """
 
     num_checks: int
@@ -531,18 +528,22 @@ _PROFILE_CACHE_SIZE = 256
 def _profile_checks(degrees: tuple[int, ...], num_checks: int):
     """What ``verify_code`` checks a code with these sorted generator
     degrees and m checks against, immutable and computed once per key: the
-    coefficient floors and the counting bound at rate n/m, 1/2 at n = 0."""
+    coefficient floors of all n degrees, and the counting bound of the n+
+    positive ones at rate n+/m, 1/2 at n+ = 0 and 0 at n+ >= m.  A degree-0
+    generator adds no codeword, so the code is that of its positive part."""
     floors = coefficient_lower_bound(degrees)
-    if not degrees:
+    positive = degrees[degrees.count(0) :]
+    if not positive:
         return floors, 0.5
-    dist = DegreeDistribution.from_degrees(degrees)
-    return floors, counting_bound_distortion(dist, len(degrees) / num_checks)
+    dist = DegreeDistribution.from_degrees(positive)
+    # from n+ = m on the bound is 0, its value at rate 1 when L_0 = 0
+    return floors, counting_bound_distortion(dist, min(len(positive) / num_checks, 1.0))
 
 
 def verify_code(code: LdgmCode, d_grid_steps: int) -> VerificationReport:
     """Run all exact checks of the counting bound against one instance and
     the profile of its own generator degrees, the chain on the d-grid
-    k / (2 (d_grid_steps - 1)), k < d_grid_steps."""
+    k / (2 (d_grid_steps - 1)), k < d_grid_steps; n may exceed m."""
     if d_grid_steps < 2:
         raise ValueError(f"need at least 2 d-grid steps, got {d_grid_steps!r}")
     # The enumerator first: its budget refuses before the transform allocates.

@@ -767,10 +767,41 @@ def test_bound_curve_checks_match_naive(rows):
     assert got == expected
 
 
+@st.composite
+def curve_inputs(draw):
+    """Rows of a valid curve, as tuples, lists or float64 arrays."""
+    size = draw(st.integers(0, 6))
+    rates = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    distortions = sorted(
+        draw(st.lists(st.floats(0.0, 0.5), min_size=size, max_size=size)), reverse=True
+    )
+    form = draw(st.sampled_from([tuple, list, np.array]))
+    return rates, distortions, form
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve_inputs())
+def test_bound_curve_holds_read_only_copies(inputs):
+    rates, distortions, form = inputs
+    given_rates, given_distortions = form(rates), form(distortions)
+    curve = BoundCurve("shannon", given_rates, given_distortions, ())
+    for held, values in ((curve.rates, rates), (curve.distortions, distortions)):
+        assert held.dtype == np.float64 and held.shape == (len(values),)
+        assert not held.flags.writeable
+        assert held.tolist() == values
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0.25
+    if form is not tuple:
+        for given_values in (given_rates, given_distortions):
+            given_values[:] = [math.nan] * len(given_values)
+    assert curve.rates.tolist() == rates
+    assert curve.distortions.tolist() == distortions
+
+
 def test_sample_curve_shannon():
     curve = sample_curve("shannon", [0.2, 0.5, 0.8])
     assert curve.kind == "shannon"
-    assert curve.rates == (0.2, 0.5, 0.8)
+    assert curve.rates.tolist() == [0.2, 0.5, 0.8]
     assert curve.distortions[1] == pytest.approx(0.11002786443835955, abs=1e-9)
     assert not curve.is_conjecture
 
@@ -822,8 +853,9 @@ def test_curve_rows_match_float_calls(kind, params, rates, point):
     # round differently, so a bisection may end one step apart: the bound
     # is twice the coarsest solver tolerance, 1e-12.
     curve = sample_curve(kind, rates, **params)
-    assert curve.rates == tuple(rates)
-    assert {type(value) for value in curve.rates + curve.distortions} == {float}
+    assert curve.rates.tolist() == rates
+    for array in (curve.rates, curve.distortions):
+        assert array.dtype == np.float64 and not array.flags.writeable
     for rate, distortion in zip(rates, curve.distortions):
         assert distortion == pytest.approx(point(rate), abs=2e-12), rate
 
@@ -892,7 +924,10 @@ def test_fixed_profile_curve_solves_its_anchor_with_its_arc(monkeypatch):
     assert targets[0][:-1].tolist() == [rate for rate in rates if rate >= 0.5]
     solved = targets[:]
     targets.clear()
-    assert sample_curve("counting", rates, dist=REG2) == first
+    second = sample_curve("counting", rates, dist=REG2)
+    assert np.array_equal(second.rates, first.rates)
+    assert np.array_equal(second.distortions, first.distortions)
+    assert (second.kind, second.params, second.dist) == (first.kind, first.params, first.dist)
     assert len(targets) == 1
     assert np.array_equal(targets[0], solved[0])
 

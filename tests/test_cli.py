@@ -308,6 +308,22 @@ def test_verify_zero_generators_degenerate(capsys):
     assert "PASS" in out
 
 
+def test_verify_more_generators_than_checks(capsys):
+    # n > m: the code's positive-degree generators reach rate 12/8 >= 1,
+    # where the only bound is 0.
+    status, out, err = run(
+        [
+            "verify", "--m", "8", "--n", "12", "--degrees", "regular:2",
+            "--trials", "2",
+        ],
+        capsys,
+    )
+    assert (status, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert all(" bound=0 " in line or line.endswith(" bound=0") for line in lines)
+
+
 def test_verify_budget_refused_before_sampling(monkeypatch, capsys):
     def no_sampling(*args):
         raise AssertionError("sampled a code past the budget")

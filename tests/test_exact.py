@@ -149,7 +149,8 @@ def component_codes(draw, max_checks=20):
 
 def test_code_basic_properties():
     assert PAIR_CODE.num_generators == 4
-    assert PAIR_CODE.realized_distribution().entries == ((2, 1.0),)
+    degrees = [len(checks) for checks in PAIR_CODE.generators]
+    assert DegreeDistribution.from_degrees(degrees).entries == ((2, 1.0),)
 
 
 def test_code_validation():
@@ -718,6 +719,47 @@ def test_verify_code_reads_the_profile_from_the_code():
     assert report.bound_distortion == counting_bound_distortion(thirds, 0.5)
     reference = counting_distortion(((1, 1 / 3), (2, 2 / 3)), 0.5)
     assert abs(report.bound_distortion - float(reference)) <= 1e-10
+
+
+@st.composite
+def codes_with_idle_generators(draw):
+    """Codes with m <= 10 and up to m + 6 generators of degree 0 to 4, many
+    of degree 0: some have n > m, some no generator of positive degree."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    check_sets = st.lists(
+        st.integers(min_value=0, max_value=m - 1), unique=True, max_size=min(m, 4)
+    ).map(lambda checks: tuple(sorted(checks)))
+    return LdgmCode(m, tuple(draw(st.lists(check_sets | st.just(()), max_size=m + 6))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_with_idle_generators())
+@example(LdgmCode(8, ((0, 1),) * 12))
+@example(LdgmCode(4, ((), (), (0, 1, 2), (1, 3))))
+@example(LdgmCode(6, ((), (0, 1, 2), (2, 3), (1, 4, 5))))
+@example(LdgmCode(3, ((), (0,), (1,), (2,))))
+@example(LdgmCode(5, ((),) * 7))
+def test_verify_bound_is_that_of_the_positive_generators(code):
+    # A degree-0 generator adds no codeword, so the bound is that of the n+
+    # positive-degree generators at rate n+/m: 1/2 without any, 0 from
+    # n+ = m on.  Where the whole profile averages above 1 and n <= m, its
+    # own bound at n/m is the same number up to rounding.
+    m, n = code.num_checks, code.num_generators
+    degrees = [len(checks) for checks in code.generators]
+    positive = [d for d in degrees if d]
+    if not positive:
+        expected = 0.5
+    elif len(positive) >= m:
+        expected = 0.0
+    else:
+        dist = DegreeDistribution.from_degrees(positive)
+        expected = counting_bound_distortion(dist, len(positive) / m)
+    report = verify_code(code, 6)
+    assert report.bound_distortion == expected
+    assert report.bound_ok
+    whole = DegreeDistribution.from_degrees(degrees) if 0 < n <= m else None
+    if whole is not None and whole.average_degree > 1.0:
+        assert abs(counting_bound_distortion(whole, n / m) - expected) <= 1e-14
 
 
 # The degree profiles of a verify campaign, each with the generator count
