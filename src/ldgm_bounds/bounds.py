@@ -8,11 +8,12 @@ are expressed as curves in the (distortion, rate) plane.  Five families:
   distribution, obtained by counting low-weight codewords.
 * ``test_channel``: bound for degree-regular codes via a perturbed test
   channel D'; its numerator 1 - h(D) - KL(D || D') is affine in D, so the
-  distortion bound is one maximisation over D'.  Down to R = 1/l^2 it
-  traces the counting arc: the ``counting`` curve at R >= 1/l, and lower
-  than its straight segment below 1/l (0.3005 against 0.3641 at l = 3,
-  R = 0.14).  The arc ends at its x -> 1 limit ((l-1)/(2l), 1/l^2); below
-  that, the maximum is the D' -> 1/2 limit, the line D = (1 - l R)/2.
+  distortion bound is one maximisation over D', solved on the counting
+  arc.  Down to R = 1/l^2 it traces that arc: the ``counting`` curve at
+  R >= 1/l, and lower than its straight segment below 1/l (0.3005 against
+  0.3641 at l = 3, R = 0.14).  The arc ends at its x -> 1 limit
+  ((l-1)/(2l), 1/l^2); below that, the maximum is the D' -> 1/2 limit,
+  the line D = (1 - l R)/2.
 * ``dwr``: bound for the ensemble of random codes whose check nodes all
   have one fixed degree (Poisson generator degrees in the limit).
 * ``conjectured_exit``: a stronger curve obtained from an EXIT-style area
@@ -34,7 +35,7 @@ t = R avg, the segment.  The slope falls along x at the rate
 -Den / (x ln 2 (log2 x)^2), where Den = sum_i L_i (1 - h(x^i/(1 + x^i)))
 is the rate's positive denominator, so the arc is convex in R.  The
 tests check both from the arc's analytic derivatives.  At average degree
-at most 1 there is no arc, and the count alone gives the line
+at most 1 + 1e-12 there is no arc, and the count alone gives the line
 D = (1 - R avg)/2, covered checks taken at distortion 0.
 
 The counting bound is not tight for codes whose generators all have
@@ -95,9 +96,9 @@ CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 _X_MIN = 1e-300
 _X_LO = 1e-9
 _X_HI = 1.0 - 1e-6
-# The test-channel searches end at D' = 1/2 - 1e-4, where cancellation
-# sets in, written as u = log2 s, s = D'/(1-D').
-_CAP_U = math.log2((0.5 - 1e-4) / (0.5 + 1e-4))
+# The test-channel bound's channel D' = x/(1 + x) stops at 1/2 - 1e-4,
+# where cancellation sets in.
+_X_CAP = (0.5 - 1e-4) / (0.5 + 1e-4)
 # Poisson rows solved together, so the zero-padded pmf matrix stays at
 # this many rows whatever the grid.
 _POISSON_ROWS = 256
@@ -152,24 +153,24 @@ def parametric_endpoints(
     return start, end
 
 
+def _solve_arc(degrees, fractions, rate, top=_X_HI):
+    """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: on
+    [_X_MIN, _X_LO] for rates above its value at _X_LO, else on [_X_LO, top]."""
+    arc_rate = lambda x: _arc(degrees, fractions, x)[0]
+    near_start = rate >= arc_rate(_X_LO + 0.0 * rate)  # _X_LO in the shape of rate
+    lo, hi = pick(near_start, _X_MIN, _X_LO), pick(near_start, _X_LO, top)
+    return bisect_monotone(arc_rate, lo, hi, rate, tol=1e-15)
+
+
 def _arc_parameter(degrees, fractions, rate):
     """x in (0, 1) where the arc's rate is ``rate``, row by row for an array.
 
     The profile is (degrees, fractions) as ``weight_transforms`` takes it.
-    The root finder relies on the arc's rate decreasing in x.  Rates above
-    its value at _X_LO are bracketed by [_X_MIN, _X_LO], the rest by
-    [_X_LO, _X_HI].  A row whose arc rate misses ``rate`` by more than 1e-10
-    raises :class:`BracketError`.
+    A row whose arc rate misses ``rate`` by more than 1e-10 raises
+    :class:`BracketError`.
     """
-
-    def arc_rate(x):
-        return _arc(degrees, fractions, x)[0]
-
-    near_start = rate >= arc_rate(_X_LO + 0.0 * rate)  # _X_LO in the shape of rate
-    lo = pick(near_start, _X_MIN, _X_LO)
-    hi = pick(near_start, _X_LO, _X_HI)
-    x = bisect_monotone(arc_rate, lo, hi, rate, tol=1e-15)
-    residual = np.abs(arc_rate(x) - rate)
+    x = _solve_arc(degrees, fractions, rate)
+    residual = np.abs(_arc(degrees, fractions, x)[0] - rate)
     stalled = np.flatnonzero(residual > 1e-10)
     if stalled.size:
         row = int(stalled[0])
@@ -178,6 +179,11 @@ def _arc_parameter(degrees, fractions, rate):
             f"at x={float(np.ravel(x)[row])!r}"
         )
     return x
+
+
+def _has_arc(average):
+    """Whether the average degree exceeds 1 by more than a profile's 1e-12 slack."""
+    return average > 1.0 + 1e-12
 
 
 def solve_x_for_rate(dist: DegreeDistribution, rate):
@@ -191,8 +197,8 @@ def solve_x_for_rate(dist: DegreeDistribution, rate):
     is within 1e-10 of ``rate``, or :class:`BracketError` is raised.
     """
     average = dist.average_degree
-    if average <= 1.0:
-        raise ValueError(f"average degree must exceed 1, got {average!r}")
+    if not _has_arc(average):
+        raise ValueError(f"average degree must exceed 1 + 1e-12, got {average!r}")
     check_range(f"rate on the arc's span [{1.0 / average!r}, 1]", rate, 1.0 / average - 1e-12, 1.0)
     return _arc_parameter(dist.degrees, dist.fractions, rate)
 
@@ -212,15 +218,15 @@ def counting_bound_distortion(dist: DegreeDistribution, rate):
     Uses the parametric arc for rates at or above the reciprocal average
     degree and the straight segment through (1/2, 0) below it; at the
     arc's start rate 1/(1 - L_0) and above, the bound is 0.  Distributions
-    with average degree at most 1 degenerate to the line D = (1 - R avg)/2:
-    at least a share 1 - R avg of the checks has no generator.  An array's
-    arc rows and the segment's anchor at 1/average are solved together, the
-    anchor as the last row.
+    with average degree at most 1 + 1e-12 degenerate to the line
+    D = (1 - R avg)/2, or 0 past it: at least a share 1 - R avg of the
+    checks has no generator.  An array's arc rows and the segment's anchor
+    at 1/average are solved together, the anchor as the last row.
     """
     check_range("rate", rate, 0.0, 1.0)
     average = dist.average_degree
-    if average <= 1.0:
-        return (1.0 - rate * average) / 2.0
+    if not _has_arc(average):
+        return math_of(rate).maximum((1.0 - rate * average) / 2.0, 0.0)
     mass_zero = dist.fractions[0] if dist.degrees[0] == 0 else 0.0
     start, floor = 1.0 / (1.0 - mass_zero), 1.0 / average
     if isinstance(rate, np.ndarray):
@@ -239,16 +245,16 @@ def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
     """Counting bound of the truncated Poisson family, one member per rate.
 
     Each row solves its member's arc once, at max(R, 1/avg), and
-    ``_counting`` reads the bound off that point.  Members with average
-    degree at most 1 keep the line D = (1 - R avg)/2.
+    ``_counting`` reads the bound off that point.  Members without an arc
+    keep the line D = (1 - R avg)/2, or 0 past it.
     """
     parts = []
     for first in range(0, rates.size, _POISSON_ROWS):
         part = rates[first : first + _POISSON_ROWS]
         degrees, fractions = poisson_rows(check_degree, part)
         average = np.array([math.fsum(row) for row in (fractions * degrees).tolist()])
-        distortion = (1.0 - part * average) / 2.0
-        rows = np.flatnonzero(average > 1.0)
+        distortion = np.maximum((1.0 - part * average) / 2.0, 0.0)
+        rows = np.flatnonzero(_has_arc(average))
         if rows.size:
             rate, mean, profile = part[rows], average[rows], fractions[rows]
             x = _arc_parameter(degrees, profile, np.maximum(rate, 1.0 / mean))
@@ -262,42 +268,32 @@ def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _channel(degree: int, u):
-    """log2(1 - D'), D', s^l and Den = 1 - log2(1 + s^l) at s = D'/(1-D') = 2^u."""
-    xp, s, power = math_of(u), 2.0**u, 2.0 ** (degree * u)
-    return -xp.log1p(s) / math.log(2.0), s / (1.0 + s), power, 1.0 - xp.log2(1.0 + power)
-
-
 def test_channel_distortion_bound(degree: int, rate):
     """Largest distortion the test-channel bound rules out below ``rate``.
 
     With B = log2((1 - D')/D') > 0, N = 1 + log2(1 - D') - D B, so N/Den >= R
     exactly when D <= phi_R(D') = A/B, A = 1 + log2(1 - D') - R Den.  The
     bound is the larger of the line (1 - l R)/2 and max phi_R over D' in
-    (0, 1/2 - 1e-4].  phi_R's slope has the sign of A + (l R q - D') B,
-    q = s^l/(1 + s^l).  At D' = x/(1 + x), as 1 - h(D') = 1 - log2(1 + x)
+    (0, 1/2 - 1e-4].  At D' = x/(1 + x), as 1 - h(D') = 1 - log2(1 + x)
     + D' log2 x and Den = 1 - log2 gf(x), phi_R is the counting arc's
-    tangent at x read at R: the arc point plus (1 - log2 gf(x))/log2 x
-    times R - R_arc(x).  The arc is convex, its slope falling in x, so
-    d phi_R/dx has the sign of R_arc(x) - R for every profile: one root
-    find in log2 s gives the maximiser, the arc point of rate R; a row
-    rising at the cap takes the line.  There phi_R = D' - l R q < D', so
-    the primal's D' >= D holds by itself.
+    tangent at x read at R.  The arc is convex, so phi_R peaks at the arc
+    point of rate R: the arc solve, its rate clamped up to the cap's, gives
+    x, and phi_R = (1 - R - log2(1 + x) + R log2(1 + x^l))/log2(1/x) is read
+    there, with 1 - R exact near R = 1, where it may round below 0.  A row
+    at the cap has phi_R = D' - l R q < D', q = x^l/(1 + x^l), so the
+    primal's D' >= D holds by itself.  For l = 1 the arc is the single
+    point R = 1, and the bound is the line.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
     check_range("rate", rate, 0.0, 1.0)
-    xp, top = math_of(rate), _CAP_U + 0.0 * rate  # the cap in rate's shape
-
-    def dual(u):  # phi_R = A/B and A + (l R q - D') B at s = 2^u, where B = -u
-        keep, channel, power, den = _channel(degree, u)
-        a = 1.0 + keep - rate * den
-        return -a / u, a - (degree * rate * power / (1.0 + power) - channel) * u
-
-    rising = (rate == 1.0) | (dual(top)[1] >= 0.0)  # solved at the cap; R = 1 is set below
-    slope = lambda u: pick(rising, top - u, dual(u)[1])
-    u = bisect_monotone(slope, -200.0, top, 0.0, tol=1e-10)
-    bound = xp.maximum(dual(u)[0], (1.0 - degree * rate) / 2.0)
+    line = (1.0 - degree * rate) / 2.0
+    if degree == 1:
+        return line
+    xp, profile = math_of(rate), ((degree,), (1.0,))
+    x = _solve_arc(*profile, xp.maximum(rate, _arc(*profile, _X_CAP)[0]), _X_CAP)
+    tangent = (1.0 - rate - (xp.log1p(x) - rate * xp.log1p(x**degree)) / math.log(2.0)) / -xp.log2(x)
+    bound = xp.maximum(xp.maximum(tangent, line), 0.0)
     return pick(rate == 0.0, 0.5, pick(rate == 1.0, 0.0, bound))
 
 

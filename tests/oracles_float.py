@@ -4,8 +4,9 @@ The package solves each bound family for the distortion at a rate.  These
 solve the other way, or for a quantity the bound is a level set of:
 
 * ``test_channel_rate_bound``: the test-channel bound's primal, the least
-  rate at a distortion, maximising N/Den over D'; the package's
-  ``test_channel_distortion_bound`` maximises its dual phi_R instead;
+  rate at a distortion, maximising N/Den over D'; the package reads the
+  bound off the counting arc, and this keeps the primal as the
+  independent route;
 * ``poisson_ensemble_rate_bound``: the least rate of the fixed-check-degree
   ensemble bound at a distortion;
 * ``coverage_exponent``: the growth rate of the covered share of source

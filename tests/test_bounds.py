@@ -148,6 +148,15 @@ def test_grid_solve_takes_few_evaluations(monkeypatch, family, solve):
     assert counts and max(counts) <= 16, (family, counts)
 
 
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_test_channel_grid_solve_starts_on_the_arc(monkeypatch, degree):
+    # The arc solve takes 27, 35 and 35 evaluations here; the search over
+    # log2 s from -200 that it replaced took 43, 44 and 43.
+    rates = np.linspace(0.02, 0.98, 3000)
+    counts = _grid_evaluations(monkeypatch, lambda: channel_distortion_bound(degree, rates))
+    assert counts and max(counts) <= 36, counts
+
+
 # ---------------------------------------------------------------------------
 # counting bound, parametric arc
 # ---------------------------------------------------------------------------
@@ -328,12 +337,17 @@ def test_counting_line_segment_regular2():
 
 
 def test_counting_degenerate_low_degree():
-    # Average degree <= 1 collapses the bound to the trivial line (1-R)/2.
-    reg1 = DegreeDistribution.regular(1)
-    for rate in (0.0, 0.3, 0.77, 1.0):
-        assert counting_bound_distortion(reg1, rate) == pytest.approx(
-            (1.0 - rate) / 2.0, abs=1e-15
-        )
+    # Average degree <= 1 collapses the bound to the trivial line (1-R)/2;
+    # so does an average 1 + 2e-16 or 1 + 4e-16, masses summing to 1 within
+    # the 1e-12 a profile may be off, whose arc solve used to fail.
+    for fractions in ({1: 1.0}, {1: 1.0000000000000002}, {1: 1.0000000000000002, 2: 1e-16}):
+        dist = DegreeDistribution.from_fractions(fractions)
+        for rate in (0.0, 0.3, 0.77, 1.0):
+            assert counting_bound_distortion(dist, rate) == pytest.approx(
+                (1.0 - rate) / 2.0, abs=1e-15
+            )
+        assert counting_bound_distortion(dist, 1.0) == 0.0
+        assert counting_bound_distortion(dist, np.array([1.0]))[0] == 0.0
 
 
 def test_counting_rejects_bad_rate():
@@ -479,11 +493,19 @@ def test_test_channel_rate_bound_at_tiny_distortion(degree, distortion):
     assert abs(channel_rate_bound(degree, distortion) - reference) <= 1e-15
 
 
+# The arc's rates at the cap D' = 1/2 - 1e-4 for l = 2 and 3, where the
+# arc solve ends.
+CAP_RATE_L2, CAP_RATE_L3 = 0.2500000150403328, 0.11111112902515753
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 @example(2, 0.26)
 @example(4, 0.0626)
 @example(3, 1.0 - 1e-6)
+@example(2, CAP_RATE_L2)
+@example(3, CAP_RATE_L3)
+@example(1, 0.3)
 def test_test_channel_distortion_bound_against_grid(degree, rate):
     # Brute force over D' on a fine grid, geometric below 1e-3 where the
     # maximiser sits at rates near 1: a missed second peak of
@@ -502,9 +524,15 @@ def test_test_channel_distortion_bound_against_grid(degree, rate):
 @example(3, 1.0 / 9.0)
 @example(2, 1.0 - 1e-12)
 @example(5, 0.5)
+@example(2, 1.0 - 1e-16)
+@example(2, CAP_RATE_L2)
+@example(3, CAP_RATE_L3)
+@example(1, 0.3)
 def test_test_channel_distortion_bound_inverts_rate_bound(degree, rate):
     # The bound, one maximisation over D' at a fixed R, against the primal
-    # rate bound, which maximises N/Den over D' at a fixed D.
+    # rate bound, which maximises N/Den over D' at a fixed D.  At
+    # R = 1 - 1e-16 the unclamped tangent is -4.8e-18, which the primal's
+    # range check refuses.
     distortion = channel_distortion_bound(degree, rate)
     assert abs(channel_rate_bound(degree, distortion) - rate) <= 1e-10
 

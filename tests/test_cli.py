@@ -153,11 +153,19 @@ def test_curve_conflicting_profile_flags_exit_2(capsys, bound, flags):
         pytest.param(
             "0:0.5,1:0.5", ["0.4875,0.05", "0.375,0.5", "0.2625,0.95"], id="0:0.5,1:0.5"
         ),
+        pytest.param("1:1.0000000000000002", ["0.475,0.05", "0.25,0.5", "0.025,0.95"], id="1:1+2e-16"),
+        pytest.param(
+            "1:1.0000000000000002,2:0.0000000000000001",
+            ["0.475,0.05", "0.25,0.5", "0.025,0.95"],
+            id="1:1+2e-16,2:1e-16",
+        ),
     ],
 )
 def test_curve_without_arc_prints_no_endpoints(capsys, degrees, expected):
-    # Average degree at most 1: the counting bound is the line
+    # Average degree at most 1 + 1e-12: the counting bound is the line
     # D = (1 - R avg)/2, half the least share of checks no edge touches.
+    # The last two averaged 1 + 2e-16 and 1 + 4e-16 and exited 4 on a
+    # failed arc solve.
     status, out, _ = run(
         ["curve", "--bound", "counting", "--degrees", degrees, "--steps", "3"], capsys
     )
