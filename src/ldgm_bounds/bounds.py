@@ -18,9 +18,14 @@ are expressed as curves in the (distortion, rate) plane.  Five families:
   have one fixed degree (Poisson generator degrees in the limit).
 * ``conjectured_exit``: a stronger curve obtained from an EXIT-style area
   argument.  It is a conjecture, not a theorem, and is labeled as such
-  everywhere it is emitted.
+  everywhere it is emitted.  Explicit codes contradict it: a perfect
+  matching (l = 2, m = 12, n = 6) has optimum 1/4 where it gives 1/2, and
+  one degree-3 generator beside the cyclic Hamming code {s, s+1, s+3}
+  mod 7 (l = 3, m = 10, n = 5) has 13/80 where it gives 0.1722.
 
-The counting bound is pieced together from a parametric arc, traced by a
+A degree-0 generator adds no codeword, so the counting bound of L at R
+is that of its positive-degree part L+, renormalised, at R (1 - L_0).
+For L+ it is pieced together from a parametric arc, traced by a
 parameter x in (0, 1), and a straight segment through (D, R) = (1/2, 0)
 that takes over at rates below the reciprocal of the average degree.
 
@@ -34,8 +39,8 @@ intercept is log2(2/(1 + x)) / log2(1/x) for every profile.  It is below
 t = R avg, the segment.  The slope falls along x at the rate
 -Den / (x ln 2 (log2 x)^2), where Den = sum_i L_i (1 - h(x^i/(1 + x^i)))
 is the rate's positive denominator, so the arc is convex in R.  The
-tests check both from the arc's analytic derivatives.  At average degree
-at most 1 + 1e-12 there is no arc, and the count alone gives the line
+tests check both from the arc's analytic derivatives.  An L+ averaging
+at most 1 + 1e-12 has no arc, and the count alone gives the line
 D = (1 - R avg)/2, covered checks taken at distortion 0.
 
 The counting bound is not tight for codes whose generators all have
@@ -125,12 +130,21 @@ def shannon_distortion(rate):
 
 
 def _arc(degrees, fractions, x):
-    """The counting arc at x in (0, 1): its rate, its distortion, and the
-    (share x/(1+x), mean occupancy) pair a straight segment anchors on."""
+    """The counting arc's rate at x in (0, 1)."""
     log_gf, occupancy = weight_transforms(degrees, fractions, x)
-    share = x / (1.0 + x)
-    rate = (1.0 - _entropy(share)) / (1.0 - log_gf + occupancy * math_of(x).log2(x))
-    return rate, share - occupancy * rate, (share, occupancy)
+    return (1.0 - _entropy(x / (1.0 + x))) / (1.0 - log_gf + occupancy * math_of(x).log2(x))
+
+
+def _tangent(degrees, fractions, rate, x):
+    """The arc's tangent at x read at ``rate``, clamped at 0 and off the arc
+    point by the square of x's error: (1 - R - log2(1 + x) + R sum_i L_i
+    log2(1 + x^i))/log2(1/x), 1 - R exact; ``fractions`` as ``weight_transforms``'."""
+    xp = math_of(x)
+    if xp is np:
+        log_gf = (np.asarray(fractions) * np.log1p(x[..., None] ** np.asarray(degrees))).sum(axis=-1)
+    else:
+        log_gf = sum(fraction * math.log1p(x**degree) for degree, fraction in zip(degrees, fractions))
+    return xp.maximum((1.0 - rate - (xp.log1p(x) - rate * log_gf) / math.log(2.0)) / -xp.log2(x), 0.0)
 
 
 def parametric_endpoints(
@@ -156,7 +170,7 @@ def parametric_endpoints(
 def _solve_arc(degrees, fractions, rate, top=_X_HI):
     """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: on
     [_X_MIN, _X_LO] for rates above its value at _X_LO, else on [_X_LO, top]."""
-    arc_rate = lambda x: _arc(degrees, fractions, x)[0]
+    arc_rate = lambda x: _arc(degrees, fractions, x)
     near_start = rate >= arc_rate(_X_LO + 0.0 * rate)  # _X_LO in the shape of rate
     lo, hi = pick(near_start, _X_MIN, _X_LO), pick(near_start, _X_LO, top)
     return bisect_monotone(arc_rate, lo, hi, rate, tol=1e-15)
@@ -170,7 +184,7 @@ def _arc_parameter(degrees, fractions, rate):
     :class:`BracketError`.
     """
     x = _solve_arc(degrees, fractions, rate)
-    residual = np.abs(_arc(degrees, fractions, x)[0] - rate)
+    residual = np.abs(_arc(degrees, fractions, x) - rate)
     stalled = np.flatnonzero(residual > 1e-10)
     if stalled.size:
         row = int(stalled[0])
@@ -203,63 +217,64 @@ def solve_x_for_rate(dist: DegreeDistribution, rate):
     return _arc_parameter(dist.degrees, dist.fractions, rate)
 
 
+def _positive_part(dist: DegreeDistribution):
+    """L's positive-degree part L+, renormalised by the ``math.fsum`` of its
+    fractions, and that sum, which scales a rate of L to one of L+; L and
+    1 when it has no degree-0 mass or nothing else."""
+    scale = math.fsum(dist.fractions[1:])
+    if dist.degrees[0] != 0 or scale == 0.0:
+        return dist, 1.0
+    return DegreeDistribution(tuple((d, f / scale) for d, f in dist.entries[1:])), scale
+
+
 def _counting(degrees, fractions, average, rate, x):
-    """Counting bound at ``rate`` from the arc at x, its parameter at
-    max(R, 1/average): that arc point from 1/average up, and below it the
+    """Counting bound at ``rate`` from the arc's tangent at x, its parameter
+    at max(R, 1/average): the arc point from 1/average up, and below it the
     straight segment through (1/2, 0) that attaches there."""
-    _, arc, (share, occupancy) = _arc(degrees, fractions, x)
-    segment = 0.5 * (1.0 - rate * average * (1.0 - 2.0 * (share - occupancy / average)))
-    return pick(rate >= 1.0 / average, arc, segment)
+    floor = 1.0 / average
+    arc = _tangent(degrees, fractions, math_of(rate).maximum(rate, floor), x)
+    return pick(rate >= floor, arc, (1.0 - rate * average) / 2.0 + rate * average * arc)
 
 
 def counting_bound_distortion(dist: DegreeDistribution, rate):
     """Counting lower bound on distortion for one code at the given rate.
 
-    Uses the parametric arc for rates at or above the reciprocal average
-    degree and the straight segment through (1/2, 0) below it; at the
-    arc's start rate 1/(1 - L_0) and above, the bound is 0.  Distributions
-    with average degree at most 1 + 1e-12 degenerate to the line
-    D = (1 - R avg)/2, or 0 past it: at least a share 1 - R avg of the
-    checks has no generator.  An array's arc rows and the segment's anchor
-    at 1/average are solved together, the anchor as the last row.
+    That of the positive-degree part L+ at R (1 - L_0): its arc from its
+    reciprocal average degree up, 0 at R = 1, and the segment through
+    (1/2, 0) below.  An L+ averaging at most 1 + 1e-12 gives the line
+    D = (1 - R avg)/2: at least a share 1 - R avg of the checks has no
+    generator.  An array's arc rows and the segment's anchor at 1/average
+    are solved together, the anchor as the last row.
     """
     check_range("rate", rate, 0.0, 1.0)
-    average = dist.average_degree
+    positive, scale = _positive_part(dist)
+    average = positive.average_degree
     if not _has_arc(average):
-        return math_of(rate).maximum((1.0 - rate * average) / 2.0, 0.0)
-    mass_zero = dist.fractions[0] if dist.degrees[0] == 0 else 0.0
-    start, floor = 1.0 / (1.0 - mass_zero), 1.0 / average
+        return math_of(rate).maximum((1.0 - rate * dist.average_degree) / 2.0, 0.0)
+    rate, floor = rate * scale, 1.0 / average
     if isinstance(rate, np.ndarray):
         arc = rate >= floor
-        solved = solve_x_for_rate(dist, np.append(rate[arc], floor))
+        solved = solve_x_for_rate(positive, np.append(rate[arc], floor))
         x = np.full_like(rate, solved[-1])
         x[arc] = solved[:-1]
-    elif rate >= start:
-        return 0.0
     else:
-        x = solve_x_for_rate(dist, max(rate, floor))
-    return pick(rate >= start, 0.0, _counting(dist.degrees, dist.fractions, average, rate, x))
+        x = solve_x_for_rate(positive, max(rate, floor))
+    return _counting(positive.degrees, positive.fractions, average, rate, x)
 
 
 def _poisson_counting(check_degree: int, rates: np.ndarray) -> np.ndarray:
-    """Counting bound of the truncated Poisson family, one member per rate.
-
-    Each row solves its member's arc once, at max(R, 1/avg), and
-    ``_counting`` reads the bound off that point.  Members without an arc
-    keep the line D = (1 - R avg)/2, or 0 past it.
-    """
+    """Counting bound of the truncated Poisson family, one member per rate:
+    ``counting_bound_distortion``'s, with one solve of the positive part's
+    arc per row.  Every member has degree-2 mass, so every part has an arc."""
     parts = []
     for first in range(0, rates.size, _POISSON_ROWS):
         part = rates[first : first + _POISSON_ROWS]
         degrees, fractions = poisson_rows(check_degree, part)
         average = np.array([math.fsum(row) for row in (fractions * degrees).tolist()])
-        distortion = np.maximum((1.0 - part * average) / 2.0, 0.0)
-        rows = np.flatnonzero(_has_arc(average))
-        if rows.size:
-            rate, mean, profile = part[rows], average[rows], fractions[rows]
-            x = _arc_parameter(degrees, profile, np.maximum(rate, 1.0 / mean))
-            distortion[rows] = _counting(degrees, profile, mean, rate, x)
-        parts.append(distortion)
+        scale = 1.0 - fractions[:, 0]
+        rate, average, profile = part * scale, average / scale, fractions[:, 1:] / scale[:, None]
+        x = _arc_parameter(degrees[1:], profile, np.maximum(rate, 1.0 / average))
+        parts.append(_counting(degrees[1:], profile, average, rate, x))
     return np.concatenate(parts)
 
 
@@ -277,12 +292,10 @@ def test_channel_distortion_bound(degree: int, rate):
     (0, 1/2 - 1e-4].  At D' = x/(1 + x), as 1 - h(D') = 1 - log2(1 + x)
     + D' log2 x and Den = 1 - log2 gf(x), phi_R is the counting arc's
     tangent at x read at R.  The arc is convex, so phi_R peaks at the arc
-    point of rate R: the arc solve, its rate clamped up to the cap's, gives
-    x, and phi_R = (1 - R - log2(1 + x) + R log2(1 + x^l))/log2(1/x) is read
-    there, with 1 - R exact near R = 1, where it may round below 0.  A row
-    at the cap has phi_R = D' - l R q < D', q = x^l/(1 + x^l), so the
-    primal's D' >= D holds by itself.  For l = 1 the arc is the single
-    point R = 1, and the bound is the line.
+    point of rate R, and ``_tangent`` reads it at the arc solve's x, its
+    rate clamped up to the cap's.  A row at the cap has phi_R = D' - l R q
+    < D', q = x^l/(1 + x^l), so the primal's D' >= D holds by itself.  For
+    l = 1 the arc is the single point R = 1, and the bound is the line.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
@@ -291,9 +304,8 @@ def test_channel_distortion_bound(degree: int, rate):
     if degree == 1:
         return line
     xp, profile = math_of(rate), ((degree,), (1.0,))
-    x = _solve_arc(*profile, xp.maximum(rate, _arc(*profile, _X_CAP)[0]), _X_CAP)
-    tangent = (1.0 - rate - (xp.log1p(x) - rate * xp.log1p(x**degree)) / math.log(2.0)) / -xp.log2(x)
-    bound = xp.maximum(xp.maximum(tangent, line), 0.0)
+    x = _solve_arc(*profile, xp.maximum(rate, _arc(*profile, _X_CAP)), _X_CAP)
+    bound = xp.maximum(_tangent(*profile, rate, x), line)
     return pick(rate == 0.0, 0.5, pick(rate == 1.0, 0.0, bound))
 
 

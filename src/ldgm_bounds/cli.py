@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundCurve, NoSolutionError, _has_arc, parametric_endpoints, sample_curve
+from .bounds import BoundCurve, NoSolutionError, _has_arc, _positive_part, parametric_endpoints, sample_curve
 from .degree import DegreeDistribution, TruncationError, parse_degree_literal
 from .exact import (
     BLOCKLENGTH_LIMIT,
@@ -56,7 +56,7 @@ _BOUND_FLAGS = {
     "conjecture": "conjectured_exit",
 }
 
-CONJECTURE_NOTICE = "# CONJECTURE: unproven bound, not a theorem"
+CONJECTURE_NOTICE = "# CONJECTURE: unproven bound, not a theorem, and contradicted by explicit codes"
 
 # Grid caps, far above any useful curve or verify grid.  A curve grid past
 # its cap is refused before it is allocated; the d-grid is never
@@ -288,7 +288,7 @@ def render_curve_csv(curve: BoundCurve) -> str:
     if curve.kind == "counting":
         if curve.dist is None:
             lines.append("# poisson family: degree distribution rebuilt at every rate")
-        elif _has_arc(curve.dist.average_degree):  # otherwise the curve is the line
+        elif _has_arc(_positive_part(curve.dist)[0].average_degree):  # otherwise the curve is the line
             start, end = parametric_endpoints(curve.dist)
             lines.append(f"# arc endpoint x->0: D={start[0]:.10g},R={start[1]:.10g}")
             lines.append(f"# arc endpoint x->1: D={end[0]:.10g},R={end[1]:.10g}")

@@ -530,7 +530,7 @@ def _profile_checks(degrees: tuple[int, ...], num_checks: int):
     degrees and m checks against, immutable and computed once per key: the
     coefficient floors of all n degrees, and the counting bound of the n+
     positive ones at rate n+/m, 1/2 at n+ = 0 and 0 at n+ >= m.  A degree-0
-    generator adds no codeword, so the code is that of its positive part."""
+    generator adds no codeword: ``curve`` bounds the whole profile so too."""
     floors = coefficient_lower_bound(degrees)
     positive = degrees[degrees.count(0) :]
     if not positive:

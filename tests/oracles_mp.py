@@ -85,10 +85,12 @@ def shannon_distortion(rate: float) -> mpmath.mpf:
 def counting_distortion(profile, rate: float) -> mpmath.mpf:
     """Counting bound of a (degree, fraction) profile at rate R.
 
-    The arc x -> (x/(1+x) - a(x) R(x), R(x)) with
+    A degree-0 generator adds no codeword, so the bound is that of the
+    positive-degree part L+, renormalised, at R (1 - L_0).  The arc
+    x -> (x/(1+x) - a(x) R(x), R(x)) with
     R(x) = (1 - h(x/(1+x))) / (1 - log2 prod_i (1 + x^i)^L_i + a(x) log2 x),
-    a(x) = sum_i i L_i x^i / (1 + x^i), for R >= 1/avg; below, the line
-    through (1/2, 0) and the arc point of rate 1/avg.  At R >= 1/(1 - L_0),
+    a(x) = sum_i i L_i x^i / (1 + x^i), gives it for R >= 1/avg; below,
+    the line through (1/2, 0) and the arc point of rate 1/avg.  At R = 1,
     the arc's x -> 0 end, the bound is 0.  An average of at most 1 leaves
     no arc, only the count of covered checks: the n avg = m R avg edges
     touch at most that many checks, every codeword is 0 on each other
@@ -96,13 +98,16 @@ def counting_distortion(profile, rate: float) -> mpmath.mpf:
     covered check may cost nothing.
     """
     with mpmath.workdps(_DIGITS):
-        profile = [(d, mpmath.mpf(f)) for d, f in profile]
-        rate = mpmath.mpf(rate)
+        scale = mpmath.fsum(mpmath.mpf(f) for d, f in profile if d > 0)
+        if scale == 0:
+            return mpmath.mpf(1) / 2
+        profile = [(d, mpmath.mpf(f) / scale) for d, f in profile if d > 0]
+        rate = mpmath.mpf(rate) * scale
         avg = mpmath.fsum(d * f for d, f in profile)
         if avg <= 1:
             covered = rate * avg  # share of the m checks some edge touches, at most
             return (1 - covered) / 2
-        if rate >= 1 / (1 - sum(f for d, f in profile if d == 0)):
+        if rate >= 1:
             return mpmath.mpf(0)
 
         def arc(x):

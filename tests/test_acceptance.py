@@ -86,7 +86,8 @@ def test_criterion_03_parametric_endpoints(capsys):
         and abs(end[0] - 0.25) <= 1e-6
         and abs(end[1] - 0.25) <= 1e-6
     )
-    mid = _arc(REG2.degrees, REG2.fractions, solve_x_for_rate(REG2, 0.5))[1]
+    x = solve_x_for_rate(REG2, 0.5)
+    mid = x / (1.0 + x) - REG2.mean_occupancy(x) * _arc(REG2.degrees, REG2.fractions, x)
     mid_ok = abs(mid - 0.115) <= 1e-3
     line_ok = counting_bound_distortion(REG2, 0.0) == 0.5
     ok = endpoint_ok and mid_ok and line_ok

@@ -44,12 +44,13 @@ DEGREE0 = DegreeDistribution.from_fractions({0: 0.1, 2: 0.5, 4: 0.4})
 
 def parametric_rate(dist, x):
     """Rate coordinate of the counting arc at parameter x."""
-    return bounds_module._arc(dist.degrees, dist.fractions, x)[0]
+    return bounds_module._arc(dist.degrees, dist.fractions, x)
 
 
 def parametric_distortion(dist, x):
-    """Distortion coordinate of the counting arc at parameter x."""
-    return bounds_module._arc(dist.degrees, dist.fractions, x)[1]
+    """Distortion coordinate of the counting arc at parameter x: the share
+    x/(1+x) less the mean occupancy times the rate."""
+    return x / (1.0 + x) - dist.mean_occupancy(x) * parametric_rate(dist, x)
 
 
 # Frozen references from independent 30-digit recomputations.
@@ -258,7 +259,8 @@ def arc_point_and_slope(dist, x):
     from the analytic derivatives in x of its closed form: s = x/(1+x),
     R = (1 - h(s))/Den with Den = 1 - G + occ log2 x, and D = s - occ R,
     G and occ being the log2 weight gf and the mean occupancy."""
-    rate, distortion, (share, occupancy) = bounds_module._arc(dist.degrees, dist.fractions, x)
+    rate, distortion = parametric_rate(dist, x), parametric_distortion(dist, x)
+    share, occupancy = x / (1.0 + x), dist.mean_occupancy(x)
     terms = [(i, f, x**i) for i, f in dist.entries]
     log_gf = sum(f * math.log2(1.0 + p) for _, f, p in terms)
     d_log_gf = sum(f * i * p / (x * (1.0 + p)) for i, f, p in terms) / math.log(2.0)
@@ -348,6 +350,22 @@ def test_counting_degenerate_low_degree():
             )
         assert counting_bound_distortion(dist, 1.0) == 0.0
         assert counting_bound_distortion(dist, np.array([1.0]))[0] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_profiles().filter(lambda dist: dist.degrees[0] == 0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+@example(DEGREE0, [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_degree_zero_mass_scales_the_rate(dist, rates):
+    # A degree-0 generator adds no codeword, so the bound of L at R is that
+    # of its positive part L+ at R (1 - L_0), the mass renormalised by its
+    # own sum.  These profiles average above 1, where the two rules agree.
+    scale = math.fsum(fraction for degree, fraction in dist.entries if degree)
+    positive = DegreeDistribution.from_fractions({d: f / scale for d, f in dist.entries if d})
+    rates = np.array(rates)
+    whole = counting_bound_distortion(dist, rates)
+    assert np.all(np.abs(whole - counting_bound_distortion(positive, rates * scale)) <= 1e-15)
+    for rate, row in zip(rates.tolist(), whole):
+        assert abs(counting_bound_distortion(dist, rate) - row) <= 1e-15
 
 
 def test_counting_rejects_bad_rate():
@@ -560,6 +578,16 @@ def degree_profiles_to_nine():
     return profiles.filter(lambda dist: dist.average_degree > 1.0)
 
 
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_test_channel_never_exceeds_counting(degree):
+    # The test-channel objective is a tangent of the counting arc, and
+    # below 1/l the arc lies under the counting segment.
+    rates = np.linspace(0.0, 1.0, 20001)
+    counting = counting_bound_distortion(DegreeDistribution.regular(degree), rates)
+    excess = channel_distortion_bound(degree, rates) - counting
+    assert excess.max() <= 1e-15, rates[excess.argmax()]
+
+
 @settings(max_examples=200, deadline=None)
 @given(degree_profiles_to_nine(), st.floats(0.01, 0.95), st.floats(0.0, 1.0))
 def test_test_channel_objective_is_the_counting_arc_tangent(dist, x, rate):
@@ -570,7 +598,7 @@ def test_test_channel_objective_is_the_counting_arc_tangent(dist, x, rate):
     log_gf = math.fsum(f * math.log2(1.0 + x**d) for d, f in dist.entries)
     share = x / (1.0 + x)
     phi = (1.0 + math.log2(1.0 - share) - rate * (1.0 - log_gf)) / math.log2((1.0 - share) / share)
-    arc_rate, arc_distortion, _ = bounds_module._arc(dist.degrees, dist.fractions, x)
+    arc_rate, arc_distortion = parametric_rate(dist, x), parametric_distortion(dist, x)
     tangent = arc_distortion + (1.0 - log_gf) / math.log2(x) * (rate - arc_rate)
     assert abs(phi - tangent) <= 1e-12
 
@@ -1033,6 +1061,23 @@ def test_conjecture_curve_matches_mpmath(degree, rates):
         return oracles_mp.conjecture_distortion(degree, rate)
 
     assert_rows_match(sample_curve("conjectured_exit", rates, degree=degree), oracle)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_rows_near_rate_one_match_the_arc_to_1e17(degree):
+    # Each row reads the arc's tangent at the solved x, off by the square
+    # of x's 1e-15 error; the arc's distortion at that x is off by about
+    # 1e-16, every digit of a row this close to R = 1.
+    dist = DegreeDistribution.regular(degree)
+    rates = [1.0 - 1e-14, 1.0 - 1e-13, 1.0 - 1e-12, 0.9999999999999999]
+    rows = (
+        counting_bound_distortion(dist, np.array(rates)),
+        [counting_bound_distortion(dist, rate) for rate in rates],
+        channel_distortion_bound(degree, np.array(rates)),
+    )
+    for rate, *values in zip(rates, *rows):
+        expected = float(oracles_mp.counting_distortion(dist.entries, rate))
+        assert all(abs(value - expected) <= 1e-17 for value in values), (rate, values, expected)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5])

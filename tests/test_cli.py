@@ -175,6 +175,23 @@ def test_curve_without_arc_prints_no_endpoints(capsys, degrees, expected):
     assert rows == expected
 
 
+@pytest.mark.parametrize("degrees", ["0:0.5,2:0.5", "0:0.999,2:0.0010000000001"])
+def test_curve_degree0_profile_prints_its_positive_part_arc(capsys, degrees):
+    # The whole profile averages at most 1, its positive part 2: the rows
+    # are that part's arc and segment, under its endpoints, above the line
+    # (1 - R avg)/2 of the whole average.  The second literal's positive
+    # fraction, divided by 1 - L_0 instead of by its own sum, would sum to
+    # 1 + 1e-10 and be refused.
+    status, out, _ = run(
+        ["curve", "--bound", "counting", "--degrees", degrees, "--steps", "3"], capsys
+    )
+    assert status == 0
+    assert "# arc endpoint x->1: D=0.25" in out
+    rows = out.splitlines()[out.splitlines().index("D,R") + 1 :]
+    line = [(1.0 - rate * 2.0 * float(degrees.split(":")[-1])) / 2.0 for rate in (0.05, 0.5, 0.95)]
+    assert all(float(row.split(",")[0]) > floor for row, floor in zip(rows, line))
+
+
 def test_curve_dwr_requires_check_degree(capsys):
     status, _, err = run(
         ["curve", "--bound", "dwr", "--rate-min", "0.5", "--rate-max", "0.9"],
@@ -537,12 +554,15 @@ def test_curve_mathematical_refusal_exits_4(monkeypatch, capsys, error):
 # row-wise, one per family; output must match them byte for byte.  Only
 # the R = 1 rows of counting-regular3, test-channel-l3 and conjecture-l3
 # were rewritten since, to the exact 0 (they read 9.99999999e-10 and
-# 4.547473509e-13).
+# 4.547473509e-13), and line 1 of conjecture-l3, its notice.
+# counting-degree0-avg1 came later, with the positive-part rule: its
+# profile averages 1, and its rows are those of its regular-2 part at R/2.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CURVES = {
     "shannon": ["--bound", "shannon", "--rate-min", "0.05", "--rate-max", "1", "--steps", "12"],
     "counting-regular3": ["--bound", "counting", "--degrees", "regular:3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "counting-degree0": ["--bound", "counting", "--degrees", "0:0.1,2:0.5,4:0.4", "--rate-min", "0.05", "--rate-max", "1", "--steps", "12"],
+    "counting-degree0-avg1": ["--bound", "counting", "--degrees", "0:0.5,2:0.5", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "counting-poisson4": ["--bound", "counting", "--degrees", "poisson:4", "--rate-min", "0.15", "--rate-max", "1", "--steps", "12"],
     "dwr-r3": ["--bound", "dwr", "--r", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "test-channel-l3": ["--bound", "test-channel", "--l", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],

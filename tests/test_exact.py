@@ -16,6 +16,7 @@ from ldgm_bounds import (
     code_from_text,
     code_to_text,
     coefficient_lower_bound,
+    conjectured_exit_distortion_bound,
     counting_bound_distortion,
     distance_transform,
     parse_degree_literal,
@@ -760,6 +761,78 @@ def test_verify_bound_is_that_of_the_positive_generators(code):
     whole = DegreeDistribution.from_degrees(degrees) if 0 < n <= m else None
     if whole is not None and whole.average_degree > 1.0:
         assert abs(counting_bound_distortion(whole, n / m) - expected) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(0, m - 1), max_size=4, unique=True).map(lambda c: tuple(sorted(c))),
+            min_size=1,
+            max_size=m,
+        ).map(lambda generators: LdgmCode(m, ((),) + tuple(generators[1:])))
+    )
+)
+@example(LdgmCode(8, ((), (), (0, 1), (2, 3))))  # the whole profile averages 1
+@example(LdgmCode(6, ((),) * 6))
+def test_verify_and_curve_bound_a_profile_by_one_rule(code):
+    # The bound verify checks a code against, from its positive-degree
+    # generators at n+/m, is the counting bound of the whole profile at
+    # n/m, degree-0 generators and all, as ``curve`` computes it.
+    m, n = code.num_checks, code.num_generators
+    whole = DegreeDistribution.from_degrees([len(checks) for checks in code.generators])
+    report = verify_code(code, 6)
+    assert abs(report.bound_distortion - counting_bound_distortion(whole, n / m)) <= 1e-15
+
+
+def repetition_distance(length: int) -> Fraction:
+    """Mean distance from a uniform word of ``length`` bits to {0^l, 1^l}."""
+    return Fraction(sum(math.comb(length, w) * min(w, length - w) for w in range(length + 1)), 2**length)
+
+
+def hamming_distance(redundancy: int) -> Fraction:
+    """Mean distance from a uniform word to a perfect Hamming code of length
+    2^r - 1: every word lies within 1 of it, and a share 2^-r on it."""
+    return 1 - Fraction(1, 2**redundancy)
+
+
+# Two codes that lie below the conjectured curve: (code, its optimum as a
+# direct sum of closed forms over its parts, that optimum, degree, rate).
+# Six disjoint degree-2 generators; and one degree-3 generator beside the
+# cyclic Hamming code on 7 checks, the shifts {s, s+1, s+3} mod 7,
+# s = 0..3, of 1 + x + x^3.
+CONJECTURE_COUNTEREXAMPLES = (
+    (
+        LdgmCode(12, tuple((2 * g, 2 * g + 1) for g in range(6))),
+        6 * repetition_distance(2) / 12,
+        Fraction(1, 4),
+        2,
+        0.5,
+    ),
+    (
+        LdgmCode(10, ((0, 1, 2),) + tuple(tuple(sorted(3 + (s + o) % 7 for o in (0, 1, 3))) for s in range(4))),
+        (repetition_distance(3) + hamming_distance(3)) / 10,
+        Fraction(13, 80),
+        3,
+        0.5,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "code, closed_form, optimum, degree, rate", CONJECTURE_COUNTEREXAMPLES, ids=["matching", "hamming"]
+)
+def test_conjecture_lies_above_explicit_codes(code, closed_form, optimum, degree, rate):
+    # The conjectured curve claims no regular code of degree l does better
+    # at rate R; these do, exactly: 1/4 against 1/2, and 13/80 against
+    # 0.1722461415.
+    assert {len(checks) for checks in code.generators} == {degree}
+    assert code.num_generators / code.num_checks == rate
+    profile = distance_transform(code)
+    weighted = sum(d * count for d, count in enumerate(profile.histogram))
+    assert Fraction(weighted, code.num_checks << code.num_checks) == closed_form == optimum
+    assert conjectured_exit_distortion_bound(degree, rate) > optimum + Fraction(1, 200)
+    assert verify_code(code, 26).passed
 
 
 # The degree profiles of a verify campaign, each with the generator count
