@@ -130,9 +130,12 @@ def shannon_distortion(rate):
 
 
 def _arc(degrees, fractions, x):
-    """The counting arc's rate at x in (0, 1)."""
+    """The counting arc's rate at x in (0, 1): its numerator 1 - h(x/(1 + x)) is
+    1 - log2(1 + x) + x/(1 + x) log2 x, sharing log2 x with the denominator."""
     log_gf, occupancy = weight_transforms(degrees, fractions, x)
-    return (1.0 - _entropy(x / (1.0 + x))) / (1.0 - log_gf + occupancy * math_of(x).log2(x))
+    xp = math_of(x)
+    log_x = xp.log2(x)
+    return (1.0 - xp.log2(1.0 + x) + x / (1.0 + x) * log_x) / (1.0 - log_gf + occupancy * log_x)
 
 
 def _tangent(degrees, fractions, rate, x):
@@ -140,10 +143,10 @@ def _tangent(degrees, fractions, rate, x):
     point by the square of x's error: (1 - R - log2(1 + x) + R sum_i L_i
     log2(1 + x^i))/log2(1/x), 1 - R exact; ``fractions`` as ``weight_transforms``'."""
     xp = math_of(x)
-    if xp is np:
-        log_gf = (np.asarray(fractions) * np.log1p(x[..., None] ** np.asarray(degrees))).sum(axis=-1)
+    if getattr(fractions, "ndim", 1) == 2:
+        log_gf = (fractions * np.log1p(x[..., None] ** np.asarray(degrees))).sum(axis=-1)
     else:
-        log_gf = sum(fraction * math.log1p(x**degree) for degree, fraction in zip(degrees, fractions))
+        log_gf = sum(fraction * xp.log1p(x**degree) for degree, fraction in zip(degrees, fractions))
     return xp.maximum((1.0 - rate - (xp.log1p(x) - rate * log_gf) / math.log(2.0)) / -xp.log2(x), 0.0)
 
 
@@ -171,7 +174,9 @@ def _solve_arc(degrees, fractions, rate, top=_X_HI):
     """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: on
     [_X_MIN, _X_LO] for rates above its value at _X_LO, else on [_X_LO, top]."""
     arc_rate = lambda x: _arc(degrees, fractions, x)
-    near_start = rate >= arc_rate(_X_LO + 0.0 * rate)  # _X_LO in the shape of rate
+    # an array's rows share one test point, kept an array so numpy evaluates it
+    start = _X_LO + 0.0 * rate[..., :1] if isinstance(rate, np.ndarray) else _X_LO
+    near_start = rate >= arc_rate(start)
     lo, hi = pick(near_start, _X_MIN, _X_LO), pick(near_start, _X_LO, top)
     return bisect_monotone(arc_rate, lo, hi, rate, tol=1e-15)
 
@@ -292,10 +297,10 @@ def test_channel_distortion_bound(degree: int, rate):
     (0, 1/2 - 1e-4].  At D' = x/(1 + x), as 1 - h(D') = 1 - log2(1 + x)
     + D' log2 x and Den = 1 - log2 gf(x), phi_R is the counting arc's
     tangent at x read at R.  The arc is convex, so phi_R peaks at the arc
-    point of rate R, and ``_tangent`` reads it at the arc solve's x, its
-    rate clamped up to the cap's.  A row at the cap has phi_R = D' - l R q
-    < D', q = x^l/(1 + x^l), so the primal's D' >= D holds by itself.  For
-    l = 1 the arc is the single point R = 1, and the bound is the line.
+    point of rate R; ``_tangent`` reads it at the arc solve's x, or at the
+    cap for rows at or below its rate.  A row at the cap has phi_R = D' -
+    l R q < D', q = x^l/(1 + x^l), so the primal's D' >= D holds by itself.
+    For l = 1 the arc is the single point R = 1, and the bound is the line.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
@@ -304,7 +309,12 @@ def test_channel_distortion_bound(degree: int, rate):
     if degree == 1:
         return line
     xp, profile = math_of(rate), ((degree,), (1.0,))
-    x = _solve_arc(*profile, xp.maximum(rate, _arc(*profile, _X_CAP)), _X_CAP)
+    above = rate > _arc(*profile, _X_CAP)
+    if xp is np:
+        x = np.full_like(rate, _X_CAP)
+        x[above] = _solve_arc(*profile, rate[above], _X_CAP)
+    else:
+        x = _solve_arc(*profile, rate, _X_CAP) if above else _X_CAP
     bound = xp.maximum(_tangent(*profile, rate, x), line)
     return pick(rate == 0.0, 0.5, pick(rate == 1.0, 0.0, bound))
 

@@ -11,8 +11,9 @@ bounds:
   x * d/dx ln(weight gf); strictly increasing in x.
 
 Both take a float or an array of x.  ``weight_transforms`` computes the
-pair from (degrees, fractions) directly, and also takes one fractions row
-per x: that is how a Poisson curve, whose member changes with the rate,
+pair from (degrees, fractions) directly, one degree at a time for a fixed
+profile, and also takes one fractions row per x, broadcast over a degree
+axis: that is how a Poisson curve, whose member changes with the rate,
 is evaluated, from the zero-padded pmf matrix of ``poisson_rows``.
 """
 
@@ -66,16 +67,15 @@ def weight_transforms(degrees, fractions, x):
     """log2 of prod_i (1 + x^i)^{L_i} and sum_i i L_i x^i / (1 + x^i), for 0 <= x <= 1.
 
     ``fractions`` is one profile over ``degrees``, or an (n, k) array
-    holding one profile per entry of an array ``x``, zero-padded.  An
-    array x broadcasts over a trailing degree axis; a float x sums its
-    few terms in a loop, which costs less than building arrays for one
-    point.
+    holding one profile per entry of an array ``x``, zero-padded.  One
+    profile sums its few terms in a loop, a degree at a time, for a float
+    x and an array alike; per-row profiles broadcast x over a trailing
+    degree axis.
     """
-    xp = math_of(x)
-    if xp is np:
-        log_gf, occupancy = _terms(np.asarray(degrees), np.asarray(fractions), x[..., None], np)
+    if getattr(fractions, "ndim", 1) == 2:  # np.ndim would copy a tuple into an array
+        log_gf, occupancy = _terms(np.asarray(degrees), fractions, x[..., None], np)
         return log_gf.sum(axis=-1), occupancy.sum(axis=-1)
-    log_gf = occupancy = 0.0
+    xp, log_gf, occupancy = math_of(x), 0.0, 0.0
     for degree, fraction in zip(degrees, fractions):
         term_gf, term_occupancy = _terms(degree, fraction, x, xp)
         log_gf += term_gf

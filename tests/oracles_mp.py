@@ -82,6 +82,18 @@ def shannon_distortion(rate: float) -> mpmath.mpf:
         return _root(lambda d: _entropy(d) - target, mpmath.mpf(10) ** -300, mpmath.mpf(1) / 2)
 
 
+def arc_rate(profile, x) -> mpmath.mpf:
+    """The counting arc's rate at x in (0, 1) for a (degree, fraction) profile:
+    (1 - h(x/(1+x))) / (1 - log2 prod_i (1 + x^i)^L_i + a(x) log2 x),
+    a(x) = sum_i i L_i x^i / (1 + x^i)."""
+    with mpmath.workdps(_DIGITS):
+        x = mpmath.mpf(x)
+        profile = [(d, mpmath.mpf(f)) for d, f in profile]
+        log_gf = mpmath.fsum(f * mpmath.log(1 + x**d, 2) for d, f in profile)
+        occupancy = mpmath.fsum(d * f * x**d / (1 + x**d) for d, f in profile)
+        return (1 - _entropy(x / (1 + x))) / (1 - log_gf + occupancy * mpmath.log(x, 2))
+
+
 def counting_distortion(profile, rate: float) -> mpmath.mpf:
     """Counting bound of a (degree, fraction) profile at rate R.
 
@@ -110,20 +122,14 @@ def counting_distortion(profile, rate: float) -> mpmath.mpf:
         if rate >= 1:
             return mpmath.mpf(0)
 
-        def arc(x):
-            log_gf = mpmath.fsum(f * mpmath.log(1 + x**d, 2) for d, f in profile)
-            occupancy = mpmath.fsum(d * f * x**d / (1 + x**d) for d, f in profile)
-            arc_rate = (1 - _entropy(x / (1 + x))) / (1 - log_gf + occupancy * mpmath.log(x, 2))
-            return arc_rate, occupancy
-
         x = _root(
-            lambda x: arc(x)[0] - max(rate, 1 / avg),
+            lambda x: arc_rate(profile, x) - max(rate, 1 / avg),
             mpmath.mpf(10) ** -200,
             1 - mpmath.mpf(10) ** -25,
         )
-        arc_rate, occupancy = arc(x)
+        occupancy = mpmath.fsum(d * f * x**d / (1 + x**d) for d, f in profile)
         if rate >= 1 / avg:
-            return x / (1 + x) - occupancy * arc_rate
+            return x / (1 + x) - occupancy * arc_rate(profile, x)
         return (1 - rate * avg * (1 - 2 * (x / (1 + x) - occupancy / avg))) / 2
 
 

@@ -34,7 +34,7 @@ from ldgm_bounds import (
 )
 from ldgm_bounds import bounds as bounds_module
 from ldgm_bounds.cli import parse_degree_spec
-from ldgm_bounds.degree import poisson_minimum_max_degree
+from ldgm_bounds.degree import poisson_minimum_max_degree, weight_transforms
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
@@ -151,11 +151,39 @@ def test_grid_solve_takes_few_evaluations(monkeypatch, family, solve):
 
 @pytest.mark.parametrize("degree", [2, 3, 5])
 def test_test_channel_grid_solve_starts_on_the_arc(monkeypatch, degree):
-    # The arc solve takes 27, 35 and 35 evaluations here; the search over
-    # log2 s from -200 that it replaced took 43, 44 and 43.
+    # Only rows above the cap's rate are solved; the slowest lie just above
+    # it, where the arc's rate is a 0/0 limit.  Solving the rows below for
+    # the cap itself took 27, 35 and 35 evaluations; the search over log2 s
+    # from -200 before that took 43, 44 and 43.
     rates = np.linspace(0.02, 0.98, 3000)
     counts = _grid_evaluations(monkeypatch, lambda: channel_distortion_bound(degree, rates))
-    assert counts and max(counts) <= 36, counts
+    assert counts and max(counts) <= {2: 30, 3: 34, 5: 26}[degree], counts
+
+
+def test_test_channel_hundred_row_grid_solve(monkeypatch):
+    # The benchmark's grid size; 29 evaluations while rows below the cap solved.
+    rates = np.linspace(0.05, 0.95, 100)
+    counts = _grid_evaluations(monkeypatch, lambda: channel_distortion_bound(3, rates))
+    assert counts and max(counts) <= 20, counts
+
+
+def test_test_channel_rows_below_the_cap_read_it_unsolved(monkeypatch):
+    # At l = 3 the cap's rate is 0.1111; every row here reads the tangent
+    # at the cap, so the arc solve gets an empty array.
+    rates = np.linspace(0.01, 0.1, 50)
+    sizes, solve_arc = [], bounds_module._solve_arc
+
+    def solve(degrees, fractions, rate, top):
+        sizes.append(rate.size)
+        return solve_arc(degrees, fractions, rate, top)
+
+    monkeypatch.setattr(bounds_module, "_solve_arc", solve)
+    bound = channel_distortion_bound(3, rates)
+    assert sizes == [0]
+    at_cap = bounds_module._tangent((3,), (1.0,), rates, np.full_like(rates, bounds_module._X_CAP))
+    assert np.array_equal(bound, np.maximum(at_cap, (1.0 - 3.0 * rates) / 2.0))
+    for rate, row in zip(rates.tolist(), bound):
+        assert abs(channel_distortion_bound(3, rate) - row) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +355,51 @@ def test_parametric_approaches_endpoints():
     # checked numerically; the exact limit is covered by parametric_endpoints.
     far, near = parametric_rate(REG2, 1.0 - 1e-2), parametric_rate(REG2, 1.0 - 1e-3)
     assert abs(near - 0.25) < abs(far - 0.25)
+
+
+@st.composite
+def fixed_profiles(draw):
+    """1-4 distinct degrees in 1..12 with random fractions, as (degrees, fractions)."""
+    degrees = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(degrees), max_size=len(degrees)))
+    total = math.fsum(weights)
+    return tuple(degrees), tuple(weight / total for weight in weights)
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_profiles(), st.lists(log_uniform(1e-6, 0.99), min_size=1, max_size=12), st.floats(0.0, 1.0))
+def test_fixed_profile_array_rows_match_float_calls(profile, xs, rate):
+    # One degree at a time for a float and an array alike; numpy's power
+    # and logarithms may differ from math's in the last bit.  The arc and
+    # the tangent cancel toward 0: the arc's numerator 1 - h(x/(1+x)) is
+    # about 1.8e-5 at x = 0.99, and a tangent near 0 keeps only the bits
+    # its terms leave, so each also allows 1e-15 of its terms' scale.
+    x = np.array(xs)
+    log_gf, occupancy = weight_transforms(*profile, x)
+    arc, tangent = bounds_module._arc(*profile, x), bounds_module._tangent(*profile, rate, x)
+    for k, value in enumerate(xs):
+        assert (log_gf[k], occupancy[k]) == pytest.approx(weight_transforms(*profile, value), rel=1e-13, abs=0)
+        share = value / (1.0 + value)
+        arc_terms = 1e-15 / (1.0 - binary_entropy(share)) * abs(arc[k])
+        assert abs(arc[k] - bounds_module._arc(*profile, value)) <= 1e-13 * abs(arc[k]) + arc_terms
+        single = bounds_module._tangent(*profile, rate, value)
+        terms = (1.0 - rate + math.log2(1.0 + value) + rate * log_gf[k]) / -math.log2(value)
+        assert abs(tangent[k] - single) <= 1e-13 * single + 1e-15 * terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixed_profiles(), st.lists(log_uniform(1e-3, 0.9), min_size=1, max_size=4))
+@example(((2, 3, 6), (0.25, 0.5, 0.25)), [1e-3, 0.05, 0.5, 0.9])
+def test_arc_rate_matches_mpmath(profile, xs):
+    x = np.array(xs)
+    for row, value in zip(bounds_module._arc(*profile, x), xs):
+        expected = float(oracles_mp.arc_rate(zip(*profile), value))
+        assert abs(bounds_module._arc(*profile, value) - expected) <= 1e-13 * expected
+        assert abs(row - expected) <= 1e-13 * expected
 
 
 def test_counting_line_segment_regular2():

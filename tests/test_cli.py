@@ -563,6 +563,7 @@ GOLDEN_CURVES = {
     "counting-regular3": ["--bound", "counting", "--degrees", "regular:3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "counting-degree0": ["--bound", "counting", "--degrees", "0:0.1,2:0.5,4:0.4", "--rate-min", "0.05", "--rate-max", "1", "--steps", "12"],
     "counting-degree0-avg1": ["--bound", "counting", "--degrees", "0:0.5,2:0.5", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
+    "counting-mixed3": ["--bound", "counting", "--degrees", "2:0.25,3:0.5,6:0.25", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "counting-poisson4": ["--bound", "counting", "--degrees", "poisson:4", "--rate-min", "0.15", "--rate-max", "1", "--steps", "12"],
     "dwr-r3": ["--bound", "dwr", "--r", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "test-channel-l3": ["--bound", "test-channel", "--l", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
