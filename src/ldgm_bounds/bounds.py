@@ -152,22 +152,22 @@ def _tangent(degrees, fractions, rate, x):
 
 def parametric_endpoints(
     dist: DegreeDistribution,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Analytic (distortion, rate) limits of the arc at x -> 0 and x -> 1.
+) -> tuple[tuple[float, float], tuple[float, float]] | None:
+    """Closed-form (distortion, rate) limits of the counting arc at x -> 0
+    and x -> 1, in the curve's rate units; None when the curve is the line.
 
-    At x -> 0 the arc approaches (0, 1/(1 - L_0)), which is (0, 1) without
-    degree-0 mass.  At x -> 1 it approaches ((M2 - M1)/(2 M2), 1/M2),
-    where M1 and M2 are the first and second degree moments; for a regular
-    l this is ((l-1)/(2l), 1/l^2).  Both are removable 0/0 limits of the
-    parametric formulas, so they are exposed here in closed form.
+    The arc is that of the positive part L+, with moments M1 and M2, at
+    R (1 - L_0).  At x -> 0 it approaches (0, 1/(1 - L_0)): (0, 1) without
+    degree-0 mass, beyond every row (R > 1) with it.  At x -> 1 it
+    approaches ((M2 - M1)/(2 M2), 1/(M2 (1 - L_0))), ((l-1)/(2l), 1/l^2)
+    for a regular l.  Both are removable 0/0 limits of the arc's formulas.
     """
-    mass_zero = dist.fractions[0] if dist.degrees[0] == 0 else 0.0
-    if mass_zero >= 1.0 - 1e-12:
-        raise ValueError("distribution has no positive-degree mass")
-    second = dist.moment(2)
-    start = (0.0, 1.0 / (1.0 - mass_zero))
-    end = ((second - dist.average_degree) / (2.0 * second), 1.0 / second)
-    return start, end
+    positive, scale = _positive_part(dist)
+    average = positive.average_degree
+    if not _has_arc(average):
+        return None
+    second = positive.moment(2)
+    return (0.0, 1.0 / scale), ((second - average) / (2.0 * second), 1.0 / (second * scale))
 
 
 def _solve_arc(degrees, fractions, rate, top=_X_HI):
@@ -301,6 +301,7 @@ def test_channel_distortion_bound(degree: int, rate):
     cap for rows at or below its rate.  A row at the cap has phi_R = D' -
     l R q < D', q = x^l/(1 + x^l), so the primal's D' >= D holds by itself.
     For l = 1 the arc is the single point R = 1, and the bound is the line.
+    The ends are exact: the line is 1/2 at R = 0, the clamped tangent 0 at 1.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
@@ -315,8 +316,7 @@ def test_channel_distortion_bound(degree: int, rate):
         x[above] = _solve_arc(*profile, rate[above], _X_CAP)
     else:
         x = _solve_arc(*profile, rate, _X_CAP) if above else _X_CAP
-    bound = xp.maximum(_tangent(*profile, rate, x), line)
-    return pick(rate == 0.0, 0.5, pick(rate == 1.0, 0.0, bound))
+    return xp.maximum(_tangent(*profile, rate, x), line)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundCurve, NoSolutionError, _has_arc, _positive_part, parametric_endpoints, sample_curve
+from .bounds import BoundCurve, NoSolutionError, parametric_endpoints, sample_curve
 from .degree import DegreeDistribution, TruncationError, parse_degree_literal
 from .exact import (
     BLOCKLENGTH_LIMIT,
@@ -288,8 +288,8 @@ def render_curve_csv(curve: BoundCurve) -> str:
     if curve.kind == "counting":
         if curve.dist is None:
             lines.append("# poisson family: degree distribution rebuilt at every rate")
-        elif _has_arc(_positive_part(curve.dist)[0].average_degree):  # otherwise the curve is the line
-            start, end = parametric_endpoints(curve.dist)
+        elif (endpoints := parametric_endpoints(curve.dist)) is not None:  # else the curve is the line
+            start, end = endpoints
             lines.append(f"# arc endpoint x->0: D={start[0]:.10g},R={start[1]:.10g}")
             lines.append(f"# arc endpoint x->1: D={end[0]:.10g},R={end[1]:.10g}")
     lines.append("D,R")

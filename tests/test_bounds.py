@@ -34,7 +34,7 @@ from ldgm_bounds import (
 )
 from ldgm_bounds import bounds as bounds_module
 from ldgm_bounds.cli import parse_degree_spec
-from ldgm_bounds.degree import poisson_minimum_max_degree, weight_transforms
+from ldgm_bounds.degree import parse_degree_literal, poisson_minimum_max_degree, weight_transforms
 
 REG2 = DegreeDistribution.regular(2)
 REG3 = DegreeDistribution.regular(3)
@@ -345,6 +345,37 @@ def test_parametric_endpoints_general_second_moment():
     assert end[0] == pytest.approx(
         (second - MIXED.average_degree) / (2.0 * second), abs=1e-14
     )
+
+
+@st.composite
+def small_profiles(draw):
+    """Integer weights 0-4 on degrees 0 to a top degree in 0-8; degree 0's may be 0."""
+    top = draw(st.integers(0, 8))
+    weights = draw(st.lists(st.integers(0, 4), min_size=top + 1, max_size=top + 1).filter(any))
+    total = sum(weights)
+    return DegreeDistribution.from_fractions({d: w / total for d, w in enumerate(weights) if w})
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_profiles())
+@example(parse_degree_literal("0:1"))
+@example(parse_degree_literal("1:1"))
+@example(parse_degree_literal("1:1.0000000000000002"))
+@example(parse_degree_literal("0:0.9999999999999,2:1e-13"))
+def test_parametric_endpoints_exist_exactly_off_the_line(dist):
+    # The endpoints are None exactly when the counting curve is the line
+    # (1 - R avg)/2 of the whole average; an arc lifts every row in (0, 1)
+    # above it.  "0:1" raised ValueError, and "0:0.9999999999999,2:1e-13"
+    # lies 1.2e-14 above its line at R = 1/2.
+    rates = np.array([0.25, 0.5, 0.75])
+    line = np.maximum((1.0 - rates * dist.average_degree) / 2.0, 0.0)
+    curve = counting_bound_distortion(dist, rates)
+    assert np.all(curve >= line)
+    endpoints = parametric_endpoints(dist)
+    assert (endpoints is None) == np.array_equal(curve, line), (dist, endpoints, curve - line)
+    if endpoints is not None:
+        scale = math.fsum(fraction for degree, fraction in dist.entries if degree)
+        assert endpoints[0] == (0.0, pytest.approx(1.0 / scale, rel=1e-15))
 
 
 def test_parametric_approaches_endpoints():
@@ -1176,3 +1207,17 @@ def test_rows_at_rate_one_are_exact(degree):
     assert channel_distortion_bound(degree, 1.0) == 0.0
     assert conjectured_exit_distortion_bound(degree, 1.0) == 0.0
     assert sample_curve("conjectured_exit", [1.0], degree=degree).distortions[0] == 0.0
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_test_channel_ends_are_exact(degree):
+    # max(tangent, line) alone: the line is 1/2 at R = 0 and below 0 at
+    # R = 1 for l >= 2, where the tangent's numerator, 1 - R exact, is
+    # negative and its clamp gives 0.  Float calls stay floats, +0.0 at
+    # R = 1, and array rows equal them.
+    rows = channel_distortion_bound(degree, np.linspace(0.0, 1.0, 11))
+    for rate, expected, row in ((0.0, 0.5, rows[0]), (1.0, 0.0, rows[-1])):
+        value = channel_distortion_bound(degree, rate)
+        assert type(value) is float
+        assert value == expected and math.copysign(1.0, value) == 1.0
+        assert row == value and math.copysign(1.0, row) == 1.0

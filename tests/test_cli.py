@@ -192,6 +192,23 @@ def test_curve_degree0_profile_prints_its_positive_part_arc(capsys, degrees):
     assert all(float(row.split(",")[0]) > floor for row, floor in zip(rows, line))
 
 
+def test_curve_with_a_trace_of_positive_mass_prints_its_arc(capsys):
+    # L+ is regular 2 at R 1e-13: the rows lie on its segment, 1.2e-14
+    # above the whole profile's line at R = 1/2, and the arc's ends, in
+    # the curve's rate units, lie far beyond R = 1.  This curve was refused
+    # with "no positive-degree mass" and exit 2.
+    degrees = "0:0.9999999999999,2:1e-13"
+    status, out, err = run(
+        ["curve", "--bound", "counting", "--degrees", degrees, "--rate-min", "0.5", "--rate-max", "1", "--steps", "3"],
+        capsys,
+    )
+    assert (status, err) == (0, "")
+    assert "# arc endpoint x->0: D=0,R=1e+13\n# arc endpoint x->1: D=0.25,R=2.5e+12\n" in out
+    dist = parse_degree_spec(degrees).dist
+    rows = out.splitlines()[out.splitlines().index("D,R") + 1 :]
+    assert rows == [f"{bounds_module.counting_bound_distortion(dist, rate):.10g},{rate:.10g}" for rate in (0.5, 0.75, 1.0)]
+
+
 def test_curve_dwr_requires_check_degree(capsys):
     status, _, err = run(
         ["curve", "--bound", "dwr", "--rate-min", "0.5", "--rate-max", "0.9"],

@@ -396,6 +396,37 @@ def test_distance_transform_matches_naive():
         assert tuple(fast.histogram) == tuple(slow.histogram)
 
 
+def _spy_on_histogram(monkeypatch):
+    """Record the number of values each ``_histogram`` call counts."""
+    sizes, histogram = [], exact_module._histogram
+
+    def spy(values, length):
+        sizes.append(values.size)
+        return histogram(values, length)
+
+    monkeypatch.setattr(exact_module, "_histogram", spy)
+    return sizes
+
+
+def test_distance_transform_of_one_generator_on_22_checks(monkeypatch):
+    # One part with 21 free bits: its 2^21-cell coset table is counted in
+    # chunks.  A word is at distance min(w, 22 - w) from {0, 1^22}.
+    sizes = _spy_on_histogram(monkeypatch)
+    histogram = distance_transform(LdgmCode(22, (tuple(range(22)),))).histogram
+    expected = [math.comb(22, d) + math.comb(22, 22 - d) for d in range(11)] + [math.comb(22, 11)]
+    assert histogram == tuple(expected + [0] * 11)
+    assert max(sizes) == 2**21 > exact_module._COUNT_CHUNK
+
+
+def test_weight_enumerator_of_21_disjoint_pairs(monkeypatch):
+    # Rank 21 on 42 checks takes the direct path over 2^21 words, counted
+    # in chunks: choosing j of the pairs gives weight 2j.
+    sizes = _spy_on_histogram(monkeypatch)
+    counts = weight_enumerator(LdgmCode(42, tuple((2 * g, 2 * g + 1) for g in range(21)))).counts
+    assert counts == tuple(math.comb(21, w // 2) if w % 2 == 0 else 0 for w in range(43))
+    assert max(sizes) == 2**21 > exact_module._COUNT_CHUNK
+
+
 @pytest.mark.parametrize("seed", sorted(BUDGET_PINS))
 def test_kernels_at_budget_limit_match_pins(seed):
     code = sample_code(26, 24, REG2, seed=seed)
