@@ -95,12 +95,9 @@ __all__ = [
 
 CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 
-# Parametric evaluation is a 0/0 limit at both ends of (0, 1); stay inside.
-# Rates within about 3e-8 of the arc's start have their parameter below
-# _X_LO; they solve on [_X_MIN, _X_LO].
-_X_MIN = 1e-300
-_X_LO = 1e-9
-_X_HI = 1.0 - 1e-6
+# The arc is 0/0 at x -> 1; stay inside.  Its solve starts at x = e^-69 = 1e-30, where
+# 1 - R ~ 1e-28 is below 2^-53, the least 1 - R of a rate under 1, reached near x = 1e-18.
+_LOG_X_LO, _X_HI = math.log(1e-30), 1.0 - 1e-6
 # The test-channel bound's channel D' = x/(1 + x) stops at 1/2 - 1e-4,
 # where cancellation sets in.
 _X_CAP = (0.5 - 1e-4) / (0.5 + 1e-4)
@@ -129,25 +126,27 @@ def shannon_distortion(rate):
 # ---------------------------------------------------------------------------
 
 
-def _arc(degrees, fractions, x):
-    """The counting arc's rate at x in (0, 1): its numerator 1 - h(x/(1 + x)) is
-    1 - log2(1 + x) + x/(1 + x) log2 x, sharing log2 x with the denominator."""
-    log_gf, occupancy = weight_transforms(degrees, fractions, x)
-    xp = math_of(x)
+def _deficit(degrees, fractions, x):
+    """1 - R of the counting arc of positive degrees at x in (0, 1): with h_i = h(x^i/(1 + x^i))
+    = log2(1 + x^i) - i x^i/(1 + x^i) log2 x, R = (1 - h_1)/sum_i L_i (1 - h_i), so 1 - R is
+    sum_i L_i (h_1 - h_i) over that, degree 1 (first if present) adding 0 to the top.  Toward
+    x = 0, where R -> 1, no term cancels, whatever L_1 and the L_i's sum."""
+    xp, rows, first = math_of(x), getattr(fractions, "ndim", 1) == 2, int(degrees[0] == 1)
+    ones = fractions[:, 0] if rows else fractions[0]
+    rest = fractions[:, first:] if rows else fractions[first:]
+    mass = rest.sum(axis=-1) if rows else math.fsum(rest)
+    log_gf, occupancy = weight_transforms(degrees[first:], rest, x)
     log_x = xp.log2(x)
-    return (1.0 - xp.log2(1.0 + x) + x / (1.0 + x) * log_x) / (1.0 - log_gf + occupancy * log_x)
+    h_1, others = xp.log1p(x) / math.log(2.0) - x / (1.0 + x) * log_x, log_gf - occupancy * log_x
+    return (mass * h_1 - others) / (first * ones * (1.0 - h_1) + mass - others)
 
 
 def _tangent(degrees, fractions, rate, x):
-    """The arc's tangent at x read at ``rate``, clamped at 0 and off the arc
-    point by the square of x's error: (1 - R - log2(1 + x) + R sum_i L_i
-    log2(1 + x^i))/log2(1/x), 1 - R exact; ``fractions`` as ``weight_transforms``'."""
+    """The arc's tangent at x read at ``rate``, clamped at 0, off the arc point by the square
+    of x's error: (1 - R - log2(1 + x) + R log2 gf(x))/log2(1/x), 1 - R exact."""
     xp = math_of(x)
-    if getattr(fractions, "ndim", 1) == 2:
-        log_gf = (fractions * np.log1p(x[..., None] ** np.asarray(degrees))).sum(axis=-1)
-    else:
-        log_gf = sum(fraction * xp.log1p(x**degree) for degree, fraction in zip(degrees, fractions))
-    return xp.maximum((1.0 - rate - (xp.log1p(x) - rate * log_gf) / math.log(2.0)) / -xp.log2(x), 0.0)
+    log_gf = weight_transforms(degrees, fractions, x)[0]
+    return xp.maximum((1.0 - rate - xp.log1p(x) / math.log(2.0) + rate * log_gf) / -xp.log2(x), 0.0)
 
 
 def parametric_endpoints(
@@ -171,25 +170,23 @@ def parametric_endpoints(
 
 
 def _solve_arc(degrees, fractions, rate, top=_X_HI):
-    """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: on
-    [_X_MIN, _X_LO] for rates above its value at _X_LO, else on [_X_LO, top]."""
-    arc_rate = lambda x: _arc(degrees, fractions, x)
-    # an array's rows share one test point, kept an array so numpy evaluates it
-    start = _X_LO + 0.0 * rate[..., :1] if isinstance(rate, np.ndarray) else _X_LO
-    near_start = rate >= arc_rate(start)
-    lo, hi = pick(near_start, _X_MIN, _X_LO), pick(near_start, _X_LO, top)
-    return bisect_monotone(arc_rate, lo, hi, rate, tol=1e-15)
+    """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: u =
+    ln x solved to 1e-13 on [ln 1e-30, ln top] for ln(1 - R) = ln(1 - rate),
+    nearly linear in u for small x, so x keeps 13 digits however small.  A
+    rate of 1 solves at 1 - 2^-53, where the tangent reads 0.  Near x = 1,
+    where the arc is 0/0, the stop is ``bisect_monotone``'s own."""
+    xp = math_of(rate)
+    target = xp.log1p(-xp.minimum(rate, 1.0 - 2.0**-53))
+    log_deficit = lambda u: xp.log(_deficit(degrees, fractions, xp.exp(u)))
+    return xp.exp(bisect_monotone(log_deficit, _LOG_X_LO, math.log(top), target, tol=1e-13))
 
 
 def _arc_parameter(degrees, fractions, rate):
-    """x in (0, 1) where the arc's rate is ``rate``, row by row for an array.
-
-    The profile is (degrees, fractions) as ``weight_transforms`` takes it.
-    A row whose arc rate misses ``rate`` by more than 1e-10 raises
-    :class:`BracketError`.
-    """
+    """x in (0, 1) where the arc's rate is ``rate``, row by row for an array,
+    the profile as ``weight_transforms`` takes it; a row whose arc's 1 - R
+    misses 1 - ``rate`` by more than 1e-10 raises :class:`BracketError`."""
     x = _solve_arc(degrees, fractions, rate)
-    residual = np.abs(_arc(degrees, fractions, x) - rate)
+    residual = np.abs(_deficit(degrees, fractions, x) - (1.0 - rate))
     stalled = np.flatnonzero(residual > 1e-10)
     if stalled.size:
         row = int(stalled[0])
@@ -210,16 +207,17 @@ def solve_x_for_rate(dist: DegreeDistribution, rate):
 
     Valid for rates between the reciprocal average degree and 1; an array
     of rates is solved row by row.  The inversion brackets the root, so it
-    relies on the arc's rate decreasing in x, a property the test suite
-    checks on dense grids over regular, Poisson and mixed profiles rather
-    than per call.  Whatever the profile, the arc's rate at the returned x
-    is within 1e-10 of ``rate``, or :class:`BracketError` is raised.
+    relies on the arc's rate decreasing in x, which the test suite checks
+    on dense grids of regular, Poisson and mixed profiles.  A profile with
+    degree-0 mass solves its positive part L+ at R (1 - L_0), the same x.
+    The arc's 1 - R there is within 1e-10 of 1 - ``rate``, else :class:`BracketError`.
     """
     average = dist.average_degree
     if not _has_arc(average):
         raise ValueError(f"average degree must exceed 1 + 1e-12, got {average!r}")
     check_range(f"rate on the arc's span [{1.0 / average!r}, 1]", rate, 1.0 / average - 1e-12, 1.0)
-    return _arc_parameter(dist.degrees, dist.fractions, rate)
+    positive, scale = _positive_part(dist)
+    return _arc_parameter(positive.degrees, positive.fractions, rate * scale)
 
 
 def _positive_part(dist: DegreeDistribution):
@@ -310,7 +308,7 @@ def test_channel_distortion_bound(degree: int, rate):
     if degree == 1:
         return line
     xp, profile = math_of(rate), ((degree,), (1.0,))
-    above = rate > _arc(*profile, _X_CAP)
+    above = rate > 1.0 - _deficit(*profile, _X_CAP)
     if xp is np:
         x = np.full_like(rate, _X_CAP)
         x[above] = _solve_arc(*profile, rate[above], _X_CAP)

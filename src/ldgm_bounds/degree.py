@@ -56,11 +56,9 @@ def _poisson_pmf(lam, width: int):
     return np.exp(np.arange(width) * np.log(lam) - lam - log_factorial)
 
 
-def _terms(degree, fraction, x, xp):
-    """Terms of log2 gf and of the occupancy for degree(s) at 0 <= x <= 1."""
-    power = x**degree
-    grow = 1.0 + power
-    return fraction * xp.log2(grow), degree * fraction * power / grow
+def _terms(degree, fraction, power, xp):
+    """Terms of ln gf (log1p keeps a small power's digits) and of the occupancy, power = x^i."""
+    return fraction * xp.log1p(power), degree * fraction * power / (1.0 + power)
 
 
 def weight_transforms(degrees, fractions, x):
@@ -73,14 +71,18 @@ def weight_transforms(degrees, fractions, x):
     degree axis.
     """
     if getattr(fractions, "ndim", 1) == 2:  # np.ndim would copy a tuple into an array
-        log_gf, occupancy = _terms(np.asarray(degrees), fractions, x[..., None], np)
-        return log_gf.sum(axis=-1), occupancy.sum(axis=-1)
+        x, degrees = x[..., None], np.asarray(degrees)
+        # numpy's pow is slow where it underflows; powers below 1e-300 add nothing, and stay 0
+        kept = (x >= 1e-300 ** (1.0 / np.maximum(degrees, 1))) | (degrees == 0)
+        power = np.power(x, degrees, out=np.zeros(kept.shape), where=kept)
+        log_gf, occupancy = _terms(degrees, fractions, power, np)
+        return log_gf.sum(axis=-1) / math.log(2.0), occupancy.sum(axis=-1)
     xp, log_gf, occupancy = math_of(x), 0.0, 0.0
     for degree, fraction in zip(degrees, fractions):
-        term_gf, term_occupancy = _terms(degree, fraction, x, xp)
+        term_gf, term_occupancy = _terms(degree, fraction, x**degree, xp)
         log_gf += term_gf
         occupancy += term_occupancy
-    return log_gf, occupancy
+    return log_gf / math.log(2.0), occupancy
 
 
 def poisson_rows(check_degree: int, rates) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from ldgm_bounds import (
     verify_code,
     weight_enumerator,
 )
-from ldgm_bounds.bounds import _arc
+from ldgm_bounds.bounds import _deficit
 from oracles import distance_transform_naive, optimal_average_distortion, weight_enumerator_naive
 from oracles_float import coefficient_growth_exponent
 
@@ -87,7 +87,7 @@ def test_criterion_03_parametric_endpoints(capsys):
         and abs(end[1] - 0.25) <= 1e-6
     )
     x = solve_x_for_rate(REG2, 0.5)
-    mid = x / (1.0 + x) - REG2.mean_occupancy(x) * _arc(REG2.degrees, REG2.fractions, x)
+    mid = x / (1.0 + x) - REG2.mean_occupancy(x) * (1.0 - _deficit(REG2.degrees, REG2.fractions, x))
     mid_ok = abs(mid - 0.115) <= 1e-3
     line_ok = counting_bound_distortion(REG2, 0.0) == 0.5
     ok = endpoint_ok and mid_ok and line_ok

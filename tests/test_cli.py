@@ -27,6 +27,7 @@ from ldgm_bounds import bounds as bounds_module
 from ldgm_bounds import cli as cli_module
 from ldgm_bounds import exact as exact_module
 from ldgm_bounds.cli import UsageError, main, parse_degree_spec
+import oracles_mp
 from oracles import csv_rows_naive
 
 REG2 = DegreeDistribution.regular(2)
@@ -574,12 +575,15 @@ def test_curve_mathematical_refusal_exits_4(monkeypatch, capsys, error):
 # 4.547473509e-13), and line 1 of conjecture-l3, its notice.
 # counting-degree0-avg1 came later, with the positive-part rule: its
 # profile averages 1, and its rows are those of its regular-2 part at R/2.
+# counting-near-one came with the arc solve in ln x: its rows lie within
+# 1e-10 of R = 1, and a test holds them to a 60-digit solve.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CURVES = {
     "shannon": ["--bound", "shannon", "--rate-min", "0.05", "--rate-max", "1", "--steps", "12"],
     "counting-regular3": ["--bound", "counting", "--degrees", "regular:3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "counting-degree0": ["--bound", "counting", "--degrees", "0:0.1,2:0.5,4:0.4", "--rate-min", "0.05", "--rate-max", "1", "--steps", "12"],
     "counting-degree0-avg1": ["--bound", "counting", "--degrees", "0:0.5,2:0.5", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
+    "counting-near-one": ["--bound", "counting", "--degrees", "regular:2", "--rate-min", "0.9999999999", "--rate-max", "1", "--steps", "11"],
     "counting-mixed3": ["--bound", "counting", "--degrees", "2:0.25,3:0.5,6:0.25", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
     "counting-poisson4": ["--bound", "counting", "--degrees", "poisson:4", "--rate-min", "0.15", "--rate-max", "1", "--steps", "12"],
     "dwr-r3": ["--bound", "dwr", "--r", "3", "--rate-min", "0", "--rate-max", "1", "--steps", "11"],
@@ -598,6 +602,39 @@ def test_curve_output_matches_golden_csv(capsys, name):
     status, out, err = run(["curve", *GOLDEN_CURVES[name]], capsys)
     assert (status, err) == (0, "")
     assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
+def test_near_one_golden_curve_matches_mpmath():
+    # The golden's rows are those of this curve; near R = 1 its x is
+    # 1e-13 and smaller, and every row keeps 12 digits of a 60-digit solve.
+    args = cli_module._parser()[1]["curve"].parse_args(GOLDEN_CURVES["counting-near-one"])
+    curve = cli_module._curve_for_args(args)
+    for rate, distortion in zip(curve.rates.tolist(), curve.distortions.tolist()):
+        expected = float(oracles_mp.counting_distortion(curve.dist.entries, rate))
+        assert abs(distortion - expected) <= 1e-12 * expected, (rate, distortion, expected)
+
+
+@pytest.mark.parametrize(
+    "spec", ["1:0.99999,2:1e-05", "1:0.9999999,2:1e-07", "1:0.9999999999,2:1e-10", "1:0.99999999999,2:1e-11"]
+)
+def test_curve_of_a_profile_averaging_just_above_one(capsys, spec):
+    # The arc's rate near x = 1 is 0/0; for these profiles the rate the
+    # solve in x read there came out above 1, and the curve exited 4.  The
+    # arc's 1 - R, with no degree-1 term, stays positive up to the top of
+    # the bracket.  Every tenth row and those from R = 0.99 up match a
+    # 60-digit solve to their ten printed digits, half a unit of which is
+    # at most 5e-10.  At R = 1 the row is 0; the oracle, which renormalises
+    # fractions that sum to 1 - 8e-18, reads 2.8e-19 there for 1e-10.
+    argv = ["curve", "--bound", "counting", "--degrees", spec, "--rate-min", "0", "--rate-max", "1", "--steps", "201"]
+    status, out, err = run(argv, capsys)
+    assert (status, err) == (0, "")
+    rows = out.splitlines()[out.splitlines().index("D,R") + 1 :]
+    assert len(rows) == 201
+    dist = parse_degree_spec(spec).dist
+    for k in [*range(0, 198, 10), *range(198, 201)]:
+        printed, rate = float(rows[k].split(",")[0]), k / 200
+        expected = float(oracles_mp.counting_distortion(dist.entries, rate))
+        assert abs(printed - expected) <= 5.1e-10 * expected + 1e-18, (rate, printed, expected)
 
 
 # ---------------------------------------------------------------------------
