@@ -53,9 +53,10 @@ R = 1/2 it gives 0.1150 against 0.25.
 
 Every distortion bound takes a float or a numpy array of rates and
 answers in kind, so ``sample_curve`` solves a family over its whole rate
-grid in one row-wise call of the shared root finder, ``bisect_monotone``,
-while a single point takes its float loop.  The conjecture's rate form,
-which its distortion form inverts, takes distortions alike.
+grid in one row-wise call of its root finder, while a single point takes
+its float loop: a Newton solve of the arc for ``counting`` and
+``test_channel``, ``bisect_monotone`` for the others.  The conjecture's
+rate form, which its distortion form inverts, takes distortions alike.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .degree import DegreeDistribution, poisson_rows, weight_transforms
+from .degree import DegreeDistribution, _weight_sums, poisson_rows, weight_transforms
 from .numerics import (
     BracketError,
     _entropy,
@@ -131,14 +132,34 @@ def _deficit(degrees, fractions, x):
     = log2(1 + x^i) - i x^i/(1 + x^i) log2 x, R = (1 - h_1)/sum_i L_i (1 - h_i), so 1 - R is
     sum_i L_i (h_1 - h_i) over that, degree 1 (first if present) adding 0 to the top.  Toward
     x = 0, where R -> 1, no term cancels, whatever L_1 and the L_i's sum."""
-    xp, rows, first = math_of(x), getattr(fractions, "ndim", 1) == 2, int(degrees[0] == 1)
-    ones = fractions[:, 0] if rows else fractions[0]
-    rest = fractions[:, first:] if rows else fractions[first:]
-    mass = rest.sum(axis=-1) if rows else math.fsum(rest)
-    log_gf, occupancy = weight_transforms(degrees[first:], rest, x)
-    log_x = xp.log2(x)
-    h_1, others = xp.log1p(x) / math.log(2.0) - x / (1.0 + x) * log_x, log_gf - occupancy * log_x
-    return (mass * h_1 - others) / (first * ones * (1.0 - h_1) + mass - others)
+    top, bottom, *_ = _arc_terms(*_split(degrees, fractions), x)
+    return top / bottom
+
+
+def _split(degrees, fractions):
+    """The degrees past 1, their fractions (one profile, or one per row), degree 1's fraction
+    (0 without it) and the others' sum: the profile as ``_arc_terms`` takes it."""
+    rows, first = getattr(fractions, "ndim", 1) == 2, int(degrees[0] == 1)
+    rest, ones = (fractions[:, first:], fractions[:, 0]) if rows else (fractions[first:], fractions[0])
+    return degrees[first:], rest, first * ones, rest.sum(axis=-1) if rows else math.fsum(rest)
+
+
+def _arc_terms(degrees, rest, ones, mass, x):
+    """At x, ``_deficit``'s top T and bottom B, x dT/dx over -log2 x, x dB/dx over log2 x, and
+    log2 x: with w = p_1 (1 - p_1) and V the others' spread, M w - V and L_1 w + V."""
+    xp, share = math_of(x), x / (1.0 + x)
+    log_gf, occupancy, spread = _weight_sums(degrees, rest, x)
+    log_x, w = xp.log2(x), share / (1.0 + x)
+    h_1, others = xp.log1p(x) / math.log(2.0) - share * log_x, log_gf - occupancy * log_x
+    top, bottom = mass * h_1 - others, ones * (1.0 - h_1) + mass - others
+    return top, bottom, mass * w - spread, ones * w + spread, log_x
+
+
+def _log_deficit(degrees, rest, ones, mass, u):
+    """g(u) = ln(1 - R(e^u)) and dg/du from ``_split``'s parts (see ``_solve_arc``)."""
+    xp = math_of(u)
+    top, bottom, rise, fall, log_x = _arc_terms(degrees, rest, ones, mass, xp.exp(u))
+    return xp.log(top / bottom), -log_x * (rise / top + fall / bottom)
 
 
 def _tangent(degrees, fractions, rate, x):
@@ -170,15 +191,51 @@ def parametric_endpoints(
 
 
 def _solve_arc(degrees, fractions, rate, top=_X_HI):
-    """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: u =
-    ln x solved to 1e-13 on [ln 1e-30, ln top] for ln(1 - R) = ln(1 - rate),
-    nearly linear in u for small x, so x keeps 13 digits however small.  A
-    rate of 1 solves at 1 - 2^-53, where the tangent reads 0.  Near x = 1,
-    where the arc is 0/0, the stop is ``bisect_monotone``'s own."""
-    xp = math_of(rate)
+    """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: Newton's method for
+    g(u) = ln(1 - R(e^u)) = ln(1 - rate) in u = ln x on [ln 1e-30, ln top], from its lower end,
+    a point outside the bracket replaced by the midpoint.  A rate of 1 solves at 1 - 2^-53.
+
+    With p_i = x^i/(1 + x^i), x dh_i/dx = -log2 x i^2 p_i (1 - p_i); so with T and B the top
+    and bottom of ``_deficit``, M = sum_{i != 1} L_i, w = p_1 (1 - p_1) and V = sum_{i != 1}
+    L_i i^2 p_i (1 - p_i), dg/du = -log2 x ((M w - V)/T + (L_1 w + V)/B).  g is nearly
+    linear in u for small x, where x keeps its last digits however small.  A row stops at a
+    step of at most 1e-12, a residual of 0, a bracket at most 1e-13 wide or bisection's 50
+    steps.  The bracket's stop ends rows near x = 1, where T and B vanish together and the
+    rounding of that 0/0 keeps steps at about 1e-12 even at the test-channel cap.  Each
+    evaluation takes the live rows only, a profile per row sliced to them."""
+    xp, lo, hi = math_of(rate), _LOG_X_LO, math.log(top)
     target = xp.log1p(-xp.minimum(rate, 1.0 - 2.0**-53))
-    log_deficit = lambda u: xp.log(_deficit(degrees, fractions, xp.exp(u)))
-    return xp.exp(bisect_monotone(log_deficit, _LOG_X_LO, math.log(top), target, tol=1e-13))
+    degrees, *parts = _split(degrees, fractions)
+    per_row, rows = getattr(parts[0], "ndim", 1) == 2, np.arange(rate.size) if xp is np else None
+
+    def residual(u, rows, target):  # g(u) - target and dg/du, for the rows given
+        g, slope = _log_deficit(degrees, *([part[rows] for part in parts] if per_row else parts), u)
+        return g - target, slope
+
+    ends = [np.full(rate.shape, end) if per_row else end for end in (lo, hi)]
+    (f, slope), (f_hi, _) = (residual(end, rows, target) for end in ends)
+    if not (np.all if xp is np else bool)((f <= 0.0) & (f_hi >= 0.0)):
+        t, fa, fb = (np.ravel(v) for v in np.broadcast_arrays(target, f + target, f_hi + target))
+        k = int(np.flatnonzero(~((fa <= t) & (fb >= t)))[0])
+        raise BracketError(
+            f"{f'row {k}: ' if xp is np else ''}target {float(t[k])!r} not bracketed on "
+            f"[{lo!r}, {hi!r}]: fn(lo)={float(fa[k])!r}, fn(hi)={float(fb[k])!r}"
+        )
+    u, a, b, cap = lo + 0.0 * f, lo + 0.0 * f, hi + 0.0 * f, math.ceil(math.log2((hi - lo) / 1e-13))
+    x = None if rows is None else np.empty(rows.size)
+    for step in range(cap + 1):  # bisection's bound on the steps
+        a, b, usable = pick(f < 0.0, u, a), pick(f > 0.0, u, b), slope > 0.0
+        newton = u - f / pick(usable, slope, 1.0)
+        stop = (f == 0.0) | (usable & (abs(newton - u) <= 1e-12)) | (b - a <= 1e-13) | (step == cap)
+        u = pick(f == 0.0, u, pick(usable & (a <= newton) & (newton <= b), newton, 0.5 * (a + b)))
+        if rows is None and stop:
+            return math.exp(u)
+        if rows is not None:
+            x[rows[stop]], live = np.exp(u[stop]), ~stop
+            if not live.any():
+                return x
+            rows, u, a, b, target = rows[live], u[live], a[live], b[live], target[live]
+        f, slope = residual(u, rows, target)
 
 
 def _arc_parameter(degrees, fractions, rate):
@@ -186,10 +243,10 @@ def _arc_parameter(degrees, fractions, rate):
     the profile as ``weight_transforms`` takes it; a row whose arc's 1 - R
     misses 1 - ``rate`` by more than 1e-10 raises :class:`BracketError`."""
     x = _solve_arc(degrees, fractions, rate)
-    residual = np.abs(_deficit(degrees, fractions, x) - (1.0 - rate))
-    stalled = np.flatnonzero(residual > 1e-10)
-    if stalled.size:
-        row = int(stalled[0])
+    residual = abs(_deficit(degrees, fractions, x) - (1.0 - rate))
+    stalled = residual > 1e-10
+    if stalled.any() if isinstance(stalled, np.ndarray) else stalled:
+        row = int(np.flatnonzero(stalled)[0])
         raise BracketError(
             f"rate inversion stalled: residual {np.ravel(residual)[row]:.3e} "
             f"at x={float(np.ravel(x)[row])!r}"

@@ -14,7 +14,8 @@ Both take a float or an array of x.  ``weight_transforms`` computes the
 pair from (degrees, fractions) directly, one degree at a time for a fixed
 profile, and also takes one fractions row per x, broadcast over a degree
 axis: that is how a Poisson curve, whose member changes with the rate,
-is evaluated, from the zero-padded pmf matrix of ``poisson_rows``.
+is evaluated, from the zero-padded pmf matrix of ``poisson_rows``.  The
+same pass gives the arc solve's slope its spread sum_i i^2 L_i p_i (1 - p_i).
 """
 
 from __future__ import annotations
@@ -57,12 +58,18 @@ def _poisson_pmf(lam, width: int):
 
 
 def _terms(degree, fraction, power, xp):
-    """Terms of ln gf (log1p keeps a small power's digits) and of the occupancy, power = x^i."""
-    return fraction * xp.log1p(power), degree * fraction * power / (1.0 + power)
+    """Terms of ln gf (log1p keeps a small power's digits), the occupancy and its spread."""
+    occupancy = degree * fraction * power / (rise := 1.0 + power)
+    return fraction * xp.log1p(power), occupancy, degree * occupancy / rise
 
 
 def weight_transforms(degrees, fractions, x):
-    """log2 of prod_i (1 + x^i)^{L_i} and sum_i i L_i x^i / (1 + x^i), for 0 <= x <= 1.
+    """log2 of prod_i (1 + x^i)^{L_i} and sum_i i L_i x^i / (1 + x^i), for 0 <= x <= 1."""
+    return _weight_sums(degrees, fractions, x)[:2]
+
+
+def _weight_sums(degrees, fractions, x):
+    """``weight_transforms``'s pair and the spread sum_i i^2 L_i p_i (1 - p_i), p_i = x^i/(1 + x^i).
 
     ``fractions`` is one profile over ``degrees``, or an (n, k) array
     holding one profile per entry of an array ``x``, zero-padded.  One
@@ -75,14 +82,13 @@ def weight_transforms(degrees, fractions, x):
         # numpy's pow is slow where it underflows; powers below 1e-300 add nothing, and stay 0
         kept = (x >= 1e-300 ** (1.0 / np.maximum(degrees, 1))) | (degrees == 0)
         power = np.power(x, degrees, out=np.zeros(kept.shape), where=kept)
-        log_gf, occupancy = _terms(degrees, fractions, power, np)
-        return log_gf.sum(axis=-1) / math.log(2.0), occupancy.sum(axis=-1)
-    xp, log_gf, occupancy = math_of(x), 0.0, 0.0
+        log_gf, occupancy, spread = (term.sum(axis=-1) for term in _terms(degrees, fractions, power, np))
+        return log_gf / math.log(2.0), occupancy, spread
+    xp, log_gf, occupancy, spread = math_of(x), 0.0, 0.0, 0.0
     for degree, fraction in zip(degrees, fractions):
-        term_gf, term_occupancy = _terms(degree, fraction, x**degree, xp)
-        log_gf += term_gf
-        occupancy += term_occupancy
-    return log_gf / math.log(2.0), occupancy
+        term_gf, term_occupancy, term_spread = _terms(degree, fraction, x**degree, xp)
+        log_gf, occupancy, spread = log_gf + term_gf, occupancy + term_occupancy, spread + term_spread
+    return log_gf / math.log(2.0), occupancy, spread
 
 
 def poisson_rows(check_degree: int, rates) -> tuple[np.ndarray, np.ndarray]:

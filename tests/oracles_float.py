@@ -11,6 +11,8 @@ solve the other way, or for a quantity the bound is a level set of:
   ensemble bound at a distortion;
 * ``coverage_exponent``: the growth rate of the covered share of source
   space, equal to 1 on the counting curve;
+* ``arc_parameter``: the counting arc's x at a rate, by the bisection the
+  package solved it with before its Newton step;
 * ``coefficient_growth_exponent``: the growth rate of the coefficient floor
   that ``exact.coefficient_lower_bound`` computes exactly.
 
@@ -177,3 +179,23 @@ def coefficient_growth_exponent(dist: DegreeDistribution, omega: float) -> float
         return dist.log2_weight_gf(1.0)
     x = bisect_monotone(dist.mean_occupancy, 0.0, 1.0, omega, tol=1e-15)
     return dist.log2_weight_gf(x) - omega * math.log2(x)
+
+
+def arc_parameter(degrees, fractions, rate: float, top: float = 1.0 - 1e-6) -> float:
+    """x in (0, top] where the counting arc of a positive-degree profile has ``rate``.
+
+    The package's solve before its Newton step: one ``bisect_monotone``
+    bracket in u = ln x on [ln 1e-30, ln top], to 1e-13, for ln(1 - R) =
+    ln(1 - rate), a rate of 1 taken as 1 - 2^-53.  1 - R is
+    sum_{i != 1} L_i (h_1 - h_i) / sum_i L_i (1 - h_i), h_i = h(x^i/(1 + x^i))
+    = log2(1 + x^i) - i x^i/(1 + x^i) log2 x, written here on its own.
+    """
+
+    def log_deficit(u):
+        x, log_x = math.exp(u), u / math.log(2.0)
+        h = {d: math.log1p(x**d) / math.log(2.0) - d * x**d / (1.0 + x**d) * log_x for d in {1, *degrees}}
+        top = math.fsum(f * (h[1] - h[d]) for d, f in zip(degrees, fractions) if d != 1)
+        return math.log(top / math.fsum(f * (1.0 - h[d]) for d, f in zip(degrees, fractions)))
+
+    target = math.log1p(-min(rate, 1.0 - 2.0**-53))
+    return math.exp(bisect_monotone(log_deficit, math.log(1e-30), math.log(top), target, tol=1e-13))

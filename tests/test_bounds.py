@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 import oracles_mp
 from oracles import curve_check_naive
 from oracles_float import (
+    arc_parameter,
     coverage_exponent,
     poisson_ensemble_rate_bound,
     test_channel_rate_bound as channel_rate_bound,
@@ -98,25 +99,41 @@ def test_shannon_rows_within_tolerance_of_mpmath():
 
 
 @pytest.mark.parametrize(
-    "bound",
+    "bound, relative",
     [
-        shannon_distortion,
-        lambda rate: poisson_ensemble_distortion_bound(3, rate),
-        lambda rate: conjectured_exit_distortion_bound(3, rate),
+        pytest.param(shannon_distortion, None, id="shannon_distortion"),
+        pytest.param(lambda rate: poisson_ensemble_distortion_bound(3, rate), None, id="<lambda>0"),
+        pytest.param(lambda rate: conjectured_exit_distortion_bound(3, rate), None, id="<lambda>1"),
+        pytest.param(lambda rate: counting_bound_distortion(REG3, rate), 1e-15, id="counting regular:3"),
+        pytest.param(
+            lambda rate: counting_bound_distortion(parse_degree_literal("2:0.25,3:0.5,6:0.25"), rate),
+            1e-15,
+            id="counting 2:0.25,3:0.5,6:0.25",
+        ),
+        pytest.param(lambda rate: counting_bound_distortion(DEGREE0, rate), 1e-15, id="counting 0:0.1,2:0.5,4:0.4"),
+        pytest.param(lambda rate: channel_distortion_bound(3, rate), 1e-14, id="test-channel l=3"),
     ],
 )
-def test_float_calls_agree_with_array_rows(bound):
+def test_float_calls_agree_with_array_rows(bound, relative):
     # math and numpy differ in the last bits of log and exp; the root
     # finder's grid of tol/2 keeps that from moving the solved points, but
-    # for a point within those bits of a grid line.
+    # for a point within those bits of a grid line.  The arc's Newton solve
+    # has no grid: a float call runs it in math, an array in numpy, and
+    # its rows differ from float calls in the last bits (up to 3 ulps for
+    # counting, 18 for test-channel rows near the cap, where x is
+    # ill-conditioned), on 7% to 28% of the rows.
     rates = np.random.default_rng(5).uniform(0.05, 0.95, 400)
     floats = np.array([bound(float(rate)) for rate in rates])
-    assert np.mean(bound(rates) != floats) <= 0.02
+    if relative is None:
+        assert np.mean(bound(rates) != floats) <= 0.02
+    else:
+        assert np.all(np.abs(bound(rates) - floats) <= relative * floats)
 
 
 def _grid_evaluations(monkeypatch, solve):
-    """Evaluations of the function solved, in the row-wise calls ``solve`` makes."""
-    counts = []
+    """Evaluations of the function solved, in each row-wise ``bisect_monotone`` call and each
+    arc solve (``bounds._solve_arc``, its ends included) that ``solve`` makes."""
+    counts, arc_terms, solve_arc = [], bounds_module._arc_terms, bounds_module._solve_arc
 
     def counted(fn, lo, hi, target, tol=1e-12):
         calls = []
@@ -130,7 +147,21 @@ def _grid_evaluations(monkeypatch, solve):
             counts.append(len(calls))
         return root
 
+    def counted_arc(*args):
+        counts.append(0)
+
+        def evaluate(*terms):
+            counts[-1] += 1
+            return arc_terms(*terms)
+
+        monkeypatch.setattr(bounds_module, "_arc_terms", evaluate)
+        try:
+            return solve_arc(*args)
+        finally:
+            monkeypatch.setattr(bounds_module, "_arc_terms", arc_terms)
+
     monkeypatch.setattr(bounds_module, "bisect_monotone", counted)
+    monkeypatch.setattr(bounds_module, "_solve_arc", counted_arc)
     solve()
     return counts
 
@@ -146,30 +177,42 @@ def _grid_evaluations(monkeypatch, solve):
 )
 def test_grid_solve_takes_few_evaluations(monkeypatch, family, solve):
     # Bisection takes 48, 52, 48 and 41 evaluations here.  The counting
-    # arc, solved in ln x, takes 14 (13 to 14 for regular 2 to 5 and the
-    # mixed profiles), where the solve in x took 14 to 19.
+    # arc's Newton solve in ln x takes 8 with its two ends (8 to 9 for
+    # regular 2 to 5 and the mixed profiles), where its bisection took 14
+    # and the solve in x 14 to 19.
     counts = _grid_evaluations(monkeypatch, solve)
-    assert counts and max(counts) <= {"counting regular-3": 14}.get(family, 16), (family, counts)
+    assert counts and max(counts) <= {"counting regular-3": 8}.get(family, 16), (family, counts)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5])
 def test_test_channel_grid_solve_starts_on_the_arc(monkeypatch, degree):
     # Only rows above the cap's rate are solved; the slowest lie just above
-    # it, where the arc's rate is a 0/0 limit.  The solve in x, on one of
-    # two brackets, took 30, 34 and 26 evaluations; solving the rows below
-    # for the cap itself took 27, 35 and 35; the search over log2 s from
-    # -200 before that took 43, 44 and 43.
+    # it, where the arc's rate is a 0/0 limit: Newton's steps there halve
+    # the distance to the root, then hop within the rounding of ln(1 - R)
+    # until the bracket is 1e-13 wide.  Bisection in ln x took 22, 23 and
+    # 23 evaluations; the solve in x, on one of two brackets, 30, 34 and
+    # 26; solving the rows below for the cap itself 27, 35 and 35; the
+    # search over log2 s from -200 before that 43, 44 and 43.
     rates = np.linspace(0.02, 0.98, 3000)
     counts = _grid_evaluations(monkeypatch, lambda: channel_distortion_bound(degree, rates))
-    assert counts and max(counts) <= {2: 22, 3: 23, 5: 23}[degree], counts
+    assert counts and max(counts) <= {2: 17, 3: 19, 5: 14}[degree], counts
 
 
 def test_test_channel_hundred_row_grid_solve(monkeypatch):
-    # The benchmark's grid size; 18 evaluations in x, 29 while rows below
-    # the cap solved.
+    # The benchmark's grid size; 16 evaluations by bisection in ln x, 18 in
+    # x, 29 while rows below the cap solved.
     rates = np.linspace(0.05, 0.95, 100)
     counts = _grid_evaluations(monkeypatch, lambda: channel_distortion_bound(3, rates))
-    assert counts and max(counts) <= 16, counts
+    assert counts and max(counts) <= 12, counts
+
+
+def test_poisson_hundred_row_grid_solve(monkeypatch):
+    # The benchmark's Poisson grid: one arc solve over every member's
+    # positive part, their fractions sliced to the live rows; bisection in
+    # ln x took 14 evaluations.
+    rates = np.linspace(0.15, 0.95, 100)
+    counts = _grid_evaluations(monkeypatch, lambda: sample_curve("counting", rates, check_degree=4))
+    assert len(counts) == 1 and counts[0] <= 9, counts
 
 
 def test_test_channel_rows_below_the_cap_read_it_unsolved(monkeypatch):
@@ -475,6 +518,54 @@ def test_deficit_matches_mpmath(profile, xs):
         # regular 1 has 1 - R = 0; the oracle reads its 60-digit noise
         assert abs(single - expected) <= (1e-13 + cancelled) * expected + 1e-55, (value, single, expected)
         assert abs(row - single) <= (1e-14 + cancelled) * single
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_profiles(), st.floats(0.0, 1.0))
+@example(((1, 12), (0.9, 0.1)), 0.0)
+@example(((1, 12), (0.9, 0.1)), 0.9)
+@example(((2,), (1.0,)), 1.0)
+def test_arc_solve_matches_bisection_and_mpmath(profile, position):
+    # The Newton solve against the bisection it replaced and against a
+    # 60-digit g(u) = ln(1 - R(e^u)), whose error over its slope is x's
+    # relative error.  1 - R is log-uniform from 2^-53 to its value at
+    # x = 1/2; above that the top of 1 - R, sum_i L_i (h_1 - h_i), cancels,
+    # and both solves lose x's digits to it (1.4e-9 at x = 0.99 for
+    # 1:0.99,2:0.01).  For 1:0.9,12:0.1, g is not concave: Newton points
+    # overshoot the root and move the bracket's upper end.
+    degrees, fractions = profile
+    assume(math.fsum(d * f for d, f in zip(*profile)) > 1.0 + 1e-12)
+    with mpmath.workdps(60):
+        total = mpmath.fsum(map(mpmath.mpf, fractions))
+        normalised = [(d, mpmath.mpf(f) / total) for d, f in zip(*profile)]
+        g = lambda u: mpmath.log(1 - oracles_mp.arc_rate(normalised, mpmath.exp(u)))
+        widest = math.log(float(mpmath.exp(g(mpmath.log(0.5)))))
+    rate = 1.0 - math.exp(-53 * math.log(2.0) * (1.0 - position) + widest * position)
+    x = bounds_module._solve_arc(degrees, fractions, rate)
+    assert abs(x - arc_parameter(degrees, fractions, rate)) <= 2e-13 * x
+    with mpmath.workdps(60):
+        u = mpmath.log(x)
+        slope = mpmath.diff(g, u, h=mpmath.mpf(10) ** -20)
+        assert abs(g(u) - mpmath.log(1 - mpmath.mpf(rate))) <= 1e-14 * slope
+        analytic = bounds_module._log_deficit(*bounds_module._split(degrees, fractions), math.log(x))[1]
+        assert abs(analytic - slope) <= 1e-10 * slope
+
+
+def test_arc_solve_keeps_its_newton_points_in_the_bracket(monkeypatch):
+    # A Newton point outside the bracket is replaced by its midpoint: with
+    # the slope taken 100 times too small, the steps overshoot, and the
+    # solve still ends on the root, by bisection's bound on the steps.
+    rates = np.linspace(0.3, 0.95, 50)
+    solved = bounds_module._solve_arc((2,), (1.0,), rates)
+    log_deficit = bounds_module._log_deficit
+
+    def misled(*args):
+        g, slope = log_deficit(*args)
+        return g, slope / 100.0
+
+    monkeypatch.setattr(bounds_module, "_log_deficit", misled)
+    x = bounds_module._solve_arc((2,), (1.0,), rates)
+    assert np.all(np.abs(x - solved) <= 1e-12 * solved)
 
 
 def test_counting_line_segment_regular2():
@@ -1110,31 +1201,30 @@ def test_poisson_curve_memory_does_not_grow_with_the_grid():
 
 def test_fixed_profile_curve_solves_its_anchor_with_its_arc(monkeypatch):
     # Regular 2 over R 0.05..0.95 spans 1/avg = 1/2: the arc rows and the
-    # segment's anchor at 1/2, the last target, share one row-wise solve,
+    # segment's anchor at 1/2, the last rate, share one row-wise arc solve,
     # and no float solve runs.  A second curve repeats exactly that.
     rates = [0.05 + 0.9 * k / 49 for k in range(50)]
     arc_rows = sum(rate >= 0.5 for rate in rates)
     assert 0 < arc_rows < len(rates)
-    targets = []
+    solved, solve_arc = [], bounds_module._solve_arc
 
-    def counted(fn, lo, hi, target, tol=1e-12):
-        targets.append(np.array(target, copy=True))
-        return bisect_monotone(fn, lo, hi, target, tol=tol)
+    def counted(degrees, fractions, rate, *top):
+        solved.append(np.array(rate, copy=True))
+        return solve_arc(degrees, fractions, rate, *top)
 
-    monkeypatch.setattr(bounds_module, "bisect_monotone", counted)
+    monkeypatch.setattr(bounds_module, "_solve_arc", counted)
     first = sample_curve("counting", rates, dist=REG2)
-    assert [target.shape for target in targets] == [(arc_rows + 1,)]
-    # the solve's targets are ln(1 - R)
-    assert targets[0][-1] == math.log1p(-0.5)
-    assert targets[0][:-1].tolist() == np.log1p(-np.array([rate for rate in rates if rate >= 0.5])).tolist()
-    solved = targets[:]
-    targets.clear()
+    assert [rate.shape for rate in solved] == [(arc_rows + 1,)]
+    assert solved[0][-1] == 0.5
+    assert solved[0][:-1].tolist() == [rate for rate in rates if rate >= 0.5]
+    previous = solved[:]
+    solved.clear()
     second = sample_curve("counting", rates, dist=REG2)
     assert np.array_equal(second.rates, first.rates)
     assert np.array_equal(second.distortions, first.distortions)
     assert (second.kind, second.params, second.dist) == (first.kind, first.params, first.dist)
-    assert len(targets) == 1
-    assert np.array_equal(targets[0], solved[0])
+    assert len(solved) == 1
+    assert np.array_equal(solved[0], previous[0])
 
 
 # ---------------------------------------------------------------------------

@@ -548,11 +548,11 @@ def test_curve_mathematical_refusal_exits_4(monkeypatch, capsys, error):
     # fixed profile and for the Poisson family.
     solves = []
 
-    def refuse(fn, lo, hi, target, tol=1e-12):
-        solves.append(np.shape(target))
-        raise error(f"no parameter for {np.size(target)} rates")
+    def refuse(degrees, fractions, rate, *top):
+        solves.append(np.shape(rate))
+        raise error(f"no parameter for {np.size(rate)} rates")
 
-    monkeypatch.setattr(bounds_module, "bisect_monotone", refuse)
+    monkeypatch.setattr(bounds_module, "_solve_arc", refuse)
     # The fixed profile solves its 4 arc rows and its anchor at 1/avg.
     for degrees, rows in (("2:1", 5), ("poisson:3", 4)):
         status, out, err = run(
