@@ -54,14 +54,17 @@ R = 1/2 it gives 0.1150 against 0.25.
 Every distortion bound takes a float or a numpy array of rates and
 answers in kind, so ``sample_curve`` solves a family over its whole rate
 grid in one row-wise call of its root finder, while a single point takes
-its float loop: a Newton solve of the arc for ``counting`` and
-``test_channel``, ``bisect_monotone`` for the others.  The conjecture's
-rate form, which its distortion form inverts, takes distortions alike.
+its float loop.  Every family solves by one bracketed Newton routine,
+``numerics._newton``, with its slope in closed form: the counting arc in
+ln x (``counting``, ``test_channel``), ``shannon`` and ``dwr`` in D on
+square roots of 1 - h(D), and the conjecture on l R - 1 in
+ln b, b = ln((1 - D)/D)/2, near R = 1/l and on R or 1 - R in ln D above.
+The conjecture's rate form, which its distortion form inverts, takes
+distortions alike.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,9 +74,8 @@ import numpy as np
 from .degree import DegreeDistribution, _weight_sums, poisson_rows, weight_transforms
 from .numerics import (
     BracketError,
-    _entropy,
     _entropy_deficit,
-    bisect_monotone,
+    _newton,
     check_range,
     math_of,
     pick,
@@ -114,12 +116,28 @@ class NoSolutionError(ValueError):
 def shannon_distortion(rate):
     """Distortion of the Shannon rate-distortion curve at the given rate.
 
-    Solves 1 - h(D) = R rather than h(D) = 1 - R, where 1 - R would
-    round every rate below about 1e-16 to zero.
+    Solves sqrt(1 - h(D)) = sqrt(R) rather than h(D) = 1 - R, where 1 - R
+    would round every rate below about 1e-16 to zero.
     """
     check_range("rate", rate, 0.0, 1.0)
-    solved = bisect_monotone(_entropy_deficit, 0.0, 0.5, rate, tol=1e-14)
+    # a row at rate 0 is solved at rate 1, whose root is the lower end, and reads 0.5
+    target = -math_of(rate).sqrt(pick(rate == 0.0, 1.0, rate))
+    solved = _newton(lambda d, rows: _root_deficit(d), 0.0, 0.5, target, relative=True)
     return pick(rate == 1.0, 0.0, pick(rate == 0.0, 0.5, solved))
+
+
+def _root_deficit(d):
+    """-sqrt(1 - h(D)) for D in [0, 1/2] and its slope log2((1 - D)/D) / (2 sqrt(1 - h(D))).
+
+    The log is log1p((1 - 2D)/D) / ln 2, read as log2(65) at D = 0, where it is infinite; at
+    D = 1/2, where the slope is 0/0, it takes its limit sqrt(2/ln 2).  The square root makes
+    the double root of 1 - h at D = 1/2 a simple one, which Newton's method solves at its full
+    pace: rates near 0 take as few steps as any.
+    """
+    xp, deficit = math_of(d), _entropy_deficit(d)
+    root, odds, flat = xp.sqrt(deficit), (1.0 - 2.0 * d) / (d + (d == 0.0) / 64.0), deficit == 0.0
+    rise = xp.log1p(odds) + flat * math.sqrt(2.0 / math.log(2.0))
+    return -root, rise / (2.0 * math.log(2.0) * root + flat)
 
 
 # ---------------------------------------------------------------------------
@@ -191,51 +209,28 @@ def parametric_endpoints(
 
 
 def _solve_arc(degrees, fractions, rate, top=_X_HI):
-    """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: Newton's method for
-    g(u) = ln(1 - R(e^u)) = ln(1 - rate) in u = ln x on [ln 1e-30, ln top], from its lower end,
-    a point outside the bracket replaced by the midpoint.  A rate of 1 solves at 1 - 2^-53.
+    """x in (0, top] where the arc's rate, decreasing in x, is ``rate``: ``_newton`` for
+    g(u) = ln(1 - R(e^u)) = ln(1 - rate) in u = ln x on [ln 1e-30, ln top].  A rate of 1 solves
+    at 1 - 2^-53.
 
     With p_i = x^i/(1 + x^i), x dh_i/dx = -log2 x i^2 p_i (1 - p_i); so with T and B the top
     and bottom of ``_deficit``, M = sum_{i != 1} L_i, w = p_1 (1 - p_1) and V = sum_{i != 1}
     L_i i^2 p_i (1 - p_i), dg/du = -log2 x ((M w - V)/T + (L_1 w + V)/B).  g is nearly
-    linear in u for small x, where x keeps its last digits however small.  A row stops at a
-    step of at most 1e-12, a residual of 0, a bracket at most 1e-13 wide or bisection's 50
-    steps.  The bracket's stop ends rows near x = 1, where T and B vanish together and the
-    rounding of that 0/0 keeps steps at about 1e-12 even at the test-channel cap.  Each
-    evaluation takes the live rows only, a profile per row sliced to them."""
-    xp, lo, hi = math_of(rate), _LOG_X_LO, math.log(top)
-    target = xp.log1p(-xp.minimum(rate, 1.0 - 2.0**-53))
+    linear in u for small x, where x keeps its last digits however small.  The bracket's stop
+    ends rows near x = 1, where T and B vanish together and the rounding of that 0/0 keeps
+    steps at about 1e-12 even at the test-channel cap.  A profile per row is sliced to the
+    live rows."""
+    xp = math_of(rate)
     degrees, *parts = _split(degrees, fractions)
-    per_row, rows = getattr(parts[0], "ndim", 1) == 2, np.arange(rate.size) if xp is np else None
+    per_row = getattr(parts[0], "ndim", 1) == 2
 
-    def residual(u, rows, target):  # g(u) - target and dg/du, for the rows given
-        g, slope = _log_deficit(degrees, *([part[rows] for part in parts] if per_row else parts), u)
-        return g - target, slope
+    def log_deficit(u, rows):  # g(u) and dg/du, for the rows given
+        if not per_row:
+            return _log_deficit(degrees, *parts, u)
+        return _log_deficit(degrees, *(part[rows] for part in parts), u + np.zeros(rows.size))
 
-    ends = [np.full(rate.shape, end) if per_row else end for end in (lo, hi)]
-    (f, slope), (f_hi, _) = (residual(end, rows, target) for end in ends)
-    if not (np.all if xp is np else bool)((f <= 0.0) & (f_hi >= 0.0)):
-        t, fa, fb = (np.ravel(v) for v in np.broadcast_arrays(target, f + target, f_hi + target))
-        k = int(np.flatnonzero(~((fa <= t) & (fb >= t)))[0])
-        raise BracketError(
-            f"{f'row {k}: ' if xp is np else ''}target {float(t[k])!r} not bracketed on "
-            f"[{lo!r}, {hi!r}]: fn(lo)={float(fa[k])!r}, fn(hi)={float(fb[k])!r}"
-        )
-    u, a, b, cap = lo + 0.0 * f, lo + 0.0 * f, hi + 0.0 * f, math.ceil(math.log2((hi - lo) / 1e-13))
-    x = None if rows is None else np.empty(rows.size)
-    for step in range(cap + 1):  # bisection's bound on the steps
-        a, b, usable = pick(f < 0.0, u, a), pick(f > 0.0, u, b), slope > 0.0
-        newton = u - f / pick(usable, slope, 1.0)
-        stop = (f == 0.0) | (usable & (abs(newton - u) <= 1e-12)) | (b - a <= 1e-13) | (step == cap)
-        u = pick(f == 0.0, u, pick(usable & (a <= newton) & (newton <= b), newton, 0.5 * (a + b)))
-        if rows is None and stop:
-            return math.exp(u)
-        if rows is not None:
-            x[rows[stop]], live = np.exp(u[stop]), ~stop
-            if not live.any():
-                return x
-            rows, u, a, b, target = rows[live], u[live], a[live], b[live], target[live]
-        f, slope = residual(u, rows, target)
+    target = xp.log1p(-xp.minimum(rate, 1.0 - 2.0**-53))
+    return xp.exp(_newton(log_deficit, _LOG_X_LO, math.log(top), target))
 
 
 def _arc_parameter(degrees, fractions, rate):
@@ -379,16 +374,6 @@ def test_channel_distortion_bound(degree: int, rate):
 # ---------------------------------------------------------------------------
 
 
-def _dwr_slack(check_degree: int, distortion, rate):
-    """1 - h(D) - R (1 - exp(-(1 - D) r / R)): positive while rate R is too
-    small for distortion D."""
-    xp = math_of(distortion, rate)
-    # below rate 1e-300 the exponential is 0 already; holding the divisor
-    # there keeps the quotient finite
-    gain = rate * (1.0 - xp.exp(-(1.0 - distortion) * check_degree / xp.maximum(rate, 1e-300)))
-    return _entropy_deficit(distortion) - gain
-
-
 def poisson_ensemble_distortion_bound(check_degree: int, rate):
     """Distortion below which the fixed-check-degree ensemble bound bites.
 
@@ -397,33 +382,22 @@ def poisson_ensemble_distortion_bound(check_degree: int, rate):
     if check_degree < 1:
         raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
     check_range("rate", rate, 0.0, 1.0)
-    slack = lambda distortion: _dwr_slack(check_degree, distortion, rate)
-    solved = bisect_monotone(slack, 0.0, 0.5, 0.0 * rate, tol=1e-14)  # target 0 in rate's shape
+    xp, solving = math_of(rate), pick(rate == 0.0, 1.0, rate)  # a row at rate 0 reads 0.5
+
+    def slack(d, rows):  # sqrt(R (1 - e)) - sqrt(1 - h(D)), e = exp(-(1 - D) r/R), and its slope
+        r, (root, rise) = solving if rows is None else solving[rows], _root_deficit(d)
+        # below rate 1e-300 the exponential is 0 already; holding the divisor there keeps it finite
+        e = xp.exp(-(1.0 - d) * check_degree / xp.maximum(r, 1e-300))
+        gain = xp.sqrt(r * (1.0 - e))
+        return gain + root, rise - check_degree * e / (2.0 * gain)
+
+    solved = _newton(slack, 0.0, 0.5, 0.0 * rate, relative=True)  # target 0 in rate's shape
     return pick(rate == 0.0, 0.5, solved)
 
 
 # ---------------------------------------------------------------------------
 # conjectured EXIT-style bound (unproven)
 # ---------------------------------------------------------------------------
-
-
-def _entropy_gap(b):
-    """1 - h(1/(1 + e^(2b))) for b >= 0, free of cancellation.
-
-    Below b = 0.55 it is (b tanh b - ln cosh b)/ln 2, with ln cosh b
-    written as log1p(2 sinh^2(b/2)), so the O(b^2) value near b = 0 keeps
-    its relative precision.  Above, the entropy argument is at most 0.25
-    and is written with e^(-2b), which cannot overflow.  Each form is
-    evaluated on b clipped to its side, so neither overflows.
-    """
-    xp = math_of(b)
-    near, far = xp.minimum(b, 0.55), xp.maximum(b, 0.55)
-    tail = xp.exp(-2.0 * far)
-    return pick(
-        b < 0.55,
-        (near * xp.tanh(near) - xp.log1p(2.0 * xp.sinh(0.5 * near) ** 2)) / math.log(2.0),
-        1.0 - _entropy(tail / (1.0 + tail)),
-    )
 
 
 def conjectured_exit_rate_bound(degree: int, distortion):
@@ -437,52 +411,127 @@ def conjectured_exit_rate_bound(degree: int, distortion):
 
         1 - S = sum_{i < l/2} (P_i + P_{l-i}) g((l - 2i) b),  1 - h(D) = g(b).
 
-    Both sides vanish like b^2 as D -> 1/2; g is evaluated without
-    cancellation, so the ratio keeps full precision up to D = 1/2, where
-    it takes its limit 1/l.  For degree 1 the sum is g(b) and the bound
-    is identically 1.
+    Both sides vanish like b^2 as D -> 1/2; ``_conjecture_terms`` evaluates
+    g without cancellation, so the ratio keeps full precision up to D = 1/2,
+    where it takes its limit 1/l.  For degree 1 the sum is g(b) and the
+    bound is identically 1.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
     check_range("distortion", distortion, 0.0, 0.5)
     # rows at D = 0 and D = 1/2 are set at the end; keep their arithmetic finite
     d = pick((distortion > 0.0) & (distortion < 0.5), distortion, 0.25)
-    keep, xp = 1.0 - d, math_of(d)
-    b = 0.5 * (xp.log1p(-d) - xp.log(d))
-    gap = _entropy_gap(b)
-    total = 0.0
-    for i in range((degree + 1) // 2):
-        pair = keep**i * d ** (degree - i) + keep ** (degree - i) * d**i
-        # for odd l the last pair has l - 2i = 1, whose term is g(b) itself
-        scaled_gap = gap if degree - 2 * i == 1 else _entropy_gap((degree - 2 * i) * b)
-        total = total + math.comb(degree, i) * pair * scaled_gap
-    bound = gap / total
+    bound = _conjecture_terms(degree, d)[0]
     return pick(distortion == 0.0, 1.0, pick(distortion == 0.5, 1.0 / degree, bound))
 
 
-def _conjecture_excess(degree: int, distortion):
-    """l R - 1 for the conjectured rate bound R, from a series near D = 1/2.
+def _conjecture_terms(degree: int, d):
+    """R and 1 - R of ``conjectured_exit_rate_bound`` at D, each keeping its digits, and
+    d ln R/d ln D.
 
-    With P_i + P_{l-i} = C(l, i) 2 cosh((l-2i) b) / (2 cosh b)^l and
-    phi(x) = 2 (x sinh x - cosh x ln cosh x) = x^2 (1 + psi(x)),
-    l R = cosh(b)^(l-1) (1 + psi(b)) / (1 + w), where
-    w = sum_{i < l/2} C(l, i) (l-2i)^2 psi((l-2i) b) / (l 2^(l-1)).
-    psi(x) = x^4/72 - x^6/360 + O(x^8) is exact to double precision for
-    b <= 1e-3 and degrees up to 12, i.e. for D in [0.4995, 1/2].
+    With b = ln((1 - D)/D)/2 and H(x) = h(1/(1 + e^(2x))) = 1 - g(x): the pairs
+    C(l, i) c_k = P_i + P_{l-i} sum to 1 less an even l's middle term C(l, l/2) (D (1 - D))^(l/2),
+    so 1 - R = (S - g(b))/S with S - g(b) = H(b) - that term - sum_i C(l, i) c_k H(kb).  From
+    kb = 0.55 on, g and H come from the entropy of P_{l-i}/(P_i + P_{l-i}), formed from D's
+    powers and written with log1p, so 1 - R keeps its digits as R -> 1; below, g is
+    (x tanh x - ln cosh x)/ln 2 with ln cosh x = log1p(2 sinh^2(x/2)), whose O(x^2) value keeps
+    them as D -> 1/2.  d ln R/db = g'/g - S'/S, g'(b) = b sech^2(b)/ln 2 and
+    c_k' = c_k (k tanh kb - l tanh b); with w_k = 1 - tanh kb = 2/(1 + e^(2kb)), w_1 = 2D,
+    k tanh kb - l tanh b = l w_1 - k w_k - 2i and sech^2 = w (2 - w), which keep their digits
+    for large b.  db/d ln D = -1/(2 (1 - D)).
     """
-    xp = math_of(distortion)
-    b = 0.5 * (xp.log1p(-distortion) - xp.log(distortion))
+    keep, xp = 1.0 - d, math_of(d)
+    b = 0.5 * (xp.log1p(-d) - xp.log(d))
 
-    def psi(x):
-        return x**4 * (1.0 / 72.0 - x * x / 360.0)
+    def entropies(x, share):  # g(x), H(x) and w = 1 - tanh x, at share = 1/(1 + e^(2x))
+        spread = (share * xp.log(share + (share == 0.0)) + (1.0 - share) * xp.log1p(-share)) / -math.log(2.0)
+        small = x < 0.55
+        if not (small.any() if xp is np else small):
+            return 1.0 - spread, spread, 2.0 * share
+        near = xp.minimum(x, 0.55)
+        gap = (near * xp.tanh(near) - xp.log1p(2.0 * xp.sinh(0.5 * near) ** 2)) / math.log(2.0)
+        return pick(small, gap, 1.0 - spread), pick(small, 1.0 - gap, spread), 2.0 * share
 
-    cosh_rise = xp.expm1((degree - 1) * xp.log1p(2.0 * xp.sinh(0.5 * b) ** 2))
-    w = 0.0
+    gap, entropy, _ = entropies(b, d)
+    lack = entropy
+    if degree % 2 == 0:
+        lack = lack - math.comb(degree, degree // 2) * (keep * d) ** (degree // 2)
+    total = rise = 0.0
     for i in range((degree + 1) // 2):
-        w = w + math.comb(degree, i) * (degree - 2 * i) ** 2 * psi((degree - 2 * i) * b)
-    w = w / (degree * 2 ** (degree - 1))
-    skew = (psi(b) - w) / (1.0 + w)
-    return cosh_rise + skew + cosh_rise * skew
+        k, low, high = degree - 2 * i, d ** (degree - i) * keep**i, keep ** (degree - i) * d**i
+        # for odd l the last pair has k = 1, whose terms are those of b itself
+        share = low / (low + high + (high == 0.0))  # 0 where both underflow
+        scaled_gap, spread, fall = (gap, entropy, 2.0 * d) if k == 1 else entropies(k * b, share)
+        term = math.comb(degree, i) * (low + high)
+        total, lack = total + term * scaled_gap, lack - term * spread
+        climb = k * k * b * fall * (2.0 - fall) / math.log(2.0)
+        rise = rise + term * ((2.0 * degree * d - k * fall - 2 * i) * scaled_gap + climb)
+    slope = 4.0 * b * d * keep / math.log(2.0) / gap - rise / total
+    return gap / total, lack / total, -slope / (2.0 * keep)
+
+
+# The [10/10] Pade form of psi(x)/x^4 in x^2, highest power first, from psi's Taylor series at
+# 80 digits (see _psi); up to x = 1.5 it is within 5e-16 of psi/x^4 in double precision.
+_PSI_TOP = (
+    4.412850620793351e-13, 1.3658744214123726e-10, 1.4478901348256916e-08, 9.520192968029791e-07,
+    2.372637508183892e-05, 0.0002915756567575092, 0.0020134083563077927, 0.008212812594209406,
+    0.01965505318957476, 0.02552608815861641, 1.0 / 72.0,
+)
+_PSI_BOTTOM = (
+    3.5000466694108625e-10, -7.816179636442089e-08, 4.440337011476219e-06, 0.00025450057066697283,
+    0.004653469329442278, 0.04420394283337948, 0.24790010389029343, 0.8526373249806015,
+    1.770001403895364, 2.0378783474203814, 1.0,
+)
+
+
+def _psi(x):
+    """psi(x) = phi(x)/x^2 - 1 for phi(x) = 2 (x sinh x - cosh x ln cosh x), and psi'(x).
+
+    psi ~ x^4/72 near 0, where phi(x)/x^2 - 1 cancels: up to x = 1.5, psi is x^4 r(x^2) for
+    the Pade form r, and psi' = x^3 (4 r + 2 x^2 r'), with r' by Horner's rule alongside r.
+    Above, psi' = (x phi' - 2 phi)/x^3 with phi' = 2 (x cosh x - sinh x ln cosh x); the
+    direct forms take x clipped to [1.5, 600], where cosh is finite.
+    """
+    xp = math_of(x)
+    near, far = xp.minimum(x, 1.5), xp.minimum(xp.maximum(x, 1.5), 600.0)
+    square, top, bottom, top_rise, bottom_rise = near * near, 0.0, 0.0, 0.0, 0.0
+    for p, q in zip(_PSI_TOP, _PSI_BOTTOM):
+        top_rise, bottom_rise = top_rise * square + top, bottom_rise * square + bottom
+        top, bottom = top * square + p, bottom * square + q
+    form = top / bottom
+    rise = (top_rise - form * bottom_rise) / bottom
+    sinh, cosh = xp.sinh(far), xp.cosh(far)
+    log_cosh = xp.log(cosh)
+    phi, lift = 2.0 * (far * sinh - cosh * log_cosh), 2.0 * (far * cosh - sinh * log_cosh)
+    value = pick(x < 1.5, square * square * form, phi / (far * far) - 1.0)
+    slope = pick(x < 1.5, near * square * (4.0 * form + 2.0 * square * rise), (far * lift - 2.0 * phi) / far**3)
+    return value, slope
+
+
+def _conjecture_excess(degree: int, b):
+    """ln(l R - 1) for the conjectured rate bound R at b = ln((1 - D)/D)/2, and its slope in
+    ln b.
+
+    With C(l, i) c_k = C(l, i) 2 cosh(kb)/(2 cosh b)^l, k = l - 2i, and
+    phi(x) = 2 (x sinh x - cosh x ln cosh x) = x^2 (1 + psi(x)),
+    l R = cosh(b)^(l-1) (1 + psi(b))/(1 + w), w = sum_{i < l/2} C(l, i) k^2 psi(kb)/(l 2^(l-1)),
+    so l R - 1 = (u (1 + psi(b)) + psi(b) - w)/(1 + w), u = cosh(b)^(l-1) - 1, whose terms do
+    not cancel while psi keeps its digits: l R - 1 keeps them down to D = 1/2, where
+    R - 1/l ~ b^2 leaves ln R none.  The slope is b l R/(l R - 1) times
+    d ln(l R)/db = (l - 1) tanh b + psi'(b)/(1 + psi(b)) - w'/(1 + w).
+    """
+    xp = math_of(b)
+    psi, tilt = _psi(b)
+    w = lean = 0.0
+    for i in range((degree + 1) // 2):
+        k = degree - 2 * i
+        weight = math.comb(degree, i) * k * k / (degree * 2 ** (degree - 1))
+        value, slope = (psi, tilt) if k == 1 else _psi(k * b)
+        w, lean = w + weight * value, lean + weight * k * slope
+    rise = xp.expm1((degree - 1) * xp.log1p(2.0 * xp.sinh(0.5 * b) ** 2))
+    excess = (rise * (1.0 + psi) + psi - w) / (1.0 + w)
+    growth = (degree - 1) * xp.tanh(b) + tilt / (1.0 + psi) - lean / (1.0 + w)
+    return xp.log(excess), b * (1.0 + excess) / excess * growth
 
 
 def conjectured_exit_distortion_bound(degree: int, rate):
@@ -491,31 +540,59 @@ def conjectured_exit_distortion_bound(degree: int, rate):
     The rate bound decreases from 1 at D = 0 to its limit 1/l at D = 1/2
     (for degree 1 it is identically 1), so at rates at or below 1/l no
     distortion under one half is admitted and the bound saturates at 0.5.
-    Within 1e-7 above 1/l, R is known to a few ulp only, which would move
-    D by up to about 2e-12; there the solve runs on the excess l R - 1,
-    formed exactly from the rate, instead.
+    Above, ``_newton`` solves on forms that keep their digits where R is
+    flat in D.  Below the rate at b = ln((1 - D)/D)/2 = 1.5/l, where every
+    k b is at most 1.5, it solves ln(l R - 1) = ln(l rate - 1) for ln b
+    (``_conjecture_excess``): l R - 1 ~ b^2 near 1/l, so its steps keep
+    their pace down to the floor.  From there it solves ln(rate/R) = 0 for
+    ln D, from b = 1, or ln((1 - R)/(1 - rate)) = 0 from rate (1 + 1/l)/2
+    on (``_conjecture_terms``), and ends with one Newton step in D itself,
+    which sheds the rounding of ln D.  Each bracket reaches past the split
+    by a factor of 2 in b, so a row there is bracketed either way.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree!r}")
     check_range("rate", rate, 0.0, 1.0)
     if degree == 1:
         return pick(rate == 1.0, 0.0, 0.5)
-    floor = 1.0 / degree
-    solved = bisect_monotone(
-        functools.partial(conjectured_exit_rate_bound, degree),
-        0.0,
-        0.5,
-        math_of(rate).maximum(rate, floor),  # a saturated row solves at the floor, then reads 0.5
-        tol=1e-12,
-    )
-    near = (rate > floor) & (rate - floor < 1e-7)
-    if np.any(near):
-        # rate - floor is exact this close to the floor; the constant
-        # corrects for floor being 1/l rounded
-        excess = degree * (rate - floor) - float(1 - degree * Fraction(floor))
-        excess_at = functools.partial(_conjecture_excess, degree)
-        target = np.clip(excess, 0.0, excess_at(0.4995))  # rows not near stay bracketed
-        solved = pick(near, bisect_monotone(excess_at, 0.4995, 0.5, target, tol=1e-12), solved)
+    floor, split, xp = 1.0 / degree, 1.5 / degree, math_of(rate)
+    upper = rate >= conjectured_exit_rate_bound(degree, 1.0 / (1.0 + math.exp(2.0 * split)))
+    lower = (rate > floor) & ~upper
+    # l rate - 1: rate - floor is exact near 1/l, and the constant corrects for floor being
+    # 1/l rounded.  A row at rate 1 is solved at the largest rate under 1.
+    excess = degree * (rate - floor) - float(1 - degree * Fraction(floor))
+    part, near_one = xp.minimum(rate, 1.0 - 2.0**-53), rate >= 0.5 * (1.0 + floor)
+
+    def log_excess(u, rows):
+        return _conjecture_excess(degree, xp.exp(u))
+
+    def ratio(d, rows):  # ln(rate/R) or ln((1 - R)/(1 - rate)), rising in D, and its slope in ln D
+        share, lack, tilt = _conjecture_terms(degree, d)
+        target, top = (part, near_one) if rows is None else (part[rows], near_one[rows])
+        level = pick(top, xp.log(lack / (1.0 - target)), xp.log(target / share))
+        return level, pick(top, -share / lack * tilt, -tilt)
+
+    def solve_lower(target):
+        b = xp.exp(_newton(log_excess, math.log(1e-12), math.log(2.0 * split), xp.log(target)))
+        return 1.0 / (1.0 + xp.exp(2.0 * b))
+
+    def solve_upper(rows, target):
+        def value(v, live):
+            return ratio(xp.exp(v), rows if live is None else rows[live])
+
+        ends = math.log(1e-22), -math.log1p(math.exp(split))
+        d = xp.exp(_newton(value, *ends, target, start=-math.log1p(math.e**2)))
+        level, slope = ratio(d, rows)
+        return d * (1.0 - level / slope)
+
+    if xp is np:
+        solved, below, above = np.full_like(rate, 0.5), np.flatnonzero(lower), np.flatnonzero(upper)
+        if below.size:
+            solved[below] = solve_lower(excess[below])
+        if above.size:
+            solved[above] = solve_upper(above, np.zeros(above.size))
+    else:
+        solved = solve_lower(excess) if lower else solve_upper(None, 0.0) if upper else 0.5
     return pick(rate <= floor, 0.5, pick(rate == 1.0, 0.0, solved))
 
 

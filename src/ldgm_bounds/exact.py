@@ -103,11 +103,16 @@ class LdgmCode:
     def num_generators(self) -> int:
         return len(self.generators)
 
-    @functools.cached_property
+    @property
     def _rows(self) -> tuple[int, ...]:
         """The reduced basis of the generator masks, eliminated once per
-        code and read by both exact kernels."""
-        return tuple(_basis(generator_masks(self)))
+        code and read by both exact kernels; memoised in the instance's
+        ``__dict__``, without the lock ``functools.cached_property`` takes
+        on Python 3.11."""
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = self.__dict__["_rows"] = tuple(_basis(generator_masks(self)))
+        return rows
 
 
 def _check_indices(checks, num_checks: int, label: str, number: int) -> None:

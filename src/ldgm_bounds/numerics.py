@@ -1,12 +1,16 @@
 """Numerics shared by every bound: binary entropy, its inverse, Bernoulli
-KL divergence, and a bracketing root finder.
+KL divergence, and two bracketing root finders.
 
 Each function takes a float or a numpy array and answers in kind: every
 formula is written once, over the functions ``math_of`` picks, which are
-numpy's ufuncs for an array and ``math``'s for a float.  So is the root
-finder's step, an interpolating one safeguarded to bisection's pace: an
-array solves every row at once, each row stopping where a float solve of
-it would.
+numpy's ufuncs for an array and ``math``'s for a float.  So are the root
+finders' steps.  ``_newton``, which every bound family solves by, takes
+Newton steps from a slope the caller writes in closed form, safeguarded
+by its bracket, and evaluates only the rows still live.
+``bisect_monotone`` needs no slope: its interpolating step is safeguarded
+to bisection's pace, and an array steps every row until the slowest
+stops, each row stopping where a float solve of it would.  No bound
+calls it; ``inverse_binary_entropy`` does.
 
 All logarithms are base 2, so entropies and divergences are in bits.
 """
@@ -38,7 +42,7 @@ class _FloatMath:
     """``math``'s functions under numpy's names."""
 
     log, log1p, log2, exp, expm1 = math.log, math.log1p, math.log2, math.exp, math.expm1
-    sinh, tanh = math.sinh, math.tanh
+    cosh, sinh, tanh, sqrt = math.cosh, math.sinh, math.tanh, math.sqrt
     frexp, ldexp, rint = math.frexp, math.ldexp, round
     maximum, minimum = max, min
 
@@ -215,3 +219,46 @@ def bisect_monotone(
         same = (((f_x < target) == increasing) == (a < b)) | (x == a)
         c, fc, b, fb = pick(same, a, b), pick(same, fa, fb), pick(same, b, a), pick(same, fb, fa)
         a, fa, budget = x, f_x - target, 0.5 * budget
+
+
+def _newton(value, lo: float, hi: float, target, relative=False, start=None):
+    """x in [lo, hi] where an increasing value meets ``target``, by Newton's method in a bracket.
+
+    ``value(x, rows)`` gives the value and its slope at x for the rows given, an index array,
+    or None for a float ``target``; x is a float at lo, hi and ``start``.  From ``start`` or
+    lo, each step moves the end on its side of the target there, and takes the Newton point
+    if the slope is positive and the point is in the bracket, else the midpoint.  A row stops
+    at a step of at most 1e-12 (times |x| if ``relative``), a residual of 0, a bracket a
+    tenth of that wide or bisection's count of steps.  Each evaluation takes the live rows
+    only; the error names the first row whose ends do not straddle its target.
+    """
+    rows = np.arange(target.size) if isinstance(target, np.ndarray) else None
+    (f, slope), (f_hi, _) = value(lo, rows), value(hi, rows)
+    if not (np.all if rows is not None else bool)((f <= target) & (f_hi >= target)):
+        t, fa, fb = (np.ravel(v) for v in np.broadcast_arrays(target, f, f_hi))
+        k = int(np.flatnonzero(~((fa <= t) & (fb >= t)))[0])
+        raise BracketError(
+            f"{f'row {k}: ' if rows is not None else ''}target {float(t[k])!r} not bracketed on "
+            f"[{lo!r}, {hi!r}]: fn(lo)={float(fa[k])!r}, fn(hi)={float(fb[k])!r}"
+        )
+    if start is not None:
+        f, slope = value(start, rows)
+    f = f - target
+    u, a, b = (lo if start is None else start) + 0.0 * f, lo + 0.0 * f, hi + 0.0 * f
+    x = None if rows is None else np.empty(rows.size)
+    cap = math.ceil(math.log2((hi - lo) / 1e-13))  # bisection's bound on the steps
+    for step in range(cap + 1):
+        a, b, usable = pick(f < 0.0, u, a), pick(f > 0.0, u, b), slope > 0.0
+        newton, scale = u - f / pick(usable, slope, 1.0), (1e-12 * abs(u) if relative else 1e-12)
+        small = usable & (abs(newton - u) <= scale)
+        stop = (f == 0.0) | small | (b - a <= 0.1 * scale) | (step == cap)
+        u = pick(f == 0.0, u, pick(usable & (a <= newton) & (newton <= b), newton, 0.5 * (a + b)))
+        if rows is None and stop:
+            return u
+        if rows is not None:
+            x[rows[stop]], live = u[stop], ~stop
+            if not live.any():
+                return x
+            rows, u, a, b, target = rows[live], u[live], a[live], b[live], target[live]
+        f, slope = value(u, rows)
+        f = f - target

@@ -23,7 +23,6 @@ from ldgm_bounds import (
     DegreeDistribution,
     NoSolutionError,
     binary_entropy,
-    bisect_monotone,
     conjectured_exit_distortion_bound,
     conjectured_exit_rate_bound,
     counting_bound_distortion,
@@ -91,7 +90,9 @@ def test_shannon_endpoints():
 
 
 def test_shannon_rows_within_tolerance_of_mpmath():
-    # bisect_monotone returns the midpoint of a bracket at most 1e-14 wide.
+    # Newton's method on sqrt(1 - h(D)) stops a row at a step of at most
+    # 1e-12 D, past which its error is about the square of that step; what
+    # is left is the rounding of 1 - h(D), a few ulps over the slope.
     rates = np.sort(np.random.default_rng(2024).uniform(0.0, 1.0, 150))
     for rate, distortion in zip(rates, shannon_distortion(rates)):
         expected = float(oracles_mp.shannon_distortion(float(rate)))
@@ -101,9 +102,9 @@ def test_shannon_rows_within_tolerance_of_mpmath():
 @pytest.mark.parametrize(
     "bound, relative",
     [
-        pytest.param(shannon_distortion, None, id="shannon_distortion"),
-        pytest.param(lambda rate: poisson_ensemble_distortion_bound(3, rate), None, id="<lambda>0"),
-        pytest.param(lambda rate: conjectured_exit_distortion_bound(3, rate), None, id="<lambda>1"),
+        pytest.param(shannon_distortion, 1e-15, id="shannon_distortion"),
+        pytest.param(lambda rate: poisson_ensemble_distortion_bound(3, rate), 1e-15, id="<lambda>0"),
+        pytest.param(lambda rate: conjectured_exit_distortion_bound(3, rate), 2e-15, id="<lambda>1"),
         pytest.param(lambda rate: counting_bound_distortion(REG3, rate), 1e-15, id="counting regular:3"),
         pytest.param(
             lambda rate: counting_bound_distortion(parse_degree_literal("2:0.25,3:0.5,6:0.25"), rate),
@@ -115,53 +116,37 @@ def test_shannon_rows_within_tolerance_of_mpmath():
     ],
 )
 def test_float_calls_agree_with_array_rows(bound, relative):
-    # math and numpy differ in the last bits of log and exp; the root
-    # finder's grid of tol/2 keeps that from moving the solved points, but
-    # for a point within those bits of a grid line.  The arc's Newton solve
-    # has no grid: a float call runs it in math, an array in numpy, and
-    # its rows differ from float calls in the last bits (up to 3 ulps for
-    # counting, 18 for test-channel rows near the cap, where x is
-    # ill-conditioned), on 7% to 28% of the rows.
+    # Every family's Newton solve has no grid: a float call runs it in
+    # math, an array in numpy, which differ in the last bits of log, exp,
+    # tanh and sinh, and its rows differ from float calls in those bits over
+    # the slope (up to 3 ulps for counting, 18 for test-channel rows near
+    # the cap, where x is ill-conditioned), on 1.5% to 40% of the rows.
+    # Shannon and dwr keep to 1e-15 here (4.9e-16 and 3.9e-16; over seeds
+    # 0-29 up to 1.8e-15 and 2.6e-15, near R = 1).  The conjecture reaches
+    # 1.9e-15 (seeds 0-29: 2.4e-15): its rows near 1/l and 1 solve on
+    # l R - 1 and 1 - R, which keep their digits, but from b = 1/2 to about
+    # 1, R rounds to a few ulps in any of its forms and is flat enough in D
+    # to move D by twice that.
     rates = np.random.default_rng(5).uniform(0.05, 0.95, 400)
     floats = np.array([bound(float(rate)) for rate in rates])
-    if relative is None:
-        assert np.mean(bound(rates) != floats) <= 0.02
-    else:
-        assert np.all(np.abs(bound(rates) - floats) <= relative * floats)
+    assert np.all(np.abs(bound(rates) - floats) <= relative * floats)
 
 
 def _grid_evaluations(monkeypatch, solve):
-    """Evaluations of the function solved, in each row-wise ``bisect_monotone`` call and each
-    arc solve (``bounds._solve_arc``, its ends included) that ``solve`` makes."""
-    counts, arc_terms, solve_arc = [], bounds_module._arc_terms, bounds_module._solve_arc
+    """Evaluations of the function solved in each ``numerics._newton`` solve that ``solve``
+    makes, its ends included."""
+    counts, newton = [], bounds_module._newton
 
-    def counted(fn, lo, hi, target, tol=1e-12):
-        calls = []
-
-        def evaluate(x):
-            calls.append(None)
-            return fn(x)
-
-        root = bisect_monotone(evaluate, lo, hi, target, tol=tol)
-        if np.ndim(root):
-            counts.append(len(calls))
-        return root
-
-    def counted_arc(*args):
+    def counted_newton(value, *args, **kwargs):
         counts.append(0)
 
-        def evaluate(*terms):
+        def evaluate(*point):
             counts[-1] += 1
-            return arc_terms(*terms)
+            return value(*point)
 
-        monkeypatch.setattr(bounds_module, "_arc_terms", evaluate)
-        try:
-            return solve_arc(*args)
-        finally:
-            monkeypatch.setattr(bounds_module, "_arc_terms", arc_terms)
+        return newton(evaluate, *args, **kwargs)
 
-    monkeypatch.setattr(bounds_module, "bisect_monotone", counted)
-    monkeypatch.setattr(bounds_module, "_solve_arc", counted_arc)
+    monkeypatch.setattr(bounds_module, "_newton", counted_newton)
     solve()
     return counts
 
@@ -176,12 +161,18 @@ def _grid_evaluations(monkeypatch, solve):
     ],
 )
 def test_grid_solve_takes_few_evaluations(monkeypatch, family, solve):
-    # Bisection takes 48, 52, 48 and 41 evaluations here.  The counting
-    # arc's Newton solve in ln x takes 8 with its two ends (8 to 9 for
-    # regular 2 to 5 and the mixed profiles), where its bisection took 14
-    # and the solve in x 14 to 19.
+    # Each Newton solve with its two ends.  Bisection took 48, 52, 48 and
+    # 41 evaluations here, and bisect_monotone 13, 14, 13 and 14 to 15.
+    # The counting arc in ln x takes 8 (8 to 9 for regular 2 to 5 and the
+    # mixed profiles), where its bisection took 14 and the solve in x 14 to
+    # 19.  Shannon and dwr take 7 on sqrt(1 - h(D)); on 1 - h(D) itself
+    # they took 8 here, but a row near R = 0 took 36 to 41, as 1 - h has a
+    # double root at D = 1/2.  The conjecture solves twice: the rows below
+    # b = 1/2 in ln(l R - 1), 6, the rest in ln D from b = 1, 8, and one
+    # more evaluation of those rows ends them with a step in D.
     counts = _grid_evaluations(monkeypatch, solve)
-    assert counts and max(counts) <= {"counting regular-3": 8}.get(family, 16), (family, counts)
+    pins = {"shannon": [7], "counting regular-3": [8], "dwr r=3": [7], "conjecture l=3": [6, 8]}[family]
+    assert len(counts) == len(pins) and all(c <= pin for c, pin in zip(counts, pins)), (family, counts)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5])
@@ -450,8 +441,9 @@ def test_parametric_approaches_endpoints():
 
 @st.composite
 def fixed_profiles(draw):
-    """1-4 distinct degrees in 1..12 with random fractions, as (degrees, fractions)."""
-    degrees = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    """1-4 distinct degrees in 1..12, ascending as a DegreeDistribution has them, with random
+    fractions, as (degrees, fractions)."""
+    degrees = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)))
     weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(degrees), max_size=len(degrees)))
     total = math.fsum(weights)
     return tuple(degrees), tuple(weight / total for weight in weights)
@@ -498,6 +490,7 @@ def test_arc_rate_matches_mpmath(profile, xs):
 @example(((1, 2), (0.99, 0.01)), [1e-30, 1e-18, 1e-9, 0.5, 0.99])
 @example(((1, 2), (0.9999999999, 1e-10)), [1e-30, 1e-9, 0.5, 0.99])
 @example(((2, 3, 6), (0.25, 0.5, 0.25)), [1e-30, 1e-16, 1e-3, 0.99])
+@example(((1, 2), (0.998003992015968, 0.001996007984031936)), [math.exp(-1.0)])
 def test_deficit_matches_mpmath(profile, xs):
     # 1 - R keeps its relative digits down to x = 1e-30, where 1 - Num/Den
     # would be 0, and whatever the degree-1 share; array rows equal float
@@ -1300,6 +1293,161 @@ def test_conjecture_curve_matches_mpmath(degree, rates):
         return oracles_mp.conjecture_distortion(degree, rate)
 
     assert_rows_match(sample_curve("conjectured_exit", rates, degree=degree), oracle)
+
+
+def _solved_function(solve):
+    """The function the one ``numerics._newton`` call of ``solve`` solves, taking a float x to
+    its value and analytic slope there, and that call's bracket."""
+    captured, newton = [], bounds_module._newton
+
+    def spy(value, lo, hi, *args, **kwargs):
+        captured.append((value, (lo, hi)))
+        return newton(value, lo, hi, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds_module, "_newton", spy)
+        solve()
+    ((value, bracket),) = captured
+    return (lambda x: value(x, None)), bracket
+
+
+def _mp_entropy_deficit(d):
+    """1 - h(D) of an mpf D in (0, 1/2)."""
+    return 1 + d * mpmath.log(d, 2) + (1 - d) * mpmath.log(1 - d, 2)
+
+
+def _assert_slope_matches_mpmath(value, mp_value, x, rounding=0.0):
+    """The analytic slope ``value`` gives at x matches mpmath.diff of ``mp_value`` to 1e-10,
+    and to ``rounding`` more."""
+    with mpmath.workdps(60):
+        numeric = mpmath.diff(mp_value, mpmath.mpf(x), h=mpmath.mpf(x) * mpmath.mpf(10) ** -20)
+    assert abs(value(x)[1] - numeric) <= 1e-10 * abs(numeric) + rounding, (x, value(x)[1], numeric)
+
+
+def _assert_row_matches(distortion, expected, rate_slope, scale=1.0):
+    """A row within 1e-13 of the 60-digit D, or within what 2^-48 of rounding (32 units of
+    2^-53) of ``scale`` in the residual moves D, over the rate's slope in D.  That is the
+    digits a rate near 1 leaves, where the residual cancels to an absolute error against a
+    D of 1e-18, as the rows there come from rounded 1 - h(D)."""
+    allowance = 2.0**-48 * scale / abs(rate_slope) if rate_slope else math.inf
+    assert abs(distortion - float(expected)) <= 1e-13 * float(expected) + allowance, (
+        distortion,
+        float(expected),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(1e-300)
+@example(1e-20)
+@example(0.5)
+@example(1.0 - 1e-13)
+@example(1.0 - 2.0**-53)
+def test_shannon_newton_rows_and_slope_match_mpmath(rate):
+    # The solve runs on sqrt(1 - h(D)) against sqrt(R); 1 - h(D) is
+    # rounded to a few ulps of R, which sets the digits near R = 1.
+    value, _ = _solved_function(lambda: shannon_distortion(rate))
+    distortion, expected = shannon_distortion(rate), oracles_mp.shannon_distortion(rate)
+    with mpmath.workdps(60):
+        rate_slope = float(mpmath.log((1 - expected) / expected, 2))
+    _assert_row_matches(distortion, expected, rate_slope, rate)
+    if 0.0 < distortion < 0.5:
+        _assert_slope_matches_mpmath(value, lambda d: -mpmath.sqrt(_mp_entropy_deficit(d)), distortion)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 1.0, exclude_min=True))
+@example(3, 1e-300)
+@example(3, 0.5)
+@example(8, 1.0 - 2.0**-53)
+@example(8, 1.0)
+def test_dwr_newton_rows_and_slope_match_mpmath(check_degree, rate):
+    # Solved on sqrt(R (1 - e)) - sqrt(1 - h(D)), e = exp(-(1 - D) r/R).
+    value, _ = _solved_function(lambda: poisson_ensemble_distortion_bound(check_degree, rate))
+    distortion = poisson_ensemble_distortion_bound(check_degree, rate)
+    expected = oracles_mp.dwr_distortion(check_degree, rate)
+    with mpmath.workdps(60):
+        r, e = mpmath.mpf(rate), mpmath.exp(-(1 - expected) * check_degree / mpmath.mpf(rate))
+        rate_slope = float(mpmath.log((1 - expected) / expected, 2) - check_degree * e)
+
+        def mp_value(d):
+            gain = r * (1 - mpmath.exp(-(1 - d) * check_degree / r))
+            return mpmath.sqrt(gain) - mpmath.sqrt(_mp_entropy_deficit(d))
+
+    _assert_row_matches(distortion, expected, rate_slope, rate)
+    if 0.0 < distortion < 0.5:
+        _assert_slope_matches_mpmath(value, mp_value, distortion)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(2, 0.0, 0.0)
+@example(5, 0.0, 0.0)
+@example(3, 1.0, 1.0)
+@example(3, 0.11, 0.5)  # just under the split at b = 1/2
+@example(3, 0.12, 0.5)
+def test_conjecture_newton_rows_and_slope_match_mpmath(degree, position, spot):
+    # Rates from 1/l + 1e-6 to 1 - 2^-53.  Rows below the rate at
+    # b = ln((1 - D)/D)/2 = 1.5/l are solved on ln(l R - 1) in ln b, the
+    # rest on ln(rate/R), or ln((1 - R)/(1 - rate)) from (1 + 1/l)/2 on, in
+    # ln D; each keeps the digits that ln R loses near R = 1/l or R = 1,
+    # so every row is within 1e-13 of the 60-digit D, or of the oracle's
+    # bisection width 1e-30 (D is 1.8e-18 at 1 - 2^-53 for l = 3).
+    low, high = 1.0 / degree + 1e-6, 1.0 - 2.0**-53
+    rate = low + (high - low) * position
+    value, (lo, hi) = _solved_function(lambda: conjectured_exit_distortion_bound(degree, rate))
+    distortion = conjectured_exit_distortion_bound(degree, rate)
+    expected = oracles_mp.conjecture_distortion(degree, rate)
+    assert abs(distortion - float(expected)) <= 1e-13 * float(expected) + 1e-30, (distortion, float(expected))
+
+    def mp_rate(d):
+        return oracles_mp.conjecture_rate(degree, d)
+
+    with mpmath.workdps(60):
+        if lo == math.log(1e-12):
+
+            def mp_value(u):
+                return mpmath.log(degree * mp_rate(1 / (1 + mpmath.exp(2 * mpmath.exp(u)))) - 1)
+
+            root = mpmath.log(mpmath.log((1 - expected) / expected) / 2)
+        else:
+            near_one, r = rate >= 0.5 * (1.0 + 1.0 / degree), mpmath.mpf(rate)
+
+            def mp_value(v):
+                level = mp_rate(mpmath.exp(v))
+                return mpmath.log((1 - level) / (1 - r)) if near_one else mpmath.log(r / level)
+
+            root = mpmath.log(expected)
+    # the slope at a point from 1 below the root to 1/2 above, in the bracket
+    spot = min(max(float(root) - 1.0 + 1.5 * spot, lo), hi)
+    _assert_slope_matches_mpmath(value, mp_value, spot)
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        pytest.param(shannon_distortion, id="shannon"),
+        pytest.param(lambda rate: poisson_ensemble_distortion_bound(3, rate), id="dwr r=3"),
+        pytest.param(lambda rate: conjectured_exit_distortion_bound(3, rate), id="conjecture l=3"),
+    ],
+)
+def test_newton_keeps_its_points_in_the_bracket(monkeypatch, bound):
+    # A Newton point outside the bracket is replaced by its midpoint: with
+    # every slope taken 100 times too small, the steps overshoot, and each
+    # row still ends on its root, at worst in a bracket 1e-13 wide after
+    # bisection's bound on the steps.
+    rates = np.linspace(0.35, 0.95, 40)
+    solved, newton = bound(rates), bounds_module._newton
+
+    def misled(value, *args, **kwargs):
+        def shallow(x, rows):
+            level, slope = value(x, rows)
+            return level, slope / 100.0
+
+        return newton(shallow, *args, **kwargs)
+
+    monkeypatch.setattr(bounds_module, "_newton", misled)
+    assert np.all(np.abs(bound(rates) - solved) <= 1e-12 * solved + 1e-13)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5])

@@ -706,6 +706,31 @@ def test_verify_code_eliminates_once_per_code(monkeypatch):
     assert max(len(code._rows) for code in codes) > 6
 
 
+def test_kernels_share_one_elimination_per_code(monkeypatch):
+    # The basis is memoised in the code's __dict__: both kernels, in either
+    # order and called twice, eliminate once per code, and an equal copy,
+    # a new object, eliminates again.
+    calls = []
+
+    def spy(masks):
+        calls.append(masks)
+        return basis(masks)
+
+    basis = exact_module._basis
+    monkeypatch.setattr(exact_module, "_basis", spy)
+    codes = [sample_code(14, 6, REG3, seed=1), sample_code(12, 10, REG2, seed=2)]
+    for count, code in enumerate(codes, start=1):
+        kernels = (distance_transform, weight_enumerator)
+        for kernel in kernels if count == 1 else kernels[::-1]:
+            first = kernel(code)
+            assert kernel(code) == first
+        assert len(calls) == count
+        assert code.__dict__["_rows"] == code._rows
+    copy = LdgmCode(codes[0].num_checks, codes[0].generators)
+    assert copy == codes[0] and copy._rows == codes[0]._rows
+    assert len(calls) == 3
+
+
 def test_profile_memo_bounded_over_many_sizes():
     # One key per (n, m): n generators of degree 1, all on check 0.
     memo = exact_module._profile_checks
