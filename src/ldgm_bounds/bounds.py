@@ -57,7 +57,8 @@ grid in one row-wise call of its root finder, while a single point takes
 its float loop.  Every family solves by one bracketed Newton routine,
 ``numerics._newton``, with its slope in closed form: the counting arc in
 ln x (``counting``, ``test_channel``), ``shannon`` and ``dwr`` in D on
-square roots of 1 - h(D), and the conjecture on l R - 1 in
+sqrt(1 - h(D)) (``numerics._root_deficit``, which the entropy inverse
+shares), and the conjecture on l R - 1 in
 ln b, b = ln((1 - D)/D)/2, near R = 1/l and on R or 1 - R in ln D above.
 The conjecture's rate form, which its distortion form inverts, takes
 distortions alike.
@@ -71,11 +72,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .degree import DegreeDistribution, _weight_sums, poisson_rows, weight_transforms
+from .degree import DegreeDistribution, _check_degree, _weight_sums, poisson_rows, weight_transforms
 from .numerics import (
     BracketError,
-    _entropy_deficit,
     _newton,
+    _root_deficit,
     check_range,
     math_of,
     pick,
@@ -104,6 +105,8 @@ _LOG_X_LO, _X_HI = math.log(1e-30), 1.0 - 1e-6
 # The test-channel bound's channel D' = x/(1 + x) stops at 1/2 - 1e-4,
 # where cancellation sets in.
 _X_CAP = (0.5 - 1e-4) / (0.5 + 1e-4)
+# The conjecture's largest degree, the last l whose C(l, l // 2) converts to a float.
+_CONJECTURE_DEGREE_LIMIT = 1029
 # Poisson rows solved together, so the zero-padded pmf matrix stays at
 # this many rows whatever the grid.
 _POISSON_ROWS = 256
@@ -124,20 +127,6 @@ def shannon_distortion(rate):
     target = -math_of(rate).sqrt(pick(rate == 0.0, 1.0, rate))
     solved = _newton(lambda d, rows: _root_deficit(d), 0.0, 0.5, target, relative=True)
     return pick(rate == 1.0, 0.0, pick(rate == 0.0, 0.5, solved))
-
-
-def _root_deficit(d):
-    """-sqrt(1 - h(D)) for D in [0, 1/2] and its slope log2((1 - D)/D) / (2 sqrt(1 - h(D))).
-
-    The log is log1p((1 - 2D)/D) / ln 2, read as log2(65) at D = 0, where it is infinite; at
-    D = 1/2, where the slope is 0/0, it takes its limit sqrt(2/ln 2).  The square root makes
-    the double root of 1 - h at D = 1/2 a simple one, which Newton's method solves at its full
-    pace: rates near 0 take as few steps as any.
-    """
-    xp, deficit = math_of(d), _entropy_deficit(d)
-    root, odds, flat = xp.sqrt(deficit), (1.0 - 2.0 * d) / (d + (d == 0.0) / 64.0), deficit == 0.0
-    rise = xp.log1p(odds) + flat * math.sqrt(2.0 / math.log(2.0))
-    return -root, rise / (2.0 * math.log(2.0) * root + flat)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +342,7 @@ def test_channel_distortion_bound(degree: int, rate):
     For l = 1 the arc is the single point R = 1, and the bound is the line.
     The ends are exact: the line is 1/2 at R = 0, the clamped tangent 0 at 1.
     """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree!r}")
+    _check_degree("degree", degree)
     check_range("rate", rate, 0.0, 1.0)
     line = (1.0 - degree * rate) / 2.0
     if degree == 1:
@@ -379,8 +367,7 @@ def poisson_ensemble_distortion_bound(check_degree: int, rate):
 
     Rate 0 admits no distortion under one half, so the bound there is 0.5.
     """
-    if check_degree < 1:
-        raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
+    _check_degree("check degree", check_degree)
     check_range("rate", rate, 0.0, 1.0)
     xp, solving = math_of(rate), pick(rate == 0.0, 1.0, rate)  # a row at rate 0 reads 0.5
 
@@ -416,8 +403,7 @@ def conjectured_exit_rate_bound(degree: int, distortion):
     where it takes its limit 1/l.  For degree 1 the sum is g(b) and the
     bound is identically 1.
     """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree!r}")
+    _check_degree("degree", degree, _CONJECTURE_DEGREE_LIMIT)
     check_range("distortion", distortion, 0.0, 0.5)
     # rows at D = 0 and D = 1/2 are set at the end; keep their arithmetic finite
     d = pick((distortion > 0.0) & (distortion < 0.5), distortion, 0.25)
@@ -550,8 +536,7 @@ def conjectured_exit_distortion_bound(degree: int, rate):
     which sheds the rounding of ln D.  Each bracket reaches past the split
     by a factor of 2 in b, so a row there is bracketed either way.
     """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree!r}")
+    _check_degree("degree", degree, _CONJECTURE_DEGREE_LIMIT)
     check_range("rate", rate, 0.0, 1.0)
     if degree == 1:
         return pick(rate == 1.0, 0.0, 0.5)

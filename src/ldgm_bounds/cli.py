@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundCurve, NoSolutionError, parametric_endpoints, sample_curve
-from .degree import DegreeDistribution, TruncationError, parse_degree_literal
+from .degree import DEGREE_LIMIT, DegreeDistribution, TruncationError, parse_degree_literal
 from .exact import (
     BLOCKLENGTH_LIMIT,
     GENERATOR_LIMIT,
@@ -97,8 +97,8 @@ def parse_degree_spec(text: str) -> DegreeSpec:
             value = int(tail)
         except ValueError as exc:
             raise UsageError(f"bad {head} parameter in {text!r}") from exc
-        if value < 1:
-            raise UsageError(f"{head} parameter must be >= 1, got {value}")
+        if not 1 <= value <= DEGREE_LIMIT:
+            raise UsageError(f"{head} parameter must be in [1, {DEGREE_LIMIT}], got {value}")
         if head == "regular":
             return DegreeSpec(dist=DegreeDistribution.regular(value), regular=value)
         return DegreeSpec(poisson=value)

@@ -29,6 +29,7 @@ import numpy as np
 from .numerics import check_range, math_of, pick
 
 __all__ = [
+    "DEGREE_LIMIT",
     "DegreeDistribution",
     "TruncationError",
     "parse_degree_literal",
@@ -41,10 +42,19 @@ _MASS_TOL = 1e-12
 _POISSON_TAIL_LIMIT = 1e-10
 # The largest truncation degree a Poisson member may need.
 _POISSON_MAX_DEGREE = 10_000
+# The largest degree taken: a float holds every integer up to it, so a
+# degree's products and squares with floats stay finite.
+DEGREE_LIMIT = 2**53
 
 
 class TruncationError(ValueError):
     """A truncated family left out more probability mass than allowed."""
+
+
+def _check_degree(name: str, degree, limit: int = DEGREE_LIMIT) -> None:
+    """Raise ValueError unless 1 <= degree <= limit, before any arithmetic on it."""
+    if not 1 <= degree <= limit:
+        raise ValueError(f"{name} must be in [1, {limit}], got {degree!r}")
 
 
 def _poisson_pmf(lam, width: int):
@@ -101,8 +111,7 @@ def poisson_rows(check_degree: int, rates) -> tuple[np.ndarray, np.ndarray]:
     lam + 12 sqrt(lam) + 40, past which the tail of any Poisson law is
     below 1e-11 (Bernstein: P(X >= lam + t) <= exp(-t^2 / (2 lam + 2t/3))).
     """
-    if check_degree < 1:
-        raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
+    _check_degree("check degree", check_degree)
     rates = np.asarray(rates, dtype=float)
     check_range("poisson rate", rates, math.ulp(0.0), 1.0)
     lam = check_degree / rates
@@ -135,8 +144,8 @@ class DegreeDistribution:
         prev = -1
         total = 0.0
         for degree, fraction in self.entries:
-            if not isinstance(degree, int) or degree < 0:
-                raise ValueError(f"bad degree: {degree!r}")
+            if not isinstance(degree, int) or not 0 <= degree <= DEGREE_LIMIT:
+                raise ValueError(f"bad degree: {degree!r}, not an integer in [0, {DEGREE_LIMIT}]")
             if degree <= prev:
                 raise ValueError("degrees must be distinct and ascending")
             if not fraction >= 0.0:  # written so that NaN fails it too
@@ -149,8 +158,7 @@ class DegreeDistribution:
     @classmethod
     def regular(cls, degree: int) -> "DegreeDistribution":
         """All generators share one degree (at least 1)."""
-        if degree < 1:
-            raise ValueError(f"regular degree must be >= 1, got {degree!r}")
+        _check_degree("regular degree", degree)
         return cls(((degree, 1.0),))
 
     @classmethod
@@ -179,8 +187,7 @@ class DegreeDistribution:
         out less than 1e-10 of the mass, otherwise :class:`TruncationError`
         is raised.
         """
-        if check_degree < 1:
-            raise ValueError(f"check degree must be >= 1, got {check_degree!r}")
+        _check_degree("check degree", check_degree)
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"rate out of range: {rate!r}")
         if max_degree < 1:

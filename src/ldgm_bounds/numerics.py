@@ -4,13 +4,11 @@ KL divergence, and two bracketing root finders.
 Each function takes a float or a numpy array and answers in kind: every
 formula is written once, over the functions ``math_of`` picks, which are
 numpy's ufuncs for an array and ``math``'s for a float.  So are the root
-finders' steps.  ``_newton``, which every bound family solves by, takes
-Newton steps from a slope the caller writes in closed form, safeguarded
-by its bracket, and evaluates only the rows still live.
-``bisect_monotone`` needs no slope: its interpolating step is safeguarded
-to bisection's pace, and an array steps every row until the slowest
-stops, each row stopping where a float solve of it would.  No bound
-calls it; ``inverse_binary_entropy`` does.
+finders' steps.  ``_newton``, which every bound family and the entropy
+inverse solve by, takes Newton steps from a slope the caller writes in
+closed form, safeguarded by its bracket, and evaluates only the rows
+still live.  ``bisect_monotone`` is plain bisection, which needs no
+slope; nothing in the package calls it.
 
 All logarithms are base 2, so entropies and divergences are in bits.
 """
@@ -43,7 +41,6 @@ class _FloatMath:
 
     log, log1p, log2, exp, expm1 = math.log, math.log1p, math.log2, math.exp, math.expm1
     cosh, sinh, tanh, sqrt = math.cosh, math.sinh, math.tanh, math.sqrt
-    frexp, ldexp, rint = math.frexp, math.ldexp, round
     maximum, minimum = max, min
 
 
@@ -92,6 +89,20 @@ def _entropy_deficit(p):
     return pick(p < 0.25, 1.0 - _entropy(p), near_half)
 
 
+def _root_deficit(d):
+    """-sqrt(1 - h(D)) for D in [0, 1/2] and its slope log2((1 - D)/D) / (2 sqrt(1 - h(D))).
+
+    The log is log1p((1 - 2D)/D) / ln 2, read as log2(65) at D = 0, where it is infinite; at
+    D = 1/2, where the slope is 0/0, it takes its limit sqrt(2/ln 2).  The square root makes
+    the double root of 1 - h at D = 1/2 a simple one, which Newton's method solves at its full
+    pace: rates near 0 take as few steps as any.
+    """
+    xp, deficit = math_of(d), _entropy_deficit(d)
+    root, odds, flat = xp.sqrt(deficit), (1.0 - 2.0 * d) / (d + (d == 0.0) / 64.0), deficit == 0.0
+    rise = xp.log1p(odds) + flat * math.sqrt(2.0 / math.log(2.0))
+    return -root, rise / (2.0 * math.log(2.0) * root + flat)
+
+
 def binary_entropy(p):
     """Entropy in bits of a Bernoulli(p) variable, with 0*log(0) taken as 0."""
     check_range("probability", p, 0.0, 1.0)
@@ -101,11 +112,13 @@ def binary_entropy(p):
 def inverse_binary_entropy(y):
     """Unique p in [0, 1/2] with binary_entropy(p) = y.
 
-    Found by :func:`bisect_monotone`; the result is within 1e-12 of the
-    exact preimage.
+    Solves -sqrt(1 - h(p)) = -sqrt(1 - y) by :func:`_newton` on
+    :func:`_root_deficit`, as ``shannon_distortion`` solves at rate 1 - y;
+    the result is within 1e-12 of the exact preimage.
     """
     check_range("entropy", y, 0.0, 1.0)
-    p = bisect_monotone(_entropy, 0.0, 0.5, y, tol=1e-12)
+    target = -math_of(y).sqrt(1.0 - y)
+    p = _newton(lambda d, rows: _root_deficit(d), 0.0, 0.5, target, relative=True)
     return pick(y == 0.0, 0.0, pick(y == 1.0, 0.5, p))
 
 
@@ -135,7 +148,7 @@ def bisect_monotone(
     target,
     tol: float = 1e-12,
 ):
-    """Solve fn(x) = target for a monotone fn on [lo, hi] to within ``tol``.
+    """Solve fn(x) = target for a monotone fn on [lo, hi] by bisection.
 
     Works for increasing and decreasing functions; the direction is read
     off the endpoint values.  Returns the midpoint of the final bracket,
@@ -143,28 +156,14 @@ def bisect_monotone(
     Raises :class:`BracketError` when the endpoint values do not straddle
     the target.  An x with fn(x) < target replaces the lower end of an
     increasing fn and the upper end of a decreasing one, so on a plateau
-    at the target the lowest root, or the highest, is found.
-
-    It keeps the name and contract of the bisection it replaced, as the
-    callers, tests and the benchmark's tracer (``perfbench/tracing.py``)
-    know it by that name.  Each step evaluates fn at Chandrupatla's
-    inverse-quadratic point through both ends and the end last dropped
-    (*Adv. Eng. Software* 28, 1997) where his test finds it safe or an end
-    is a root, else at the midpoint.  As in ITP (Oliveira & Takahashi,
-    *ACM TOMS* 47, 2020) the point moves toward the midpoint by up to
-    0.2 w^2/w0 (w the width, w0 the first), so the bracket closes from
-    both sides; it is rounded to the grid of tol/2 from the lower end,
-    kept a grid step inside, and held within ITP's radius of the midpoint.
-    So a smooth fn takes about ten steps, and no solve more than
-    ceil(log2((hi - lo)/tol)) + 1, one beyond bisection, once tol is at
-    least 4 ulps of the ends.
+    at the target the lowest root, or the highest, is found.  Nothing in
+    the package solves by it: it needs no slope, which makes it the tests'
+    second route to the roots ``_newton`` finds.
 
     When ``lo``, ``hi`` or ``target`` is an array they broadcast to rows,
-    ``fn`` maps an array of x to its values row by row, and each row takes
-    the float solve's steps until its own stop: where fn's float and array
-    values agree, so do the results, bit for bit; where they differ in the
-    last bits, as ``math`` and numpy may, the grid keeps the results equal
-    unless a point falls within those bits of a grid line.  The error
+    ``fn`` maps an array of x to its values row by row, and each row
+    takes the float solve's steps until its own stop, so where fn's float
+    and array values agree, so do the results, bit for bit.  The error
     names the first row that is not bracketed.
     """
     rows = math_of(lo, hi, target) is np
@@ -176,49 +175,20 @@ def bisect_monotone(
     increasing = f_lo <= f_hi
     low, high = pick(increasing, f_lo, f_hi), pick(increasing, f_hi, f_lo)
     bracketed = (lo < hi) & (low <= target) & (target <= high)
-    if not np.all(bracketed):
+    if not (np.all if rows else bool)(bracketed):
         k = np.flatnonzero(~np.asarray(bracketed))[0]
         t, a, b, fa, fb = (np.ravel(v)[k].item() for v in (target, lo, hi, f_lo, f_hi))
         where = f"row {k}: " if rows else ""
         raise BracketError(
             f"{where}target {t!r} not bracketed on [{a!r}, {b!r}]: fn(lo)={fa!r}, fn(hi)={fb!r}"
         )
-    # a is the end that moved last and c the end it replaced; c = a fails
-    # the interpolation test, so the first step bisects
-    xp, inside, a, b, fa, fb = math_of(lo), 0.5 * tol, lo, hi, f_lo - target, f_hi - target
-    c, fc, pull = a, fa, 0.2 / (hi - lo)
-    # ITP's bound on the width after each step, tol 2^ceil(log2((hi - lo)/tol))
-    # halved per step; two ulps of the ends, scaled alike, absorb rounding
-    budget, slack = hi - lo, 0.0
-    if tol > 0.0:
-        mantissa, exponent = xp.frexp(budget / tol)
-        budget, slack = xp.ldexp(tol, exponent - (mantissa == 0.5)), 2.0**-51 / tol
     while True:
-        low, high = xp.minimum(a, b), xp.maximum(a, b)
-        width, mid = high - low, 0.5 * (a + b)
-        live = (width > tol) & (mid > low) & (mid < high)
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > tol) & (mid > lo) & (mid < hi)
         if not (live.any() if rows else live):
             return mid if rows else float(mid)
-        # Chandrupatla's test xi > phi^2 and 1 - xi > (1 - phi)^2, with
-        # xi = (a-b)/(c-b) and phi = (fa-fb)/(fc-fb), free of division
-        near, far, bent, back = fa - fb, fc - fb, fc - fa, c - a
-        span, square, den = abs(c - b), far * far, near * far * bent
-        valid = (near * near * span < width * square) & (bent * bent * span < abs(back) * square)
-        use = (valid | (fa * fb == 0.0)) & (den != 0.0)
-        shift = fa * (fc * bent * (b - a) + fb * near * back) / (den + (den == 0.0))
-        x = pick(use, a + shift, mid)
-        reach, half = pull * width * width, 0.5 * width
-        x = x + xp.minimum(xp.maximum(mid - x, -reach), reach)
-        if tol > 0.0:  # onto the grid of tol/2, where last-bit noise in fn seldom moves it
-            x = low + inside * xp.rint((x - low) / inside)
-        radius = xp.maximum(budget * (1.0 - slack * (abs(mid) + half)) - half, 0.0)
-        lower, upper = xp.maximum(low + inside, mid - radius), xp.minimum(high - inside, mid + radius)
-        x = pick(live, xp.minimum(xp.maximum(x, lower), upper), a)
-        f_x = fn(x)
-        # x replaces the end on its side of the target; a finished row, at x = a, keeps its ends
-        same = (((f_x < target) == increasing) == (a < b)) | (x == a)
-        c, fc, b, fb = pick(same, a, b), pick(same, fa, fb), pick(same, b, a), pick(same, fb, fa)
-        a, fa, budget = x, f_x - target, 0.5 * budget
+        below = fn(mid) < target  # mid replaces the end on its side of the target
+        lo, hi = pick(live & (below == increasing), mid, lo), pick(live & (below != increasing), mid, hi)
 
 
 def _newton(value, lo: float, hi: float, target, relative=False, start=None):

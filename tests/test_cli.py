@@ -239,6 +239,39 @@ def test_curve_spec_a_family_cannot_use_exits_2(capsys, bound, flags, family):
     assert family in err
 
 
+_HUGE = str(10**400)  # past every float
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the conjecture's C(l, l // 2) converts to a float up to l = 1029
+        ["curve", "--bound", "conjecture", "--l", "1030", "--steps", "3"],
+        ["curve", "--bound", "counting", "--degrees", f"regular:{_HUGE}", "--steps", "3"],
+        ["curve", "--bound", "counting", "--degrees", f"2:0.5,{_HUGE}:0.5", "--steps", "3"],
+        ["curve", "--bound", "counting", "--degrees", f"poisson:{_HUGE}", "--steps", "3"],
+        ["curve", "--bound", "test-channel", "--l", _HUGE, "--steps", "3"],
+        ["curve", "--bound", "dwr", "--r", _HUGE, "--steps", "3"],
+        ["curve", "--bound", "conjecture", "--l", _HUGE, "--steps", "3"],
+        ["verify", "--m", "10", "--n", "3", "--degrees", f"regular:{_HUGE}"],
+    ],
+    ids=["conjecture-1030", "regular", "literal", "poisson", "test-channel", "dwr", "conjecture", "verify"],
+)
+def test_degree_past_its_limit_exits_2(capsys, argv):
+    # Refused where degrees are validated, before float arithmetic on
+    # them could overflow: one error line naming the limit, no traceback.
+    status, out, err = run(argv, capsys)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be in [1, " in err or "not an integer in [0, " in err
+
+
+def test_conjecture_at_its_degree_limit_exits_0(capsys):
+    status, out, err = run(["curve", "--bound", "conjecture", "--l", "1029", "--steps", "3"], capsys)
+    assert (status, err) == (0, "")
+    assert len(out.splitlines()[out.splitlines().index("D,R") + 1 :]) == 3
+
+
 def test_curve_oversized_grid_refused_before_sampling(monkeypatch, capsys):
     def no_curve(*args, **kwargs):
         raise AssertionError("sampled a curve past the grid cap")

@@ -14,6 +14,9 @@ independent, and the package exports nothing without a caller.
   benchmark (``perfbench/*.py``, where ``tracing.py`` names what it wraps
   in strings) or from the package's own top-level code, through the
   definitions that code uses; a test-only name belongs in ``tests/``.
+* Every function the benchmark's tracer (``perfbench/tracing.py``) wraps
+  by name is defined in the module it names, so a rename fails here
+  rather than only in a traced run.
 """
 
 import ast
@@ -139,3 +142,36 @@ def test_every_exported_name_is_reached():
         frontier = set().union(*(uses.get(name, set()) for name in frontier)) - reached
         reached |= frontier
     assert not exported - reached, sorted(exported - reached)
+
+
+def _tracer_targets() -> tuple[dict, set[str]]:
+    """``perfbench/tracing.py``'s tables SPANNED, FOLDED and TRANSFORMS, read
+    from its source, and each method name it reads as ``cls.__dict__[name]``."""
+    tree = ast.parse((BENCHMARK / "tracing.py").read_text())
+    tables = {
+        names[0]: ast.literal_eval(node.value)
+        for node in tree.body
+        if (names := _defined(node)) and names[0] in ("SPANNED", "FOLDED", "TRANSFORMS")
+    }
+    methods = {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "__dict__"
+        and isinstance(node.slice, ast.Constant)
+    }
+    return tables, methods
+
+
+def test_every_function_the_tracer_wraps_exists():
+    tables, methods = _tracer_targets()
+    assert sorted(tables) == ["FOLDED", "SPANNED", "TRANSFORMS"]
+    for module, name in tables["SPANNED"] + tables["FOLDED"]:
+        home = f"ldgm_bounds.{module}"
+        function = getattr(importlib.import_module(home), name, None)
+        assert getattr(function, "__module__", None) == home, f"{module}.{name}"
+    assert "poisson_truncated" in methods
+    degree_type = importlib.import_module("ldgm_bounds.degree").DegreeDistribution
+    for name in (*tables["TRANSFORMS"], *methods):
+        assert name in vars(degree_type), f"DegreeDistribution.{name}"

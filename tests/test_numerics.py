@@ -13,7 +13,9 @@ from ldgm_bounds import (
     bisect_monotone,
     inverse_binary_entropy,
     kl_bernoulli,
+    shannon_distortion,
 )
+import oracles_mp
 
 # High-precision references computed independently with 30-digit arithmetic.
 ENTROPY_QUARTER = 0.8112781244591329
@@ -73,6 +75,28 @@ def test_inverse_entropy_round_trip(y):
     p = inverse_binary_entropy(y)
     assert 0.0 <= p <= 0.5
     assert binary_entropy(p) == pytest.approx(y, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example([0.0, 1.0, 1e-300, 1e-16, 1e-3, 0.019779956074714944, 0.5, 1.0 - 2.0**-53])
+def test_inverse_entropy_matches_mpmath(ys):
+    # Solved on sqrt(1 - h(p)) against sqrt(1 - y), as shannon_distortion
+    # solves at rate 1 - y, so the reference is the root at that rate.
+    # Array rows and float calls round that residual apart by up to 2^-54
+    # (seen over 2e5 values of y), which the slope log2((1 - p)/p) /
+    # (2 sqrt(1 - y)) maps to p: 1.3e-14 of p at y = 0.02.  They are
+    # allowed 2^-52 over the slope.
+    rows = inverse_binary_entropy(np.array(ys))
+    for y, row in zip(ys, rows):
+        p, expected = inverse_binary_entropy(y), oracles_mp.shannon_distortion(1.0 - y)
+        assert abs(p - expected) <= 1e-15, (y, p, expected)
+        if y >= 1e-3:
+            assert abs(p - expected) <= 1e-12 * expected, (y, p, expected)
+        slope = math.log2((1.0 - p) / p) / (2.0 * math.sqrt(1.0 - y)) if 0.0 < p < 0.5 else math.inf
+        assert abs(row - p) <= 2e-15 * p + 2.0**-52 / slope, (y, row, p)
+        if y >= 0.5:  # 1 - y is exact
+            assert p == shannon_distortion(1.0 - y), y
 
 
 def test_kl_reference_value():
