@@ -67,8 +67,10 @@ distortions alike.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +98,6 @@ __all__ = [
     "solve_x_for_rate",
     "test_channel_distortion_bound",
 ]
-
-CURVE_KINDS = ("shannon", "counting", "test_channel", "dwr", "conjectured_exit")
 
 # The arc is 0/0 at x -> 1; stay inside.  Its solve starts at x = e^-69 = 1e-30, where
 # 1 - R ~ 1e-28 is below 2^-53, the least 1 - R of a rate under 1, reached near x = 1e-18.
@@ -358,7 +358,7 @@ def test_channel_distortion_bound(degree: int, rate):
 
 
 # ---------------------------------------------------------------------------
-# fixed-check-degree ensemble bound (the "dwr" curve family)
+# fixed-check-degree ensemble bound (the dwr curve family)
 # ---------------------------------------------------------------------------
 
 
@@ -586,12 +586,57 @@ def conjectured_exit_distortion_bound(degree: int, rate):
 # ---------------------------------------------------------------------------
 
 
+class _Spec(NamedTuple):
+    """What one ``sample_curve`` argument's value gives a curve: params, distortions, notes."""
+
+    params: Callable
+    solve: Callable
+    notes: Callable = lambda value: ()
+
+
+class _Family(NamedTuple):
+    """A family's ``--bound`` flag, what it takes, its ``_Spec`` by argument, and its notice."""
+
+    flag: str
+    takes: str
+    specs: dict
+    notice: str | None = None
+
+
+def _endpoint_notes(dist):
+    """The counting arc's two ``parametric_endpoints`` as comment lines; none for the line."""
+    ends = parametric_endpoints(dist) or ()
+    return tuple(f"# arc endpoint x->{x}: D={d:.10g},R={r:.10g}" for x, (d, r) in zip("01", ends))
+
+
+# Every curve family, by kind.  Each solve calls its bound by its module-global name when it
+# runs, so a caller that rebinds that name (a tracer, a test) sees the call.
+_FAMILIES = {
+    "shannon": _Family("shannon", "", {None: _Spec(lambda _: (), lambda _, rates: shannon_distortion(rates))}),
+    "counting": _Family("counting", "a degree profile or poisson:<r>, exactly one", {
+        "dist": _Spec(lambda dist: (("degrees", dist.to_literal()),),
+                      lambda dist, rates: counting_bound_distortion(dist, rates), _endpoint_notes),
+        "check_degree": _Spec(lambda r: (("family", "poisson"), ("check_degree", str(r))),
+                              lambda r, rates: _poisson_counting(r, rates),
+                              lambda r: ("# poisson family: degree distribution rebuilt at every rate",))}),
+    "test_channel": _Family("test-channel", "a regular degree, regular:<l>", {"degree": _Spec(
+        lambda l: (("degree", str(l)),), lambda l, rates: test_channel_distortion_bound(l, rates))}),
+    "dwr": _Family("dwr", "a check degree, poisson:<r>", {"check_degree": _Spec(
+        lambda r: (("check_degree", str(r)),), lambda r, rates: poisson_ensemble_distortion_bound(r, rates))}),
+    "conjectured_exit": _Family("conjecture", "a regular degree, regular:<l>", {"degree": _Spec(
+        lambda l: (("degree", str(l)),), lambda l, rates: conjectured_exit_distortion_bound(l, rates))},
+        "# CONJECTURE: unproven bound, not a theorem, and contradicted by explicit codes"),
+}
+CURVE_KINDS = tuple(_FAMILIES)
+
+
 @dataclass(frozen=True, eq=False)
 class BoundCurve:
     """A sampled bound curve: kind tag, rates in ascending order and the
     distortion at each as read-only float copies of the sequences given,
-    generating params, and a fixed-profile counting curve's unrounded
-    distribution.  Equality is identity: arrays have no truth value.
+    generating params, a fixed-profile counting curve's unrounded
+    distribution, and notes: its family's comment lines after the params.
+    Equality is identity: arrays have no truth value.
 
     Checks every row: rates in [0, 1] and distortions in [0, 1/2], each to
     1e-12, rates sorted, and no distortion rising by more than 1e-9."""
@@ -601,6 +646,7 @@ class BoundCurve:
     distortions: np.ndarray
     params: tuple[tuple[str, str], ...]
     dist: DegreeDistribution | None = None
+    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in CURVE_KINDS:
@@ -630,7 +676,8 @@ class BoundCurve:
 
     @property
     def is_conjecture(self) -> bool:
-        return self.kind == "conjectured_exit"
+        """Whether the curve is the unproven conjecture, the one family with a notice."""
+        return _FAMILIES[self.kind].notice is not None
 
 
 def sample_curve(
@@ -642,13 +689,9 @@ def sample_curve(
 ) -> BoundCurve:
     """Sample one bound curve over a grid of rates.
 
-    Each family takes one parameter, with the degree spec that gives it on
-    the command line in brackets, and ignores the others: ``counting`` a
-    fixed ``dist`` [a literal or regular:<l>] or a ``check_degree``
-    [poisson:<r>, one member per rate, rates > 0]; ``test_channel`` and
-    ``conjectured_exit`` a ``degree`` [regular:<l>]; ``dwr`` a
-    ``check_degree`` [poisson:<r>]; ``shannon`` none.  Each family is
-    solved for the whole grid at once.
+    A family takes exactly one of the arguments its ``_FAMILIES`` row names
+    (none for None), is solved for the whole grid at once, and ignores the
+    rest; given none or more, it raises a ValueError saying what it takes.
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind: {kind!r}")
@@ -658,31 +701,10 @@ def sample_curve(
     if rates[0] < 0.0 or rates[-1] > 1.0:
         raise ValueError(f"rates outside [0, 1]: {rates[0]!r}..{rates[-1]!r}")
 
-    params: list[tuple[str, str]] = []
-    if kind == "shannon":
-        distortions = shannon_distortion(rates)
-    elif kind == "counting":
-        if (dist is None) == (check_degree is None):
-            raise ValueError("counting takes a degree profile or poisson:<r>, exactly one")
-        if dist is not None:
-            params.append(("degrees", dist.to_literal()))
-            distortions = counting_bound_distortion(dist, rates)
-        else:
-            params.append(("family", "poisson"))
-            params.append(("check_degree", str(check_degree)))
-            distortions = _poisson_counting(check_degree, rates)
-    elif kind == "dwr":
-        if check_degree is None:
-            raise ValueError("dwr takes a check degree, poisson:<r>")
-        params.append(("check_degree", str(check_degree)))
-        distortions = poisson_ensemble_distortion_bound(check_degree, rates)
-    else:  # test_channel or conjectured_exit
-        if degree is None:
-            raise ValueError(f"{kind} takes a regular degree, regular:<l>")
-        params.append(("degree", str(degree)))
-        if kind == "test_channel":
-            distortions = test_channel_distortion_bound(degree, rates)
-        else:
-            distortions = conjectured_exit_distortion_bound(degree, rates)
-
-    return BoundCurve(kind, rates, distortions, tuple(params), dist if kind == "counting" else None)
+    family, given = _FAMILIES[kind], {None: None, "dist": dist, "degree": degree, "check_degree": check_degree}
+    taken = [name for name in family.specs if name is None or given[name] is not None]
+    if len(taken) != 1:
+        raise ValueError(f"{kind} takes {family.takes}")
+    value, spec = given[taken[0]], family.specs[taken[0]]
+    fixed = value if taken[0] == "dist" else None
+    return BoundCurve(kind, rates, spec.solve(value, rates), spec.params(value), fixed, spec.notes(value))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundCurve, NoSolutionError, parametric_endpoints, sample_curve
+from .bounds import _FAMILIES, BoundCurve, NoSolutionError, sample_curve
 from .degree import DEGREE_LIMIT, DegreeDistribution, TruncationError, parse_degree_literal
 from .exact import (
     BLOCKLENGTH_LIMIT,
@@ -47,16 +47,6 @@ from .exact import (
     weight_enumerator,
 )
 from .numerics import BracketError
-
-_BOUND_FLAGS = {
-    "shannon": "shannon",
-    "counting": "counting",
-    "test-channel": "test_channel",
-    "dwr": "dwr",
-    "conjecture": "conjectured_exit",
-}
-
-CONJECTURE_NOTICE = "# CONJECTURE: unproven bound, not a theorem, and contradicted by explicit codes"
 
 # Grid caps, far above any useful curve or verify grid.  A curve grid past
 # its cap is refused before it is allocated; the d-grid is never
@@ -117,9 +107,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve = sub.add_parser("curve", help="sample a bound curve as CSV")
-    curve.add_argument(
-        "--bound", required=True, choices=sorted(_BOUND_FLAGS), help="curve family"
-    )
+    flags = sorted(family.flag for family in _FAMILIES.values())
+    curve.add_argument("--bound", required=True, choices=flags, help="curve family")
     curve.add_argument("--degrees", help="degree spec: literal, regular:<l>, poisson:<r>")
     curve.add_argument("--l", type=int, help="generator degree for regular families")
     curve.add_argument("--r", type=int, help="check degree for ensemble families")
@@ -174,9 +163,8 @@ def _curve_for_args(args) -> BoundCurve:
             f"give at most one of --degrees, --l and --r, got {' and '.join(given)}"
         )
     spec = parse_degree_spec(texts[given[0]]) if given else DegreeSpec()
-    return sample_curve(
-        _BOUND_FLAGS[args.bound], grid, dist=spec.dist, degree=spec.regular, check_degree=spec.poisson
-    )
+    kind = next(kind for kind, family in _FAMILIES.items() if family.flag == args.bound)
+    return sample_curve(kind, grid, dist=spec.dist, degree=spec.regular, check_degree=spec.poisson)
 
 
 # Tables of the CSV rows' fast path, ``_csv_rows``.  Decade e of a value in
@@ -280,19 +268,8 @@ def render_curve_csv(curve: BoundCurve) -> str:
       doubles are spaced less than 10^-k / 400 apart, so it rounds
       below that integer.
     """
-    lines = []
-    if curve.is_conjecture:
-        lines.append(CONJECTURE_NOTICE)
-    params = " ".join(f"{key}={value}" for key, value in curve.params)
-    lines.append(f"# bound={curve.kind}" + (f" {params}" if params else ""))
-    if curve.kind == "counting":
-        if curve.dist is None:
-            lines.append("# poisson family: degree distribution rebuilt at every rate")
-        elif (endpoints := parametric_endpoints(curve.dist)) is not None:  # else the curve is the line
-            start, end = endpoints
-            lines.append(f"# arc endpoint x->0: D={start[0]:.10g},R={start[1]:.10g}")
-            lines.append(f"# arc endpoint x->1: D={end[0]:.10g},R={end[1]:.10g}")
-    lines.append("D,R")
+    head = " ".join([f"# bound={curve.kind}", *(f"{key}={value}" for key, value in curve.params)])
+    lines = filter(None, [_FAMILIES[curve.kind].notice, head, *curve.notes, "D,R"])
     return "\n".join(lines) + "\n" + _csv_rows(curve.distortions, curve.rates)
 
 

@@ -219,6 +219,16 @@ def test_curve_dwr_requires_check_degree(capsys):
     assert "error:" in err
 
 
+# The whole error line of each refusal below, by the family it names.
+_REFUSALS = {
+    "counting": "error: counting takes a degree profile or poisson:<r>, exactly one\n",
+    "test_channel": "error: test_channel takes a regular degree, regular:<l>\n",
+    "dwr": "error: dwr takes a check degree, poisson:<r>\n",
+    "conjectured_exit": "error: conjectured_exit takes a regular degree, regular:<l>\n",
+    "poisson": "error: poisson rate out of range: 0.0\n",
+}
+
+
 @pytest.mark.parametrize(
     "bound, flags, family",
     [
@@ -235,8 +245,49 @@ def test_curve_dwr_requires_check_degree(capsys):
 )
 def test_curve_spec_a_family_cannot_use_exits_2(capsys, bound, flags, family):
     status, out, err = run(["curve", "--bound", bound, *flags], capsys)
-    assert (status, out) == (2, "")
-    assert family in err
+    assert (status, out, err) == (2, "", _REFUSALS[family])
+
+
+def test_curve_unknown_family_is_a_usage_error_listing_every_flag(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["curve", "--bound", "nope"])
+    captured = capsys.readouterr()
+    assert (exited.value.code, captured.out) == (2, "")
+    *_, line = captured.err.splitlines()
+    head, _, choices = line.partition(" (choose from ")
+    assert head == "ldgm-bounds curve: error: argument --bound: invalid choice: 'nope'"
+    # argparse quotes each choice with repr on some Python versions and not on others
+    assert choices.replace("'", "") == "conjecture, counting, dwr, shannon, test-channel)"
+
+
+# Each family's --bound flag, the name of its point bound in ldgm_bounds.bounds
+# (the names perfbench/tracing.py rebinds to time each family) and a spec it takes.
+_POINT_BOUNDS = {
+    "shannon": ("shannon_distortion", []),
+    "counting": ("counting_bound_distortion", ["--degrees", "regular:3"]),
+    "test-channel": ("test_channel_distortion_bound", ["--l", "3"]),
+    "dwr": ("poisson_ensemble_distortion_bound", ["--r", "3"]),
+    "conjecture": ("conjectured_exit_distortion_bound", ["--l", "3"]),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_POINT_BOUNDS))
+def test_curve_calls_its_point_bound_by_module_name(monkeypatch, capsys, flag):
+    # A tracer rebinds a point bound's name in the module's namespace, so a
+    # family must look its bound up by that name when it runs: a table that
+    # held the function object would never call the tracer's wrapper.
+    assert set(_POINT_BOUNDS) == {family.flag for family in bounds_module._FAMILIES.values()}
+    name, spec = _POINT_BOUNDS[flag]
+    bound, calls = getattr(bounds_module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(bounds_module, name, counted)
+    status, out, err = run(["curve", "--bound", flag, *spec, "--steps", "3"], capsys)
+    assert (status, err) == (0, "")
+    assert len(calls) == 1  # the whole grid in one call
 
 
 _HUGE = str(10**400)  # past every float
